@@ -109,28 +109,17 @@ let divergences trace =
         if budget = None then begin
           let cache = Hawkset.Result_cache.create () in
           let config = { Hawkset.Pipeline.default with jobs = 1 } in
-          let config_fp = Hawkset.Result_cache.config_fingerprint config in
-          let trace_fp = Trace.Trace_io.fingerprint cut in
+          let run () =
+            fst (Hawkset.Result_cache.run_cached ~cache ~config cut)
+          in
           acc :=
             check_variant !acc ~variant:"cache cold+warm" ~expected (fun () ->
-                (match
-                   Hawkset.Result_cache.find cache ~trace_fp ~config_fp
-                 with
-                | Some _ -> failwith "cold cache probe unexpectedly hit"
-                | None -> ());
-                let races =
-                  (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races
-                in
-                Hawkset.Result_cache.add cache ~trace_fp ~config_fp
-                  { Hawkset.Result_cache.e_races_json =
-                      Hawkset.Report.to_json races;
-                    e_canonical = Hawkset.Report.canonical races;
-                    e_counters = [] };
-                match
-                  Hawkset.Result_cache.find cache ~trace_fp ~config_fp
-                with
-                | None -> failwith "warm cache probe missed"
-                | Some e -> e.Hawkset.Result_cache.e_races_json)
+                ignore (run ());
+                let warm = run () in
+                let stat k = List.assoc k (Hawkset.Result_cache.stats cache) in
+                if stat "cache.misses" <> 1 || stat "cache.hits" <> 1 then
+                  failwith "cache: expected one cold miss, then one warm hit";
+                warm.Hawkset.Result_cache.e_races_json)
         end;
         List.rev !acc)
       budgets

@@ -9,32 +9,27 @@
    [(Trace_io.fingerprint, config_fingerprint)] so a duplicate trace
    costs one hash probe instead of a full analysis.
 
-   Layout: rows live in a {!Trace.Vec} (stable indices, [clear] keeps
-   capacity for per-sweep reuse); the index is a {!Trace.Int_tbl.Map}
-   from a 60-bit FNV of the combined key to the row index, with the full
-   key string stored in the row to confirm the probe (a packed-key
-   collision reads as a miss and the later [add] simply repoints the
-   slot). All operations take [lock]: sweeps consult the cache from
-   worker domains.
+   Layout: rows live in a {!Trace.Vec} in insertion order (the order
+   [save] writes them); the index maps the full "trace_fp:config_fp" key
+   to the row. The cache is probed once per job, schedule or crash
+   point, never on a hot path. All operations take [lock]: sweeps
+   consult the cache from worker domains.
 
    Only *complete* results belong here — a truncated report is a
-   property of the run (its budgets), not of the trace, so callers must
-   not [add] one. Deadlines and [jobs] are likewise excluded from
-   {!config_fingerprint}: any jobs value produces bit-identical reports,
-   and deadlines only affect truncated (uncacheable) runs. *)
+   property of the run (its budgets), not of the trace. [run_cached]
+   enforces that for every caller. Deadlines and [jobs] are likewise
+   excluded from {!config_fingerprint}: any jobs value produces
+   bit-identical reports, and deadlines only affect truncated
+   (uncacheable) runs. *)
 
 module J = Trace.Journal
 
-type entry = {
-  e_races_json : string;
-  e_canonical : (string * string) list;
-  e_counters : (string * int) list;
-}
+type entry = { e_races_json : string; e_canonical : (string * string) list }
 
 type t = {
   lock : Mutex.t;
-  index : Trace.Int_tbl.Map.t;
-  rows : (string * entry) Trace.Vec.t; (* full key, confirmed on probe *)
+  index : (string, int) Hashtbl.t; (* "trace_fp:config_fp" -> row *)
+  rows : (string * string * entry) Trace.Vec.t; (* trace_fp, config_fp *)
   mutable hits : int;
   mutable misses : int;
   mutable bytes : int; (* stored races_json bytes *)
@@ -50,7 +45,7 @@ let tl_store = Obs.Timeline.name "cache.store"
 let create () =
   {
     lock = Mutex.create ();
-    index = Trace.Int_tbl.Map.create ~size:64 ();
+    index = Hashtbl.create 64;
     rows = Trace.Vec.create ();
     hits = 0;
     misses = 0;
@@ -58,10 +53,6 @@ let create () =
   }
 
 let key_of ~trace_fp ~config_fp = trace_fp ^ ":" ^ config_fp
-
-(* First 15 hex digits of the key's FNV: a non-negative sub-62-bit int,
-   the shape {!Trace.Int_tbl} wants. *)
-let packed_of key = int_of_string ("0x" ^ String.sub (J.fnv_hex key) 0 15)
 
 let config_fingerprint (c : Pipeline.config) =
   J.fnv_hex
@@ -73,22 +64,17 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Probe without touching the hit/miss accounting ([add] reuses it). *)
-let probe t key =
-  let i = Trace.Int_tbl.Map.find t.index (packed_of key) in
-  if i < 0 then None
-  else
-    let k, e = Trace.Vec.get t.rows i in
-    if String.equal k key then Some e else None
-
 let find t ~trace_fp ~config_fp =
   let key = key_of ~trace_fp ~config_fp in
   let r = locked t (fun () ->
-      let r = probe t key in
-      (match r with
-      | Some _ -> t.hits <- t.hits + 1
-      | None -> t.misses <- t.misses + 1);
-      r)
+      match Hashtbl.find_opt t.index key with
+      | Some i ->
+          t.hits <- t.hits + 1;
+          let _, _, e = Trace.Vec.get t.rows i in
+          Some e
+      | None ->
+          t.misses <- t.misses + 1;
+          None)
   in
   (match r with
   | Some _ ->
@@ -102,27 +88,40 @@ let find t ~trace_fp ~config_fp =
 let add t ~trace_fp ~config_fp entry =
   let key = key_of ~trace_fp ~config_fp in
   let stored = locked t (fun () ->
-      match probe t key with
-      | Some _ -> false (* entries are deterministic: first wins *)
-      | None ->
-          Trace.Vec.push t.rows (key, entry);
-          Trace.Int_tbl.Map.set t.index (packed_of key)
-            (Trace.Vec.length t.rows - 1);
-          t.bytes <- t.bytes + String.length entry.e_races_json;
-          true)
+      if Hashtbl.mem t.index key then false
+        (* entries are deterministic: first wins *)
+      else begin
+        Trace.Vec.push t.rows (trace_fp, config_fp, entry);
+        Hashtbl.replace t.index key (Trace.Vec.length t.rows - 1);
+        t.bytes <- t.bytes + String.length entry.e_races_json;
+        true
+      end)
   in
   if stored then begin
     Obs.Metric.add obs_bytes (String.length entry.e_races_json);
     Obs.Timeline.instant tl_store
   end
 
-let length t = locked t (fun () -> Trace.Vec.length t.rows)
+let run_cached ?cache ~config trace =
+  let analyse () =
+    let r = Pipeline.run ~config trace in
+    ( { e_races_json = Report.to_json r.Pipeline.races;
+        e_canonical = Report.canonical r.Pipeline.races },
+      List.length r.Pipeline.truncated )
+  in
+  match cache with
+  | None -> analyse ()
+  | Some t -> (
+      let trace_fp = Trace.Trace_io.fingerprint trace
+      and config_fp = config_fingerprint config in
+      match find t ~trace_fp ~config_fp with
+      | Some e -> (e, 0)
+      | None ->
+          let e, truncs = analyse () in
+          if truncs = 0 then add t ~trace_fp ~config_fp e;
+          (e, truncs))
 
-let clear t =
-  locked t (fun () ->
-      Trace.Int_tbl.Map.clear t.index;
-      Trace.Vec.clear t.rows;
-      t.bytes <- 0)
+let length t = locked t (fun () -> Trace.Vec.length t.rows)
 
 let stats t =
   locked t (fun () ->
@@ -135,12 +134,12 @@ let stats t =
 
 (* --- persistence (Trace.Journal format) ------------------------------- *)
 
-let schema = "hawkset.result_cache/1"
+let schema = "hawkset.result_cache/2"
 
 (* Payload framing: the races JSON is length-prefixed (it contains
-   newlines and arbitrary bytes); canonical pairs and counters follow as
-   one token-separated line each — locations are "file:line" and counter
-   names are dotted identifiers, neither contains whitespace. *)
+   newlines and arbitrary bytes); canonical pairs follow as one
+   "C store load" line each — locations are "file:line", which contains
+   no whitespace. *)
 let frame e =
   let b = Buffer.create (String.length e.e_races_json + 64) in
   Buffer.add_string b (string_of_int (String.length e.e_races_json));
@@ -151,9 +150,6 @@ let frame e =
     (fun (s, l) ->
       Buffer.add_string b (Printf.sprintf "C %s %s\n" s l))
     e.e_canonical;
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "K %s %d\n" k v))
-    e.e_counters;
   Buffer.contents b
 
 let unframe payload =
@@ -172,27 +168,17 @@ let unframe payload =
             String.sub payload (nl + 2 + len)
               (String.length payload - nl - 2 - len)
           in
-          let canonical = ref [] and counters = ref [] in
+          let canonical = ref [] in
           let ok = ref true in
           List.iter
             (fun line ->
               if line <> "" then
                 match String.split_on_char ' ' line with
                 | [ "C"; s; l ] -> canonical := (s, l) :: !canonical
-                | [ "K"; k; v ] -> (
-                    match int_of_string_opt v with
-                    | Some v -> counters := (k, v) :: !counters
-                    | None -> ok := false)
                 | _ -> ok := false)
             (String.split_on_char '\n' rest);
           if not !ok then None
-          else
-            Some
-              {
-                e_races_json = races;
-                e_canonical = List.rev !canonical;
-                e_counters = List.rev !counters;
-              })
+          else Some { e_races_json = races; e_canonical = List.rev !canonical })
 
 let save t path =
   let w = J.create path in
@@ -202,41 +188,31 @@ let save t path =
       J.add w { J.tag = "cache"; fields = [ schema ]; payload = None };
       locked t (fun () ->
           Trace.Vec.iter
-            (fun (key, e) ->
-              match String.split_on_char ':' key with
-              | [ trace_fp; config_fp ] ->
-                  J.add w
-                    {
-                      J.tag = "entry";
-                      fields = [ trace_fp; config_fp ];
-                      payload = Some (frame e);
-                    }
-              | _ -> ())
+            (fun (trace_fp, config_fp, e) ->
+              J.add w
+                {
+                  J.tag = "entry";
+                  fields = [ trace_fp; config_fp ];
+                  payload = Some (frame e);
+                })
             t.rows))
 
-(* Tolerant, like every loader here: a damaged tail (or a record whose
-   payload does not unframe) costs those entries, never the load. *)
-let load_into t path =
-  if not (Sys.file_exists path) then 0
-  else begin
-    let loaded = J.load path in
-    match loaded.J.l_records with
-    | { J.tag = "cache"; fields = s :: _; _ } :: records when s = schema ->
-        List.fold_left
-          (fun n (r : J.record) ->
-            match (r.J.tag, r.J.fields, r.J.payload) with
-            | "entry", [ trace_fp; config_fp ], Some payload -> (
-                match unframe payload with
-                | Some e ->
-                    add t ~trace_fp ~config_fp e;
-                    n + 1
-                | None -> n)
-            | _ -> n)
-          0 records
-    | _ -> 0
-  end
-
+(* Tolerant, like every loader here: a missing file, another schema, a
+   damaged tail or a record whose payload does not unframe costs those
+   entries, never the load. *)
 let load path =
   let t = create () in
-  ignore (load_into t path);
+  (if Sys.file_exists path then
+     match (J.load path).J.l_records with
+     | { J.tag = "cache"; fields = s :: _; _ } :: records when s = schema ->
+         List.iter
+           (fun (r : J.record) ->
+             match (r.J.tag, r.J.fields, r.J.payload) with
+             | "entry", [ trace_fp; config_fp ], Some payload -> (
+                 match unframe payload with
+                 | Some e -> add t ~trace_fp ~config_fp e
+                 | None -> ())
+             | _ -> ())
+           records
+     | _ -> ());
   t

@@ -432,9 +432,6 @@ let subsample n l =
    that cut the trace at the same persistent state, e.g. a fence point
    and a stride point landing on the same boundary) are deduplicated
    through the sweep's result cache instead of re-running the pipeline. *)
-let attr_config_fp =
-  Hawkset.Result_cache.config_fingerprint Hawkset.Pipeline.default
-
 let ids_of_canonical bugs canonical =
   List.filter_map
     (fun (b : Pmapps.Ground_truth.bug) ->
@@ -451,34 +448,12 @@ let ids_of_canonical bugs canonical =
 let attribute ?cache runner (report : S.report) =
   match runner.r_bugs with
   | [] -> []
-  | bugs -> (
-      let analyse () =
-        let r = Hawkset.Pipeline.run report.S.trace in
-        let canonical = Hawkset.Report.canonical r.Hawkset.Pipeline.races in
-        (match cache with
-        | Some c when r.Hawkset.Pipeline.truncated = [] ->
-            Hawkset.Result_cache.add c
-              ~trace_fp:(Trace.Trace_io.fingerprint report.S.trace)
-              ~config_fp:attr_config_fp
-              {
-                Hawkset.Result_cache.e_races_json =
-                  Hawkset.Report.to_json r.Hawkset.Pipeline.races;
-                e_canonical = canonical;
-                e_counters = r.Hawkset.Pipeline.counters;
-              }
-        | Some _ | None -> ());
-        canonical
+  | bugs ->
+      let e, _ =
+        Hawkset.Result_cache.run_cached ?cache ~config:Hawkset.Pipeline.default
+          report.S.trace
       in
-      match cache with
-      | None -> ids_of_canonical bugs (analyse ())
-      | Some c -> (
-          match
-            Hawkset.Result_cache.find c
-              ~trace_fp:(Trace.Trace_io.fingerprint report.S.trace)
-              ~config_fp:attr_config_fp
-          with
-          | Some e -> ids_of_canonical bugs e.Hawkset.Result_cache.e_canonical
-          | None -> ids_of_canonical bugs (analyse ())))
+      ids_of_canonical bugs e.Hawkset.Result_cache.e_canonical
 
 (* Timeline events: the sweep as one duration bracket (arg = point count)
    with an instant per crash point (arg = point index). Point specs are a

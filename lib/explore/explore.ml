@@ -5,13 +5,12 @@
    mutable state across runs except the Obs registry, whose counter cells
    all exist before any worker starts (module-initialization time), so
    concurrent bumps are memory-safe lost-update races that never reach
-   the results. Workers return compact summaries (fingerprints and
-   location-pair sets), never traces; a divergent schedule is re-run
-   deterministically when its trace needs dumping. Workers must not call
-   {!Hawkset.Pipeline.run} (span accounting is single-domain) nor
-   [Par_analysis.analyse ~jobs>1] (a nested {!Hawkset.Domain_pool.map}
-   self-deadlocks); they run the collector and the sequential analysis
-   directly. *)
+   the results; span nesting is tracked per domain. Workers return
+   compact summaries (fingerprints and location-pair sets), never
+   traces; a divergent schedule is re-run deterministically when its
+   trace needs dumping. Each schedule runs as a {!Hawkset.Domain_pool}
+   task, so its {!Hawkset.Pipeline.run} must use [jobs = 1]: stage 3 at
+   jobs>1 would re-enter the pool and deadlock. *)
 
 module S = Machine.Sched
 module R = Pmapps.Registry
@@ -162,11 +161,10 @@ let racy_pairs (report : S.report) =
   pairs_of (List.filter (fun (o : S.observation) -> o.S.obs_racy)
       report.S.observations)
 
-(* The analysis below runs the default feature set (collector + the
-   sequential kernel), so cached entries share a config fingerprint with
-   any other default-config consumer of the same trace. *)
-let analysis_config_fp =
-  Hawkset.Result_cache.config_fingerprint Hawkset.Pipeline.default
+(* [jobs = 1] for the pool-task rule above. [jobs] is not part of the
+   cache key, so entries are shared with every other default-config
+   consumer of the same trace. *)
+let analysis_config = { Hawkset.Pipeline.default with jobs = 1 }
 
 let run_schedule (entry : R.entry) config ~ops i =
   let sched_seed = sched_seed_of config i in
@@ -180,37 +178,12 @@ let run_schedule (entry : R.entry) config ~ops i =
       let fp = Trace.Trace_io.fingerprint trace in
       (* Stage 2+3 is a pure function of the trace (the determinism half
          of the oracle), so a fingerprint already in the cache skips the
-         analysis entirely — previously every duplicate-trace schedule
-         was re-analysed and deduplicated only afterwards ([rep_by_fp]).
-         The cache is mutex-protected: workers consult it concurrently,
-         and two workers racing on a brand-new fingerprint at worst
-         both analyse it (first insert wins, entries are identical). *)
-      let analyse () =
-        let collected = Hawkset.Collector.collect trace in
-        let outcome = Hawkset.Par_analysis.analyse ~jobs:1 collected in
-        outcome.Hawkset.Analysis.report
-      in
-      let canonical =
-        match config.cache with
-        | None -> Hawkset.Report.canonical (analyse ())
-        | Some c -> (
-            match
-              Hawkset.Result_cache.find c ~trace_fp:fp
-                ~config_fp:analysis_config_fp
-            with
-            | Some e -> e.Hawkset.Result_cache.e_canonical
-            | None ->
-                let races = analyse () in
-                let canonical = Hawkset.Report.canonical races in
-                Hawkset.Result_cache.add c ~trace_fp:fp
-                  ~config_fp:analysis_config_fp
-                  {
-                    Hawkset.Result_cache.e_races_json =
-                      Hawkset.Report.to_json races;
-                    e_canonical = canonical;
-                    e_counters = [];
-                  };
-                canonical)
+         analysis entirely. Workers consult the cache concurrently; two
+         racing on a brand-new fingerprint at worst both analyse it
+         (first insert wins, entries are identical). *)
+      let analysed, _ =
+        Hawkset.Result_cache.run_cached ?cache:config.cache
+          ~config:analysis_config trace
       in
       {
         s_index = i;
@@ -218,7 +191,7 @@ let run_schedule (entry : R.entry) config ~ops i =
         s_sched_seed = sched_seed;
         s_events = report.S.event_count;
         s_fingerprint = fp;
-        s_canonical = canonical;
+        s_canonical = analysed.Hawkset.Result_cache.e_canonical;
         s_observed = observed_pairs report;
         s_racy = racy_pairs report;
         s_error = None;

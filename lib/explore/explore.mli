@@ -52,9 +52,10 @@
 
     Schedules are explored in parallel on the persistent {!Domain_pool}:
     each schedule is a pure function of its index, so results are
-    deterministic and independent of [jobs]. Workers run the collector
-    and the sequential analysis directly (never {!Hawkset.Pipeline.run},
-    whose span accounting is single-domain). *)
+    deterministic and independent of [jobs]. Each schedule analyses its
+    trace through {!Hawkset.Result_cache.run_cached} at pipeline
+    [jobs = 1]: a pool task must not run stage 3 wider, which would
+    re-enter the pool. *)
 
 (** Which scheduler policies the sweep draws from. [All] (the default)
     spends schedule 0 on the deterministic round-robin schedule and

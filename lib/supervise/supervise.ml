@@ -305,32 +305,10 @@ let run_attempt ?cache config (job : job) ~attempt ~sequential ~cap_jobs =
           analyse_deadline_s = config.deadline_s;
         }
       in
-      let analyse () =
-        let r = Hawkset.Pipeline.run ~config:pcfg report.S.trace in
-        ( Hawkset.Report.to_json r.Hawkset.Pipeline.races,
-          r.Hawkset.Pipeline.races,
-          r.Hawkset.Pipeline.counters,
-          List.length r.Hawkset.Pipeline.truncated )
+      let e, truncs =
+        Hawkset.Result_cache.run_cached ?cache ~config:pcfg report.S.trace
       in
-      match cache with
-      | None ->
-          let json, _, _, truncs = analyse () in
-          (json, truncs)
-      | Some c -> (
-          let trace_fp = Trace.Trace_io.fingerprint report.S.trace in
-          let config_fp = Hawkset.Result_cache.config_fingerprint pcfg in
-          match Hawkset.Result_cache.find c ~trace_fp ~config_fp with
-          | Some e -> (e.Hawkset.Result_cache.e_races_json, 0)
-          | None ->
-              let json, races, counters, truncs = analyse () in
-              if truncs = 0 then
-                Hawkset.Result_cache.add c ~trace_fp ~config_fp
-                  {
-                    Hawkset.Result_cache.e_races_json = json;
-                    e_canonical = Hawkset.Report.canonical races;
-                    e_counters = counters;
-                  };
-              (json, truncs)))
+      (e.Hawkset.Result_cache.e_races_json, truncs))
 
 (* --- journal records -------------------------------------------------- *)
 

@@ -3,11 +3,9 @@
     Allocation-free probes and inserts (flat int arrays, linear
     probing); [clear] keeps the capacity, so a table reused across runs
     stays "warm". Keys must be [>= 0] — packed keys ({!Packed_key})
-    always are; -1 is the internal empty-slot marker and -2 the
-    tombstone left by {!Set.remove}/{!Map.remove}. Tombstones keep probe
-    chains intact, are reused by later inserts, and count toward the
-    load trigger, so heavy delete/insert churn rehashes (purging them)
-    instead of degrading probes. *)
+    always are; -1 is the internal empty-slot marker. There is no
+    removal: a table only grows (doubling past half full) until
+    [clear]. *)
 
 module Set : sig
   type t
@@ -20,10 +18,6 @@ module Set : sig
       and the insert in a single probe). *)
 
   val mem : t -> int -> bool
-
-  val remove : t -> int -> bool
-  (** [remove t k] tombstones [k]'s slot; [true] iff it was present.
-      Capacity is retained; the slot is reused by later inserts. *)
 
   val clear : t -> unit
   val iter : (int -> unit) -> t -> unit
@@ -40,9 +34,6 @@ module Map : sig
       must therefore be [>= 0] (the memo tables store 0/1). *)
 
   val set : t -> int -> int -> unit
-
-  val remove : t -> int -> bool
-  (** [remove t k] tombstones [k]'s slot; [true] iff it was present. *)
 
   val clear : t -> unit
   val iter_keys : (int -> unit) -> t -> unit

@@ -1,21 +1,19 @@
 (* The fingerprint-keyed result cache: probe/insert semantics, the
-   config fingerprint's inclusion/exclusion contract, and the journal
-   persistence roundtrip (including its tolerance of damage). *)
+   config fingerprint's inclusion/exclusion contract, [run_cached] (the
+   call every front end goes through) and the journal persistence
+   roundtrip (including its tolerance of damage). *)
 
 module RC = Hawkset.Result_cache
 
 let entry ?(json = {|{"schema":"x","races":[]}|})
-    ?(canonical = [ ("a.ml:1", "b.ml:2"); ("c.ml:3", "d.ml:4") ])
-    ?(counters = [ ("analysis.pairs", 7); ("collect.events", 100) ]) () =
-  { RC.e_races_json = json; e_canonical = canonical; e_counters = counters }
+    ?(canonical = [ ("a.ml:1", "b.ml:2"); ("c.ml:3", "d.ml:4") ]) () =
+  { RC.e_races_json = json; e_canonical = canonical }
 
 let fp16 s = Printf.sprintf "%016x" (Hashtbl.hash s land 0xFFFFFF)
 let check_entry msg a b =
   Alcotest.(check string) (msg ^ " json") a.RC.e_races_json b.RC.e_races_json;
   Alcotest.(check (list (pair string string)))
-    (msg ^ " canonical") a.RC.e_canonical b.RC.e_canonical;
-  Alcotest.(check (list (pair string int)))
-    (msg ^ " counters") a.RC.e_counters b.RC.e_counters
+    (msg ^ " canonical") a.RC.e_canonical b.RC.e_canonical
 
 let with_tmp f =
   let path = Filename.temp_file "hawkset_cache" ".jnl" in
@@ -51,23 +49,6 @@ module Basic = struct
     | Some e -> Alcotest.(check string) "first kept" "first" e.RC.e_races_json
     | None -> Alcotest.fail "expected hit"
 
-  let clear_keeps_totals () =
-    let c = RC.create () in
-    RC.add c ~trace_fp:(fp16 "t") ~config_fp:(fp16 "c") (entry ());
-    ignore (RC.find c ~trace_fp:(fp16 "t") ~config_fp:(fp16 "c"));
-    ignore (RC.find c ~trace_fp:(fp16 "miss") ~config_fp:(fp16 "c"));
-    RC.clear c;
-    Alcotest.(check int) "emptied" 0 (RC.length c);
-    let stat name =
-      Option.value ~default:(-1) (List.assoc_opt name (RC.stats c))
-    in
-    Alcotest.(check int) "entries stat" 0 (stat "cache.entries");
-    Alcotest.(check int) "bytes stat" 0 (stat "cache.bytes");
-    Alcotest.(check int) "hits survive clear" 1 (stat "cache.hits");
-    Alcotest.(check int) "misses survive clear" 1 (stat "cache.misses");
-    Alcotest.(check bool) "cleared key misses" true
-      (RC.find c ~trace_fp:(fp16 "t") ~config_fp:(fp16 "c") = None)
-
   let stats_shape () =
     let c = RC.create () in
     RC.add c ~trace_fp:(fp16 "t") ~config_fp:(fp16 "c") (entry ());
@@ -86,8 +67,6 @@ module Basic = struct
       Alcotest.test_case "key is (trace, config)" `Quick
         key_is_both_fingerprints;
       Alcotest.test_case "first add wins" `Quick first_add_wins;
-      Alcotest.test_case "clear keeps hit/miss totals" `Quick
-        clear_keeps_totals;
       Alcotest.test_case "stats shape" `Quick stats_shape;
     ]
 end
@@ -123,12 +102,70 @@ module Config_fp = struct
     ]
 end
 
+module Run_cached = struct
+  let trace () =
+    Trace.Trace_io.load (Filename.concat "fixtures" "crash-fast-fair-fence74.trace")
+
+  let stat c name =
+    Option.value ~default:(-1) (List.assoc_opt name (RC.stats c))
+
+  let truncated_never_stored () =
+    let trace = trace () in
+    let config =
+      { Hawkset.Pipeline.default with
+        jobs = 1;
+        event_budget = Some (Trace.Tracebuf.length trace / 2) }
+    in
+    let c = RC.create () in
+    for call = 1 to 2 do
+      let _, truncs = RC.run_cached ~cache:c ~config trace in
+      Alcotest.(check bool)
+        (Printf.sprintf "call %d truncated" call)
+        true (truncs > 0)
+    done;
+    Alcotest.(check int) "nothing stored" 0 (stat c "cache.entries");
+    Alcotest.(check int) "both calls missed" 2 (stat c "cache.misses")
+
+  let one_entry_serves_every_caller () =
+    (* Explore analyses at jobs=1; batch workers carry their wall budget
+       as stage deadlines and may run stage 3 wider. Neither knob is part
+       of the key, so the batch call hits explore's entry — and the bytes
+       are what an uncached run renders. *)
+    let trace = trace () in
+    let explore_config = { Hawkset.Pipeline.default with jobs = 1 } in
+    let batch_config =
+      { Hawkset.Pipeline.default with
+        jobs = 4;
+        collect_deadline_s = Some 600.;
+        analyse_deadline_s = Some 600. }
+    in
+    let c = RC.create () in
+    let cold, _ = RC.run_cached ~cache:c ~config:explore_config trace in
+    let warm, truncs = RC.run_cached ~cache:c ~config:batch_config trace in
+    Alcotest.(check int) "no truncation" 0 truncs;
+    Alcotest.(check int) "second call hit" 1 (stat c "cache.hits");
+    Alcotest.(check int) "one entry" 1 (stat c "cache.entries");
+    check_entry "warm = cold" cold warm;
+    let uncached = Hawkset.Pipeline.run ~config:explore_config trace in
+    Alcotest.(check string) "bytes = uncached Report.to_json"
+      (Hawkset.Report.to_json uncached.Hawkset.Pipeline.races)
+      warm.RC.e_races_json
+
+  let tests =
+    [
+      Alcotest.test_case "truncated result never stored" `Quick
+        truncated_never_stored;
+      Alcotest.test_case "one entry serves every caller" `Quick
+        one_entry_serves_every_caller;
+    ]
+end
+
 module Persist = struct
   let roundtrip () =
     let c = RC.create () in
     RC.add c ~trace_fp:(fp16 "t1") ~config_fp:(fp16 "c1") (entry ());
     RC.add c ~trace_fp:(fp16 "t2") ~config_fp:(fp16 "c1")
-      (entry ~json:{|{"races":[1]}|} ~canonical:[] ~counters:[] ());
+      (entry ~json:{|{"races":[1]}|} ~canonical:[] ());
     with_tmp (fun path ->
         RC.save c path;
         let loaded = RC.load path in
@@ -139,7 +176,7 @@ module Persist = struct
         match RC.find loaded ~trace_fp:(fp16 "t2") ~config_fp:(fp16 "c1") with
         | Some e ->
             check_entry "entry 2 (empty lists)"
-              (entry ~json:{|{"races":[1]}|} ~canonical:[] ~counters:[] ())
+              (entry ~json:{|{"races":[1]}|} ~canonical:[] ())
               e
         | None -> Alcotest.fail "entry 2 lost")
 
@@ -160,18 +197,19 @@ module Persist = struct
         let loaded = RC.load path in
         Alcotest.(check int) "valid prefix kept" 1 (RC.length loaded))
 
-  let load_into_merges () =
-    let c = RC.create () in
-    RC.add c ~trace_fp:(fp16 "t1") ~config_fp:(fp16 "c1") (entry ());
+  let old_schema_is_empty () =
+    (* The entry below would unframe under /2; the /1 header alone makes
+       the file an empty cache. *)
     with_tmp (fun path ->
-        RC.save c path;
-        let dst = RC.create () in
-        RC.add dst ~trace_fp:(fp16 "t9") ~config_fp:(fp16 "c1") (entry ());
-        Alcotest.(check int) "one read" 1 (RC.load_into dst path);
-        Alcotest.(check int) "merged" 2 (RC.length dst);
-        (* Merging the same journal again finds the keys present. *)
-        ignore (RC.load_into dst path);
-        Alcotest.(check int) "idempotent" 2 (RC.length dst))
+        let w = Trace.Journal.create path in
+        Trace.Journal.add w
+          { Trace.Journal.tag = "cache"; fields = [ "hawkset.result_cache/1" ];
+            payload = None };
+        Trace.Journal.add w
+          { Trace.Journal.tag = "entry"; fields = [ fp16 "t1"; fp16 "c1" ];
+            payload = Some "2\n{}\nC a.ml:1 b.ml:2\n" };
+        Trace.Journal.close w;
+        Alcotest.(check int) "empty" 0 (RC.length (RC.load path)))
 
   let tests =
     [
@@ -179,7 +217,7 @@ module Persist = struct
       Alcotest.test_case "missing file is empty" `Quick missing_file_is_empty;
       Alcotest.test_case "torn tail costs the tail only" `Quick
         torn_tail_costs_tail_only;
-      Alcotest.test_case "load_into merges" `Quick load_into_merges;
+      Alcotest.test_case "old schema loads empty" `Quick old_schema_is_empty;
     ]
 end
 
@@ -188,5 +226,6 @@ let () =
     [
       ("basic", Basic.tests);
       ("config_fp", Config_fp.tests);
+      ("run_cached", Run_cached.tests);
       ("persist", Persist.tests);
     ]
