@@ -138,219 +138,37 @@ let ablation ~full =
   let ops = if full then 10_000 else 1_500 in
   print_string (Harness.Ablation.to_string (Harness.Ablation.run ~ops ()))
 
-(* ---- parallel-analysis sweep (the `par` target) ----
-   Stage-2 wall clock per --jobs count on the Figure 6 workload (one
-   fast-fair trace, collected once). Every run must produce the same
-   races and pair count — asserted here, so the bench doubles as an
-   end-to-end determinism check. Best-of-3 timings damp scheduler noise. *)
-
-type par_point = {
-  pp_jobs : int;
-  pp_analyse_s : float;
-  pp_speedup : float;
-  pp_collect_s : float;
-  pp_collect_events_per_s : float;
-  pp_ls_hit_rate : float; (* lockset memo: hits / lookups *)
-  pp_vc_hit_rate : float; (* vclock memo: hits / lookups *)
-}
-
-(* Best-of-N pipeline timing at one jobs setting; also captures the memo
-   hit rates from the global counter deltas of the first run (the rates
-   are deterministic — asserted identical across jobs by the counter
-   differential test, so which run supplies them is immaterial). *)
-let timed_point ?(rounds = 3) ~trace jobs =
-  let config = { Hawkset.Pipeline.default with jobs } in
-  let best_a = ref infinity in
-  let best_c = ref infinity in
-  let baseline = ref None in
-  let rates = ref (nan, nan) in
-  for round = 1 to rounds do
-    let before = Obs.Registry.counters Obs.Registry.global in
-    let r = Hawkset.Pipeline.run ~config trace in
-    (if round = 1 then
-       let after = Obs.Registry.counters Obs.Registry.global in
-       let delta name =
-         let v l = Option.value ~default:0 (List.assoc_opt name l) in
-         v after - v before
-       in
-       let rate hits misses =
-         let lookups = hits + misses in
-         if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
-       in
-       rates :=
-         ( rate
-             (delta "analysis.lockset_memo_hits")
-             (delta "analysis.lockset_memo_misses"),
-           rate
-             (delta "analysis.vclock_memo_hits")
-             (delta "analysis.vclock_comparisons") ));
-    (match !baseline with
-    | None -> baseline := Some r
-    | Some b ->
-        assert (
-          Hawkset.Report.to_json r.Hawkset.Pipeline.races
-          = Hawkset.Report.to_json b.Hawkset.Pipeline.races));
-    best_a :=
-      Float.min !best_a (List.assoc "analyse" r.Hawkset.Pipeline.stage_seconds);
-    best_c :=
-      Float.min !best_c (List.assoc "collect" r.Hawkset.Pipeline.stage_seconds)
-  done;
-  let r = Option.get !baseline in
-  let events =
-    r.Hawkset.Pipeline.collector_stats.Hawkset.Collector.c_events
-  in
-  let ls_rate, vc_rate = !rates in
-  ( {
-      pp_jobs = jobs;
-      pp_analyse_s = !best_a;
-      pp_speedup = 1.0 (* filled by the caller against the jobs=1 point *);
-      pp_collect_s = !best_c;
-      pp_collect_events_per_s =
-        (if !best_c > 0. then float_of_int events /. !best_c else 0.);
-      pp_ls_hit_rate = ls_rate;
-      pp_vc_hit_rate = vc_rate;
-    },
-    r )
-
-let par_sweep ~full =
-  let ops = if full then 100_000 else 8_000 in
-  let trace = fast_fair_trace ops 42 in
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let seq_p, seq_r = timed_point ~trace 1 in
-  let points =
-    List.map
-      (fun jobs ->
-        let p, r =
-          if jobs = 1 then (seq_p, seq_r) else timed_point ~trace jobs
-        in
-        (* Parallel results must be bit-identical to sequential. *)
-        assert (
-          Hawkset.Report.to_json r.Hawkset.Pipeline.races
-          = Hawkset.Report.to_json seq_r.Hawkset.Pipeline.races);
-        assert (
-          r.Hawkset.Pipeline.pairs_examined
-          = seq_r.Hawkset.Pipeline.pairs_examined);
-        { p with pp_speedup = seq_p.pp_analyse_s /. p.pp_analyse_s })
-      jobs_list
-  in
-  (ops, points)
-
-let par_json (ops, points) =
-  Obs.Json.obj
-    [
-      ("app", Obs.Json.str "fast-fair");
-      ("ops", Obs.Json.int ops);
-      ( "points",
-        Obs.Json.arr
-          (List.map
-             (fun p ->
-               Obs.Json.obj
-                 [
-                   ("jobs", Obs.Json.int p.pp_jobs);
-                   ("analyse_seconds", Obs.Json.float p.pp_analyse_s);
-                   ("speedup", Obs.Json.float p.pp_speedup);
-                   ("collect_seconds", Obs.Json.float p.pp_collect_s);
-                   ( "collect_events_per_s",
-                     Obs.Json.float p.pp_collect_events_per_s );
-                   ("lockset_memo_hit_rate", Obs.Json.float p.pp_ls_hit_rate);
-                   ("vclock_memo_hit_rate", Obs.Json.float p.pp_vc_hit_rate);
-                 ])
-             points) );
-    ]
-
-let par ~full =
-  let ((_, points) as sweep) = par_sweep ~full in
-  print_string (Harness.Tables.section "Parallel analysis (--jobs sweep)");
-  print_string
-    (Harness.Tables.render
-       ~headers:
-         [
-           "Jobs"; "Analyse stage"; "Speedup vs --jobs 1"; "Collect ev/s";
-           "LS memo hit"; "VC memo hit";
-         ]
-       ~rows:
-         (List.map
-            (fun p ->
-              [
-                string_of_int p.pp_jobs;
-                Printf.sprintf "%.4f s" p.pp_analyse_s;
-                Printf.sprintf "%.2fx" p.pp_speedup;
-                Printf.sprintf "%.0f" p.pp_collect_events_per_s;
-                Printf.sprintf "%.1f%%" (100. *. p.pp_ls_hit_rate);
-                Printf.sprintf "%.1f%%" (100. *. p.pp_vc_hit_rate);
-              ])
-            points));
-  sweep
-
 (* ---- CI perf smoke (the `perf-smoke` target) ----
-   The cheap regression guard: on a single run of the Figure 6 workload,
-   jobs=4 analysis must not be slower than 1.2x sequential. On a
-   multi-core machine parallel analysis should win outright; the 1.2x
-   tolerance keeps the gate meaningful on single-core CI runners, where
-   the best achievable is parity and the bound catches any return of the
-   per-call spawn overhead this PR removed (0.36x speedup = 2.8x slower
-   at jobs=4 before the domain pool). Exits non-zero on violation. *)
+   The timeline overhead gate: the instrumentation must add <= 2% to the
+   4000-op pipeline. We compare recording *enabled* against disabled —
+   a strictly stronger bound than the no-`--trace-out` claim, since the
+   disabled path (one atomic load per stage-granularity site) is a
+   subset of the enabled one. Each round times an off run and an on run
+   back to back and keeps their *difference*: adjacent runs see the
+   same load phase of a shared runner, so drift cancels pairwise where
+   a best-of comparison of two separate batches does not. The median
+   difference then gates against 2% of the median off time, with a
+   10ms floor for timer noise on runs this short. Exits non-zero on
+   violation. *)
 
 let perf_smoke ~full =
-  let ops = if full then 100_000 else 8_000 in
-  let trace = fast_fair_trace ops 42 in
-  let rounds = if full then 2 else 5 in
   let median a =
     let a = Array.copy a in
     Array.sort compare a;
     a.(Array.length a / 2)
   in
-  (* Median of 3 paired measurements, each timing jobs=1 and jobs=4 back
-     to back: one scheduling hiccup (a noisy CI neighbour, a GC major
-     landing in exactly one run) can no longer fail the gate on its own,
-     where the old single-sample ratio could. *)
-  let reps = 3 in
-  let samples =
-    Array.init reps (fun _ ->
-        let seq_p, seq_r = timed_point ~rounds ~trace 1 in
-        let par_p, par_r = timed_point ~rounds ~trace 4 in
-        assert (
-          Hawkset.Report.to_json par_r.Hawkset.Pipeline.races
-          = Hawkset.Report.to_json seq_r.Hawkset.Pipeline.races);
-        (seq_p.pp_analyse_s, par_p.pp_analyse_s))
-  in
-  let seq_s = median (Array.map fst samples) in
-  let par_s = median (Array.map snd samples) in
-  let ratio = median (Array.map (fun (s, p) -> p /. s) samples) in
-  print_string (Harness.Tables.section "Perf smoke (jobs=4 vs jobs=1)");
-  Printf.printf
-    "fast-fair/%d: analyse jobs=1 %.4fs, jobs=4 %.4fs (median ratio of %d \
-     reps %.2fx, bound 1.20x)\n"
-    ops seq_s par_s reps ratio;
-  if ratio > 1.2 then begin
-    Printf.eprintf
-      "perf-smoke FAIL: jobs=4 analyse %.4fs > 1.2x sequential %.4fs \
-       (median of %d reps)\n"
-      par_s seq_s reps;
-    exit 1
-  end;
-  (* Timeline overhead gate: the instrumentation must add <= 2% to the
-     4000-op pipeline. We compare recording *enabled* against disabled —
-     a strictly stronger bound than the no-`--trace-out` claim, since the
-     disabled path (one atomic load per stage-granularity site) is a
-     subset of the enabled one. Each round times an off run and an on run
-     back to back and keeps their *difference*: adjacent runs see the
-     same load phase of a shared runner, so drift cancels pairwise where
-     a best-of comparison of two separate batches does not. The median
-     difference then gates against 2% of the median off time, with a
-     10ms floor for timer noise on runs this short. *)
-  let tl_ops = if full then 100_000 else 4_000 in
-  let tl_trace = fast_fair_trace tl_ops 42 in
+  let ops = if full then 100_000 else 4_000 in
+  let trace = fast_fair_trace ops 42 in
   let timed_round enabled =
     Obs.Timeline.reset ();
     Obs.Timeline.set_enabled enabled;
-    let r = Hawkset.Pipeline.run tl_trace in
+    let r = Hawkset.Pipeline.run trace in
     r.Hawkset.Pipeline.analysis_seconds
   in
-  let tl_rounds = if full then 3 else 5 in
-  let offs = Array.init tl_rounds (fun _ -> 0.) in
-  let deltas = Array.init tl_rounds (fun _ -> 0.) in
-  for i = 0 to tl_rounds - 1 do
+  let rounds = if full then 3 else 5 in
+  let offs = Array.make rounds 0. in
+  let deltas = Array.make rounds 0. in
+  for i = 0 to rounds - 1 do
     let off = timed_round false in
     let on = timed_round true in
     offs.(i) <- off;
@@ -359,10 +177,11 @@ let perf_smoke ~full =
   Obs.Timeline.set_enabled false;
   Obs.Timeline.reset ();
   let med_off = median offs and med_delta = median deltas in
+  print_string (Harness.Tables.section "Perf smoke (timeline overhead)");
   Printf.printf
     "fast-fair/%d: pipeline timeline-off %.4fs, median on-off delta %+.4fs \
      (bound 2%% + 10ms)\n"
-    tl_ops med_off med_delta;
+    ops med_off med_delta;
   if med_delta > (med_off *. 0.02) +. 0.01 then begin
     Printf.eprintf
       "perf-smoke FAIL: timeline recording adds %.4fs > 2%% of %.4fs + 10ms\n"
@@ -414,8 +233,8 @@ let explore_smoke ~full =
    acceptance criteria plus the pmlog control, hunting across a few seeds
    until each target bug is manifested (damage at a crash point whose
    prefix analysis reports that bug). Then demonstrates the degradation
-   contract: an exhausted event budget and a deliberately-failing shard
-   both still return a report. Exits non-zero via assert on violation. *)
+   contract: an exhausted event budget still returns a report. Exits
+   non-zero via assert on violation. *)
 
 let crash_sweep ~full =
   let ops = if full then 1_200 else 400 in
@@ -467,7 +286,7 @@ let crash_sweep ~full =
                  s.Crashtest.sw_app s.Crashtest.sw_damaged
                  s.Crashtest.sw_raised))
     rows;
-  (* Degradation demo 1: an exhausted event budget still yields a report,
+  (* Degradation demo: an exhausted event budget still yields a report,
      flagged as truncated. *)
   let trace = fast_fair_trace 4_000 42 in
   let budget = Trace.Tracebuf.length trace / 2 in
@@ -484,35 +303,11 @@ let crash_sweep ~full =
         && t.Hawkset.Pipeline.trunc_reason = "event_budget"
         && t.Hawkset.Pipeline.trunc_done = budget)
       degraded.Hawkset.Pipeline.truncated);
-  (* Degradation demo 2: a deliberately-failing shard is retried and the
-     result is bit-identical to the healthy sequential run. *)
-  let collected = Hawkset.Collector.collect trace in
-  let seq = Hawkset.Analysis.run collected in
-  let before = Obs.Registry.counters Obs.Registry.global in
-  let withfail =
-    Hawkset.Par_analysis.analyse ~jobs:4
-      ~inject_shard_failure:(fun shard -> shard = 1)
-      collected
-  in
-  let after = Obs.Registry.counters Obs.Registry.global in
-  let delta name =
-    let v l = Option.value ~default:0 (List.assoc_opt name l) in
-    v after - v before
-  in
-  assert (
-    Hawkset.Report.to_json withfail.Hawkset.Analysis.report
-    = Hawkset.Report.to_json seq.Hawkset.Analysis.report);
-  assert (withfail.Hawkset.Analysis.pairs = seq.Hawkset.Analysis.pairs);
-  assert (delta "analysis.shard_failures" = 1);
-  assert (delta "analysis.shard_retries" = 1);
   print_string (Harness.Tables.section "Degradation contract");
   Printf.printf
-    "event budget %d/%d: report returned, truncated=[collect:event_budget]\n\
-     injected shard failure: retried sequentially, report bit-identical \
-     (%d pairs)\n"
+    "event budget %d/%d: report returned, truncated=[collect:event_budget]\n"
     budget
     (Trace.Tracebuf.length trace)
-    withfail.Hawkset.Analysis.pairs
 
 (* ---- supervised batch (the `batch-smoke` target) ----
    The durability contract, in-process: the same declared job set — with
@@ -566,7 +361,7 @@ let batch_smoke ~full =
   in
   assert (status 0 resumed = "ok-retried");
   assert (status 1 resumed = "ok-retried");
-  assert (status 2 resumed = "ok-sequential");
+  assert (status 2 resumed = "ok-retried");
   assert (status 3 resumed = "failed");
   let counters = Supervise.counters resumed in
   let c name = Option.value ~default:0 (List.assoc_opt name counters) in
@@ -695,9 +490,7 @@ let batch_par ~full =
   (* The speedup gate needs hardware that can actually run four chains
      at once; on fewer cores (dev containers are often 1-2) the byte
      identity asserted inside the sweep is the whole contract and the
-     wall-clock ratio is reported without gating — same spirit as
-     perf-smoke's 1.2x *overhead* bound, which tolerates parallelism
-     that cannot pay on the machine at hand. *)
+     wall-clock ratio is reported without gating. *)
   let cores = Domain.recommended_domain_count () in
   let gated = cores >= 4 in
   Printf.printf
@@ -727,10 +520,10 @@ let batch_par ~full =
 (* ---- pipeline perf-trajectory emitter (BENCH_pipeline.json) ----
    One instrumented fast-fair run per workload size: per-stage seconds,
    peak live heap and the deterministic counter snapshot, machine-readable
-   so CI can archive the trajectory per commit. Includes the per-jobs
-   parallel-analysis sweep. *)
+   so CI can archive the trajectory per commit, plus the job-level batch
+   and result-cache sections. *)
 
-let bench_json ?sweep ?batch_cache ~full () =
+let bench_json ?batch_cache ~full () =
   let sizes = if full then [ 1_000; 10_000; 100_000 ] else [ 1_000; 4_000 ] in
   let entry =
     match Pmapps.Registry.find "fast-fair" with
@@ -762,7 +555,6 @@ let bench_json ?sweep ?batch_cache ~full () =
           ])
       sizes
   in
-  let sweep = match sweep with Some s -> s | None -> par_sweep ~full in
   let bp, cp =
     match batch_cache with
     | Some bc -> bc
@@ -771,11 +563,10 @@ let bench_json ?sweep ?batch_cache ~full () =
   let doc =
     Obs.Json.obj
       [
-        ("schema", Obs.Json.str "hawkset.bench_pipeline/4");
+        ("schema", Obs.Json.str "hawkset.bench_pipeline/5");
         ("app", Obs.Json.str "fast-fair");
         ("seed", Obs.Json.int 42);
         ("points", Obs.Json.arr points);
-        ("parallel", par_json sweep);
         ( "batch",
           Obs.Json.obj
             [
@@ -835,7 +626,7 @@ let () =
   let any =
     List.exists wants
       [ "table1"; "table2"; "table3"; "table4"; "figure6"; "ablation";
-        "micro"; "par"; "json"; "--json"; "crash-sweep"; "perf-smoke";
+        "micro"; "json"; "--json"; "crash-sweep"; "perf-smoke";
         "explore"; "batch-smoke"; "batch-par"; "check" ]
   in
   let run name f = if (not any) || wants name then f ~full in
@@ -861,13 +652,7 @@ let () =
      (3 reps x 2 widths) plus two explore sweeps. When `json` also runs,
      its measurements are reused for the batch/cache sections. *)
   let batch_cache = if wants "batch-par" then Some (batch_par ~full) else None in
-  (* `par` and `json` (or `--json`) are opt-in only: they are not part of
-     the default everything-run because they re-execute instrumented
-     workloads. `par` prints the jobs sweep and records it in
-     BENCH_pipeline.json; `json` runs the sweep silently. *)
-  if wants "par" then begin
-    let sweep = par ~full in
-    bench_json ~sweep ?batch_cache ~full ()
-  end
-  else if wants "json" || wants "--json" then bench_json ?batch_cache ~full ();
+  (* `json` (or `--json`) is opt-in only: it is not part of the default
+     everything-run because it re-executes instrumented workloads. *)
+  if wants "json" || wants "--json" then bench_json ?batch_cache ~full ();
   if (not any) || wants "micro" then micro ()

@@ -1,11 +1,18 @@
 (* hawkset — command-line front end.
 
    Subcommands:
-     run         run one application under a detector and print reports
-     batch       run a declared job set under supervision (retry, resume)
-     list-apps   show the registered applications (Table 1)
+     run          run one application under a detector and print reports
+     batch        run a declared job set under supervision (retry, resume)
+     check        differential conformance fuzzing against the specification
+     list-apps    show the registered applications (Table 1)
+     bugs         list the ground-truth bug registry
+     explain      print each report's provenance (locksets, vector clocks)
+     trace        run an application and save its event trace
+     analyze      analyse a saved trace offline
+     explore      sweep schedules and check the interleaving-stability oracle
+     crash-sweep  cut applications at fences and check recovery
      table2/table3/table4/figure6/ablation
-                 regenerate the paper's tables and figures
+                  regenerate the paper's tables and figures
 
    Exit codes (documented in the README): 0 success; 1 usage error or
    oracle violation; 2 damaged input trace; 3 degraded results (truncated
@@ -73,16 +80,6 @@ let eadr_arg =
           "Analyse assuming eADR hardware (persistent cache, \u{00a7}2.1): \
            the visible-but-not-durable window cannot exist.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt int Hawkset.Pipeline.default_jobs
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Analysis domains for stage 3 (default $(b,\\$HAWKSET_JOBS) or 1). \
-           Race reports and deterministic counters are bit-identical for \
-           every $(docv); only wall-clock time changes.")
-
 let event_budget_arg =
   Arg.(
     value
@@ -99,7 +96,7 @@ let allow_truncated_arg =
     & info [ "allow-truncated" ]
         ~doc:
           "Exit 0 even when the analysis was truncated (event budget or \
-           deadline hit, shards skipped). Without this flag a truncated \
+           deadline hit). Without this flag a truncated \
            result exits 3 so scripted callers cannot mistake a partial \
            report for a complete one.")
 
@@ -188,9 +185,9 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome-trace-event timeline (loadable in Perfetto or \
-           chrome://tracing) to $(docv): one lane per analysis domain, \
-           pipeline stages as nested duration events, instants for \
-           truncations, shard failures and crash points. Off by default — \
+           chrome://tracing) to $(docv): one lane per domain, pipeline \
+           stages as nested duration events, instants for truncations \
+           and crash points. Off by default — \
            recording costs nothing when this flag is absent.")
 
 (* Timeline capture brackets a whole subcommand: cleared and enabled up
@@ -248,7 +245,7 @@ let classify_races entry races =
     (Hawkset.Report.sorted races)
 
 let run_cmd =
-  let run () app ops seed detector no_irh eadr jobs json stats stats_json
+  let run () app ops seed detector no_irh eadr json stats stats_json
       trace_out event_budget allow_truncated =
     match Pmapps.Registry.find app with
     | None ->
@@ -295,7 +292,7 @@ let run_cmd =
                     Obs.Registry.global))
         | `Hawkset ->
             let config =
-              { Hawkset.Pipeline.default with irh = not no_irh; eadr; jobs;
+              { Hawkset.Pipeline.default with irh = not no_irh; eadr;
                 event_budget }
             in
             let r = Harness.Stats.instrumented_run ~config ~entry ~seed ~ops () in
@@ -348,7 +345,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application under a detector.")
     Term.(const run $ logging_term $ app_arg $ ops_arg 1000 $ seed_arg
-          $ detector_arg $ no_irh_arg $ eadr_arg $ jobs_arg $ json_arg
+          $ detector_arg $ no_irh_arg $ eadr_arg $ json_arg
           $ stats_arg $ stats_json_arg $ trace_out_arg $ event_budget_arg
           $ allow_truncated_arg)
 
@@ -399,7 +396,7 @@ let trace_cmd =
     Term.(const go $ app_arg $ ops_arg 1000 $ seed_arg $ out)
 
 let analyze_cmd =
-  let go () file tolerant no_irh eadr jobs eraser json stats stats_json
+  let go () file tolerant no_irh eadr eraser json stats stats_json
       trace_out event_budget allow_truncated =
     start_timeline trace_out;
     let trace =
@@ -422,7 +419,6 @@ let analyze_cmd =
     let labels detector =
       [ ("trace", file); ("detector", detector);
         ("events", string_of_int (Trace.Tracebuf.length trace)) ]
-      @ (if detector = "hawkset" then [ ("jobs", string_of_int jobs) ] else [])
     in
     let races, manifest, truncated =
       if eraser then begin
@@ -444,7 +440,7 @@ let analyze_cmd =
       end
       else
         let config =
-          { Hawkset.Pipeline.default with irh = not no_irh; eadr; jobs;
+          { Hawkset.Pipeline.default with irh = not no_irh; eadr;
             event_budget }
         in
         let res, peak_mb =
@@ -507,11 +503,11 @@ let analyze_cmd =
        ~doc:
          "Analyse a saved trace — the application-agnostic offline workflow:           the analyser knows nothing about what produced the events.")
     Term.(const go $ logging_term $ file $ tolerant $ no_irh_arg $ eadr
-          $ jobs_arg $ eraser $ json_arg $ stats_arg $ stats_json_arg
+          $ eraser $ json_arg $ stats_arg $ stats_json_arg
           $ trace_out_arg $ event_budget_arg $ allow_truncated_arg)
 
 let explain_cmd =
-  let go () app ops seed no_irh eadr jobs json =
+  let go () app ops seed no_irh eadr json =
     match Pmapps.Registry.find app with
     | None ->
         Format.eprintf "unknown application %S (try list-apps)@." app;
@@ -520,7 +516,7 @@ let explain_cmd =
         let ops = Pmapps.Registry.clamp_ops entry ops in
         let report = entry.Pmapps.Registry.run ~seed ~ops () in
         let config =
-          { Hawkset.Pipeline.default with irh = not no_irh; eadr; jobs }
+          { Hawkset.Pipeline.default with irh = not no_irh; eadr }
         in
         let races =
           Hawkset.Pipeline.races ~config report.Machine.Sched.trace
@@ -547,7 +543,7 @@ let explain_cmd =
           effective, load) and vector clocks (store, window end, load) — \
           the exact evidence the analysis used to flag the pair.")
     Term.(const go $ logging_term $ app_arg $ ops_arg 1000 $ seed_arg
-          $ no_irh_arg $ eadr_arg $ jobs_arg $ json_arg)
+          $ no_irh_arg $ eadr_arg $ json_arg)
 
 let bugs_cmd =
   let go () =
@@ -849,7 +845,7 @@ let explore_cmd =
           $ stats_json_arg)
 
 let batch_cmd =
-  let go () apps seed nseeds policies ops jobs job_workers attempts backoff_ms
+  let go () apps seed nseeds policies ops job_workers attempts backoff_ms
       breaker deadline_s max_heap_mb faults journal resume kill_after
       cache_file out json stats stats_json =
     if resume && journal = None then begin
@@ -878,7 +874,6 @@ let batch_cmd =
         Supervise.attempts;
         backoff_ms;
         breaker_threshold = breaker;
-        pipeline_jobs = jobs;
         job_workers = max 1 job_workers;
         deadline_s;
         max_heap_mb;
@@ -1047,9 +1042,8 @@ let batch_cmd =
       & info [ "job-workers" ] ~docv:"N"
           ~doc:
             "Jobs in flight at once: per-application job chains run \
-             concurrently on the domain pool, with each job's stage-3 \
-             analysis forced sequential so total domains stay bounded by \
-             $(docv). The merged report is byte-identical to $(docv)=1 — \
+             concurrently on $(docv) domains of the domain pool. The \
+             merged report is byte-identical to $(docv)=1 — \
              only wall-clock time changes. Journal records are appended \
              per completed job (replay stays keyed by job id, so \
              $(b,--resume) is unaffected).")
@@ -1065,7 +1059,7 @@ let batch_cmd =
           report. Exits 3 if any job failed or was quarantined, 10 when \
           stopped by $(b,--kill-after).")
     Term.(const go $ logging_term $ apps $ seed_arg $ nseeds $ policies
-          $ ops_arg 400 $ jobs_arg $ job_workers $ attempts $ backoff_ms
+          $ ops_arg 400 $ job_workers $ attempts $ backoff_ms
           $ breaker $ deadline_s $ max_heap_mb $ faults $ journal $ resume
           $ kill_after $ cache_arg "Batch" $ out $ json_arg $ stats_arg
           $ stats_json_arg)
@@ -1243,7 +1237,7 @@ let check_cmd =
          "Differential conformance fuzzing: generate synthetic traces and \
           assert the production pipeline's reports are byte-identical to \
           the naive executable specification across the full configuration \
-          matrix (jobs, memo and dedup implementations, result cache, \
+          matrix (memo and dedup implementations, result cache, \
           event budgets). Divergent traces are delta-debugged to minimal \
           reproducers. With $(b,--mutate), seeded kernel faults prove the \
           oracle catches real divergences. Exits 1 on any divergence or \

@@ -42,13 +42,11 @@ let check_variant acc ~variant ~expected f =
         d_actual = Printexc.to_string e }
       :: acc
 
-(* One production run through the collector + parallel analysis, the
-   path every front end takes. *)
-let produced ~jobs ~memo ~dedup trace =
+(* One production run through the collector + analysis, the path every
+   front end takes. *)
+let produced ~memo ~dedup trace =
   let collected = Hawkset.Collector.collect ~dedup trace in
-  let outcome =
-    Hawkset.Par_analysis.analyse ~features ~jobs ~memo_impl:memo collected
-  in
+  let outcome = Hawkset.Analysis.run ~features ~memo_impl:memo collected in
   Hawkset.Report.to_json outcome.Hawkset.Analysis.report
 
 let divergences trace =
@@ -71,46 +69,39 @@ let divergences trace =
           Hawkset.Report.to_json (Hawkset.Reference.pipeline cut)
         in
         let acc = ref [] in
-        (* jobs × memo × dedup over the collector + Par_analysis path. *)
+        (* memo × dedup over the collector + analysis path. *)
         List.iter
-          (fun jobs ->
+          (fun memo ->
             List.iter
-              (fun memo ->
-                List.iter
-                  (fun dedup ->
-                    let variant =
-                      Printf.sprintf "jobs=%d memo=%s dedup=%s budget=%s" jobs
-                        (impl_name memo) (impl_name dedup) bname
-                    in
-                    acc :=
-                      check_variant !acc ~variant ~expected (fun () ->
-                          produced ~jobs ~memo ~dedup cut))
-                  [ `Packed; `Tuple ])
+              (fun dedup ->
+                let variant =
+                  Printf.sprintf "memo=%s dedup=%s budget=%s" (impl_name memo)
+                    (impl_name dedup) bname
+                in
+                acc :=
+                  check_variant !acc ~variant ~expected (fun () ->
+                      produced ~memo ~dedup cut))
               [ `Packed; `Tuple ])
-          [ 1; 4 ];
+          [ `Packed; `Tuple ];
         (* The assembled pipeline (event budget applied inside). *)
-        List.iter
-          (fun jobs ->
-            let variant =
-              Printf.sprintf "pipeline jobs=%d budget=%s" jobs bname
-            in
-            acc :=
-              check_variant !acc ~variant ~expected (fun () ->
-                  let config =
-                    { Hawkset.Pipeline.default with jobs; event_budget = budget }
-                  in
-                  Hawkset.Report.to_json
-                    (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races))
-          [ 1; 4 ];
+        acc :=
+          check_variant !acc ~variant:("pipeline budget=" ^ bname) ~expected
+            (fun () ->
+              let config =
+                { Hawkset.Pipeline.default with event_budget = budget }
+              in
+              Hawkset.Report.to_json
+                (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races);
         (* Result cache, cold then warm: a complete run's bytes stored
            under (trace fingerprint, config fingerprint) must come back
            verbatim — and still equal the specification's. Budget runs
            are truncated results, which the cache contract excludes. *)
         if budget = None then begin
           let cache = Hawkset.Result_cache.create () in
-          let config = { Hawkset.Pipeline.default with jobs = 1 } in
           let run () =
-            fst (Hawkset.Result_cache.run_cached ~cache ~config cut)
+            fst
+              (Hawkset.Result_cache.run_cached ~cache
+                 ~config:Hawkset.Pipeline.default cut)
           in
           acc :=
             check_variant !acc ~variant:"cache cold+warm" ~expected (fun () ->

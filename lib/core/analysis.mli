@@ -17,8 +17,7 @@
 
     Slots (load-bearing words) are visited in ascending word order, so the
     produced report is a deterministic function of the collected records —
-    independent of hash-table layout — and {!Par_analysis} can reproduce
-    it exactly by sharding contiguous slot ranges across domains.
+    independent of hash-table layout.
 
     The [features] record exposes the design-ablation switches used by the
     evaluation: each corresponds to one step of the §3.1 construction. *)
@@ -68,80 +67,3 @@ val run :
 
 val analyse : ?features:features -> Collector.result -> Report.t
 (** [(run c).report]. *)
-
-(** The slot-level kernel shared by this module's sequential driver and
-    {!Par_analysis}'s sharded one. A (memo, stats) pair must only ever be
-    used from one domain at a time; the collector result itself is
-    read-only and may be shared (see {!Collector.result}). *)
-module Kernel : sig
-  type memo_impl = [ `Packed | `Tuple ]
-
-  type memo
-  (** Memo tables for lockset-disjointness and vector-clock [leq] queries,
-      keyed by interned-id pairs. With [`Packed] the pair is packed into
-      one int ({!Trace.Packed_key.pair}) probed in an open-addressing map
-      (no allocation per probe); ids beyond the packable range fall back
-      to tuple-keyed tables, which are the whole implementation under
-      [`Tuple]. *)
-
-  val make_memo : ?impl:memo_impl -> unit -> memo
-  val memo_impl : memo -> memo_impl
-
-  val reset_memo : memo -> unit
-  (** Empty the tables and zero the lookup counters but keep the table
-      capacity — a pooled domain reusing a memo across runs probes warm
-      pre-grown arrays while producing the counters of a fresh memo. *)
-
-  val ls_lookups : memo -> int  (** Total disjointness queries. *)
-
-  val vc_lookups : memo -> int  (** Total [leq] queries. *)
-
-  val ls_misses : memo -> int
-  (** Distinct lockset-pair keys probed (= real computations). *)
-
-  val vc_misses : memo -> int
-
-  val union_misses : memo list -> int * int
-  (** [(ls, vc)] counts of {e globally} distinct keys across the given
-      memos — the misses one shared table would have had. Feeds
-      {!flush_memo_counters} after a sharded run. *)
-
-  type stats
-  (** Per-domain deterministic counters (pairs examined, HB prunes, races
-      reported), buffered in an {!Obs.Buffer} and flushed by the driver. *)
-
-  val make_stats : unit -> stats
-  val pairs : stats -> int
-  val buffer : stats -> Obs.Buffer.t
-
-  val sorted_words : Collector.result -> int array
-  (** = {!Collector.sorted_load_words}. *)
-
-  val slot_count : Collector.result -> int
-
-  val slot_cost : Collector.result -> int -> int
-  (** Estimated cost of a slot: 1 + |loads| × |windows| — the pair loop
-      plus the visit. {!Par_analysis} balances shards on it. *)
-
-  val analyse_slot :
-    features:features ->
-    memo:memo ->
-    stats:stats ->
-    Collector.result ->
-    int ->
-    Report.t ->
-    Report.t
-  (** [analyse_slot ~features ~memo ~stats c slot report] examines every
-      (window, load) pair canonical to slot [slot]'s word and returns
-      [report] extended with the races found, in the
-      loads-outer/windows-inner order of the collected records. *)
-
-  val flush_memo_counters :
-    ls_lookups:int -> ls_misses:int -> vc_lookups:int -> vc_misses:int -> unit
-  (** Publish the memoisation counters into {!Obs.Registry.global}. The
-      hit/miss split must be computed from totals (misses = distinct keys,
-      hits = lookups − misses) so the published values are those of one
-      shared memo table regardless of how many per-domain tables served
-      the lookups — the invariant that keeps counter snapshots identical
-      across [jobs] settings. *)
-end

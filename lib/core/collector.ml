@@ -532,7 +532,7 @@ let finalize st =
    [words] ascending, per-word records newest-first (the iteration order
    of the cons lists this replaces, so reports are unchanged), [slots]
    the indices of words carrying at least one load record — the
-   deterministic iteration and sharding domain. *)
+   deterministic iteration domain. *)
 let freeze st stats =
   let keep = ref [] in
   Trace.Vec.iter
@@ -669,7 +669,6 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false)
   Obs.Timeline.end_ tl_collect ~arg:stats.c_events;
   freeze st stats
 
-let sorted_load_words (t : result) = Array.map (fun i -> t.words.(i)) t.slots
 
 let all_windows (t : result) =
   Array.fold_right

@@ -47,16 +47,14 @@ type result = {
   loads_of : Access.load array array;  (** Loads per word, newest-first. *)
   slots : int array;
       (** Indexes into [words] carrying at least one load record — the
-          deterministic iteration (and sharding) domain of stage 3. Slots
+          deterministic iteration domain of stage 3. Slots
           whose word has no windows are included; the analysis skips
           them. *)
   stats : stats;
 }
 (** A result is frozen once [collect] returns: stage 3 only ever reads it.
     All reads (array indexing, interner [get]s through [tables]) are
-    mutation-free, so one result may be consumed concurrently from several
-    domains — the property {!Par_analysis} relies on to shard the slot
-    space without copying the records. *)
+    mutation-free. *)
 
 val collect :
   ?irh:bool ->
@@ -84,10 +82,6 @@ val collect :
     never a silent collision); [`Tuple] forces every key through the
     tuple-keyed reference path. Both must produce identical results — the
     differential property the packed-key test suite checks. *)
-
-val sorted_load_words : result -> int array
-(** The word keys of the slots, ascending — [words.(slots.(i))] for each
-    [i]. Kept for presentation layers that report the analysed words. *)
 
 val all_windows : result -> Access.window list
 (** Every window record, words ascending, newest-first within a word —

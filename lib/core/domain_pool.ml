@@ -1,16 +1,13 @@
-(* A small pool of persistent worker domains.
+(* A small pool of persistent worker domains for job-level width: batch
+   jobs ([run_queue]) and explore schedule chunks ([map]).
 
    [Domain.spawn] costs a thread, a minor heap and a handshake with every
-   running domain — milliseconds that PR 2 paid on every [analyse] call
-   and that dwarfed the sharded work itself on short runs. The pool
-   spawns each worker once and hands tasks over a mutex/condition pair;
-   per-[map] cost is two lock transitions per worker instead of a spawn
-   and a join.
+   running domain. The pool spawns each worker once and hands tasks over
+   a mutex/condition pair; per-call cost is two lock transitions per
+   worker instead of a spawn and a join.
 
-   Task [i] always runs on the same slot — [0] on the caller, [i] on
-   worker [i - 1] — so slot-indexed state owned by the callers (e.g.
-   {!Par_analysis}'s warm memo tables) is only ever touched by one domain
-   per call, without the pool knowing about it. *)
+   In [map], task [i] always runs on the same slot — [0] on the caller,
+   [i] on worker [i - 1] — so each task's timeline lane is stable. *)
 
 exception Pool_closed
 
@@ -93,28 +90,10 @@ let await w =
 
 let create () = { lock = Mutex.create (); workers = [||]; closed = false }
 
-(* Optional per-task wrapper (installed e.g. by the harness to sample
-   pool-domain heap peaks). Receives the task's slot index and a thunk it
-   MUST run exactly once. Monomorphic on [unit -> unit]: [map]'s
-   result-array closure already has that shape. *)
-let task_hook : (int -> (unit -> unit) -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_task_hook h = Atomic.set task_hook h
-
 (* Every task runs with its slot bound to the matching timeline lane —
-   task [i] is always slot [i] (caller or worker [i - 1]), so lane
-   assignment is deterministic. *)
-let run_task i f =
-  Obs.Timeline.with_lane i (fun () ->
-      match Atomic.get task_hook with
-      | None -> f ()
-      | Some h -> (
-          let out = ref None in
-          h i (fun () -> out := Some (f ()));
-          match !out with
-          | Some v -> v
-          | None -> failwith "Domain_pool: task hook dropped its task"))
+   in [map], task [i] is always slot [i] (caller or worker [i - 1]), so
+   lane assignment is deterministic. *)
+let run_task i f = Obs.Timeline.with_lane i f
 
 let size t = Array.length t.workers
 
@@ -189,7 +168,7 @@ let map t fns =
     results
   end
 
-(* Two-level scheduling for the batch supervisor: [n] tasks drained by
+(* Job-level scheduling for the batch supervisor: [n] tasks drained by
    [workers] slots pulling indices off a shared atomic counter. Unlike
    [map] there is no task-per-slot bijection — any slot may run any task
    — so callers must not rely on slot-indexed state; what stays

@@ -1,15 +1,15 @@
-(** A pool of persistent worker domains.
+(** A pool of persistent worker domains, serving job-level width only:
+    {!run_queue} drains batch jobs and {!map} runs explore's schedule
+    chunks. Stage 3 itself always runs sequentially on the calling
+    domain.
 
     [Domain.spawn] costs a thread, a minor heap and a handshake with
-    every running domain — milliseconds that a per-call spawn pays on
-    every parallel analysis and that dwarf the sharded work itself on
-    short runs. The pool spawns each worker once; a {!map} call costs
-    two lock transitions per worker.
+    every running domain. The pool spawns each worker once; a {!map}
+    call costs two lock transitions per worker.
 
     Determinism contract: [map fns] runs [fns.(0)] on the calling domain
     and [fns.(i)] on worker [i - 1] — a stable task-to-domain mapping, so
-    slot-indexed state owned by the caller (e.g. {!Par_analysis}'s warm
-    per-shard memo tables) is touched by exactly one domain per call. *)
+    each task's {!Obs.Timeline} lane is the same on every call. *)
 
 type t
 
@@ -47,8 +47,7 @@ val map : t -> (unit -> 'a) array -> ('a, exn) result array
     not a scheduler.
 
     Each task runs with {!Obs.Timeline} lane [i] bound (the stable
-    task-to-domain mapping makes lane contents deterministic), wrapped by
-    the installed {!set_task_hook} if any.
+    task-to-domain mapping makes lane contents deterministic).
 
     Raises {!Pool_closed} after {!shutdown}, and {!Worker_lost} when a
     worker domain died during the call (a supervisor should retry; the
@@ -58,22 +57,14 @@ val run_queue : t -> workers:int -> (unit -> 'a) array -> ('a, exn) result array
 (** [run_queue t ~workers fns] drains the [fns] through at most [workers]
     concurrent slots (slot 0 on the calling domain, slot [s >= 1] on
     worker [s - 1]) pulling task indices off a shared counter — the
-    two-level scheduling primitive behind job-concurrent batches. Result
-    order is deterministic ([i]-th result is [fns.(i)]'s outcome);
-    task-to-slot placement is {e not}, so tasks must not rely on
-    slot-indexed caller state the way {!map} tasks may. Each task binds
-    its slot's {!Obs.Timeline} lane and runs under the {!set_task_hook}
-    wrapper. The whole drain is serialised with other pool calls —
-    tasks must never re-enter the pool ({!map}/{!run_queue}/{!ensure}
-    self-deadlock). Raises {!Pool_closed} after {!shutdown} and
+    scheduling primitive behind job-concurrent batches. Result order is
+    deterministic ([i]-th result is [fns.(i)]'s outcome); task-to-slot
+    placement is {e not}, so a task's timeline lane may differ between
+    calls. Each task binds its slot's {!Obs.Timeline} lane. The whole
+    drain is serialised with other pool calls — tasks must never
+    re-enter the pool ({!map}/{!run_queue}/{!ensure} self-deadlock). Raises {!Pool_closed} after {!shutdown} and
     {!Worker_lost} when a worker died mid-drain (remaining results of
     that call are lost; the slot respawns on the next call). *)
-
-val set_task_hook : (int -> (unit -> unit) -> unit) option -> unit
-(** Install (or clear, with [None]) a process-wide per-task wrapper. The
-    hook receives the task's slot index and a thunk it must run exactly
-    once; {!map} fails that task if the hook drops the thunk. Used by the
-    harness to sample pool-domain heap peaks around each task. *)
 
 val shutdown : t -> unit
 (** Stop and join every worker, then close the pool: subsequent {!map}

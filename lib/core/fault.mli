@@ -11,7 +11,7 @@
 
     The reference specification must never consult this module: a fault
     that corrupted both sides identically would be invisible. Hooks live
-    only in {!Collector}, {!Analysis.Kernel} and {!Report}.
+    only in {!Collector}, {!Analysis} and {!Report}.
 
     Faults default to off and cost one ref read when probed; production
     paths only probe behind a single [enabled] check. *)

@@ -10,21 +10,9 @@ type config = {
   analyse_deadline_s : float option;
 }
 
-(* The parallel analysis is bit-identical to the sequential one for every
-   jobs value, so an environment default is safe: it can only change
-   timings, never results. CI exports HAWKSET_JOBS=4 to exercise the
-   sharded path under the whole test suite. *)
-let default_jobs =
-  match Sys.getenv_opt "HAWKSET_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
-  | None -> 1
-
 let default =
   { irh = true; effective_lockset = true; timestamps = true;
-    vector_clocks = true; eadr = false; jobs = default_jobs;
+    vector_clocks = true; eadr = false; jobs = 1;
     event_budget = None; collect_deadline_s = None;
     analyse_deadline_s = None }
 
@@ -41,7 +29,6 @@ type result = {
   races : Report.t;
   collector_stats : Collector.stats;
   pairs_examined : int;
-  jobs : int;
   analysis_seconds : float;
   stage_seconds : (string * float) list;
   counters : (string * int) list;
@@ -99,9 +86,6 @@ let run ?(config = default) trace =
         Trace.Tracebuf.prefix trace budget
     | Some _ | None -> trace
   in
-  (* Warm the domain pool before the timed region: worker spawn is a
-     one-time process cost, not part of any analysis measurement. *)
-  if config.jobs > 1 then Domain_pool.ensure (Domain_pool.global ()) (config.jobs - 1);
   Obs.Timeline.begin_ tl_pipeline ~arg:(Trace.Tracebuf.length trace);
   let (collected, outcome), (collect_s, analyse_s) =
     Fun.protect
@@ -130,16 +114,14 @@ let run ?(config = default) trace =
         in
         let outcome, analyse_s =
           staged "analyse" (fun () ->
-              Par_analysis.analyse ~features ~jobs:config.jobs
+              Analysis.run ~features
                 ?stop:(deadline_stop config.analyse_deadline_s)
                 collected)
         in
         if outcome.Analysis.words_analysed < outcome.Analysis.words_total then
           note
             { trunc_stage = "analyse";
-              trunc_reason =
-                (if config.analyse_deadline_s <> None then "deadline"
-                 else "shard_skipped");
+              trunc_reason = "deadline";
               trunc_done = outcome.Analysis.words_analysed;
               trunc_total = outcome.Analysis.words_total };
         ((collected, outcome), (collect_s, analyse_s)))
@@ -150,7 +132,6 @@ let run ?(config = default) trace =
     races = outcome.Analysis.report;
     collector_stats = collected.Collector.stats;
     pairs_examined = outcome.Analysis.pairs;
-    jobs = config.jobs;
     analysis_seconds = t1 -. t0;
     stage_seconds = [ ("collect", collect_s); ("analyse", analyse_s) ];
     counters = Obs.Registry.delta ~before ~after;

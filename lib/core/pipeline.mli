@@ -14,10 +14,9 @@ type config = {
           no window ever exists, so nothing is reported — the flag shows
           that the whole bug class is an artifact of the volatile cache. *)
   jobs : int;
-      (** Stage-3 analysis domains ({!Par_analysis}). [1] runs the exact
-          sequential {!Analysis.run}; any value produces a bit-identical
-          report and counter snapshot, so the knob only affects wall-clock
-          time. *)
+      (** Has no effect: stage 3 always runs the sequential {!Analysis.run}
+          on the calling domain. The field remains only so that existing
+          record literals that set it still compile. *)
   event_budget : int option;
       (** Analyse at most this many trace events: an oversized trace is
           cut to its budget-sized prefix (recorded in
@@ -33,18 +32,15 @@ type config = {
           Same nondeterminism caveat. [None] = unbounded. *)
 }
 
-val default_jobs : int
-(** [$HAWKSET_JOBS] when set to a positive integer, else [1]. *)
-
 val default : config
-(** Everything on, [jobs = default_jobs] — the configuration evaluated in
-    the paper. *)
+(** Everything on, no budgets or deadlines — the configuration evaluated
+    in the paper. *)
 
 val no_irh : config
 (** [default] with the IRH disabled — the Table 4 comparison point. *)
 
 (** One recorded degradation: which stage gave up, why
-    (["event_budget"], ["deadline"] or ["shard_skipped"]), and how much of
+    (["event_budget"] or ["deadline"]), and how much of
     its work domain it covered — events for stage 1, canonical words for
     stage 3. *)
 type truncation = {
@@ -60,7 +56,6 @@ type result = {
   pairs_examined : int;
       (** From {!Analysis.outcome.pairs} — the per-run value, safe under
           concurrent analyses. *)
-  jobs : int;  (** Analysis domains this run used ([config.jobs]). *)
   analysis_seconds : float;
       (** Wall-clock time of collection + analysis (the "testing time" the
           efficiency evaluation reports excludes workload generation). *)
@@ -82,9 +77,9 @@ type result = {
 
 val run : ?config:config -> Trace.Tracebuf.t -> result
 (** Runs collection then analysis under [config]. Degradation contract:
-    with budgets/deadlines set (or a shard range skipped after repeated
-    failure) [run] still returns a [result] — work is dropped, never the
-    report; every drop is itemized in {!result.truncated}. *)
+    with budgets/deadlines set [run] still returns a [result] — work is
+    dropped, never the report; every drop is itemized in
+    {!result.truncated}. *)
 
 val races : ?config:config -> Trace.Tracebuf.t -> Report.t
 (** Shorthand for [(run trace).races]. *)

@@ -3,7 +3,7 @@
    Everything here favors auditability over speed: association lists
    instead of interners, linear scans instead of packed-key sets, whole
    values instead of ids, quadratic loops instead of memo tables. The
-   production pipeline (Collector + Analysis/Par_analysis) must produce a
+   production pipeline (Collector + Analysis) must produce a
    byte-identical [Report.to_json] on every trace; [hawkset check] pits
    the two against each other on generated traces.
 

@@ -41,7 +41,7 @@ val pipeline : ?config:config -> ?event_budget:int -> Trace.Tracebuf.t -> Report
 val analyse : ?config:config -> Collector.result -> Report.t
 (** Stage 3 alone on production-collected records: the same naive pair
     loop reading the per-word record arrays through the interning
-    tables. Oracle for {!Analysis.analyse} / {!Par_analysis.analyse} on
+    tables. Oracle for {!Analysis.analyse} on
     an already-collected result. Only [config]'s [effective_lockset] and
     [vector_clocks] fields are consulted (the rest shaped collection). *)
 

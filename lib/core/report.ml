@@ -57,22 +57,6 @@ let add ?witness t ~store_site ~load_site ~store_tid ~load_tid ~addr
   in
   go [] t
 
-(* Like [add], but carrying an already-aggregated race: occurrences sum
-   and the earlier report's witness fields win, exactly as if [r]'s
-   witnessing pairs had been added one by one after [t]'s. *)
-let add_merged t (r : race) =
-  let rec go acc = function
-    | [] -> List.rev (r :: acc)
-    | x :: rest when same_pair x ~store_site:r.store_site ~load_site:r.load_site
-      ->
-        List.rev_append acc
-          ({ x with occurrences = x.occurrences + r.occurrences } :: rest)
-    | x :: rest -> go (x :: acc) rest
-  in
-  go [] t
-
-let merge a b = List.fold_left add_merged a b
-
 let count = List.length
 
 let sorted t =

@@ -20,7 +20,7 @@ type witness = {
 (** The evidence behind a report: effective locksets and vector clocks of
     the first witnessing (window, load) pair, exactly as the analysis
     kernel saw them. Deterministic for a fixed seed, so it serializes
-    into [to_json] without breaking report identity across jobs. *)
+    into [to_json] without breaking report identity across runs. *)
 
 type race = {
   store_site : Trace.Site.t;
@@ -56,14 +56,6 @@ val add :
     (store location, load location). The [witness] thunk is forced only
     when the pair creates a new report (first witness wins on merge), so
     repeated occurrences cost nothing extra. *)
-
-val merge : t -> t -> t
-(** [merge a b] appends [b]'s races to [a] in [b]'s order, combining
-    reports for a site pair already present in [a] (occurrence counts
-    sum; [a]'s witness fields win). The result is exactly what repeated
-    {!add} would have built had [b]'s witnessing pairs been added after
-    [a]'s — the property the parallel analysis relies on to make its
-    shard-merged report identical to the sequential one. *)
 
 val count : t -> int
 (** Number of distinct site-pair reports. *)

@@ -17,10 +17,9 @@
 
    Only *complete* results belong here — a truncated report is a
    property of the run (its budgets), not of the trace. [run_cached]
-   enforces that for every caller. Deadlines and [jobs] are likewise
-   excluded from {!config_fingerprint}: any jobs value produces
-   bit-identical reports, and deadlines only affect truncated
-   (uncacheable) runs. *)
+   enforces that for every caller. Deadlines and the inert [jobs] field
+   are likewise excluded from {!config_fingerprint}: deadlines only
+   affect truncated (uncacheable) runs. *)
 
 module J = Trace.Journal
 

@@ -13,9 +13,9 @@
 
     {!run_cached} is the one call every front end uses. It stores only
     {e complete} results: a truncated report reflects the run's budgets,
-    not the trace. Correspondingly [jobs] and the stage deadlines are
-    excluded from {!config_fingerprint} — any jobs value is
-    bit-identical, and deadlines only shape truncated runs. One caveat
+    not the trace. Correspondingly the stage deadlines are excluded from
+    {!config_fingerprint} (deadlines only shape truncated runs), and so
+    is [jobs], which has no effect. One caveat
     follows: a hit always substitutes the complete result, so a run
     whose deadlines {e would} have truncated reports clean on a warm
     cache (documented in README "Performance").
@@ -50,8 +50,8 @@ val run_cached :
     entry and [0]. On a miss (or without a cache) it runs
     {!Pipeline.run}[ ~config] and builds the entry; the entry is stored,
     keyed on [config]'s own fingerprint, only when the run was complete.
-    Inside a {!Domain_pool} task [config.jobs] must be [1]: stage 3 at
-    [jobs > 1] would re-enter the pool. *)
+    Safe to call from a {!Domain_pool} task: the pipeline never uses the
+    pool. *)
 
 val find : t -> trace_fp:string -> config_fp:string -> entry option
 (** One locked probe; bumps hit/miss accounting (instance and global). *)

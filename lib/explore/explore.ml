@@ -9,8 +9,7 @@
    compact summaries (fingerprints and location-pair sets), never
    traces; a divergent schedule is re-run deterministically when its
    trace needs dumping. Each schedule runs as a {!Hawkset.Domain_pool}
-   task, so its {!Hawkset.Pipeline.run} must use [jobs = 1]: stage 3 at
-   jobs>1 would re-enter the pool and deadlock. *)
+   task; its {!Hawkset.Pipeline.run} stays on that task's domain. *)
 
 module S = Machine.Sched
 module R = Pmapps.Registry
@@ -161,11 +160,6 @@ let racy_pairs (report : S.report) =
   pairs_of (List.filter (fun (o : S.observation) -> o.S.obs_racy)
       report.S.observations)
 
-(* [jobs = 1] for the pool-task rule above. [jobs] is not part of the
-   cache key, so entries are shared with every other default-config
-   consumer of the same trace. *)
-let analysis_config = { Hawkset.Pipeline.default with jobs = 1 }
-
 let run_schedule (entry : R.entry) config ~ops i =
   let sched_seed = sched_seed_of config i in
   let name = policy_name config i in
@@ -183,7 +177,7 @@ let run_schedule (entry : R.entry) config ~ops i =
          (first insert wins, entries are identical). *)
       let analysed, _ =
         Hawkset.Result_cache.run_cached ?cache:config.cache
-          ~config:analysis_config trace
+          ~config:Hawkset.Pipeline.default trace
       in
       {
         s_index = i;

@@ -53,9 +53,8 @@
     Schedules are explored in parallel on the persistent {!Domain_pool}:
     each schedule is a pure function of its index, so results are
     deterministic and independent of [jobs]. Each schedule analyses its
-    trace through {!Hawkset.Result_cache.run_cached} at pipeline
-    [jobs = 1]: a pool task must not run stage 3 wider, which would
-    re-enter the pool. *)
+    trace through {!Hawkset.Result_cache.run_cached} under
+    {!Hawkset.Pipeline.default}, on the domain that ran the schedule. *)
 
 (** Which scheduler policies the sweep draws from. [All] (the default)
     spends schedule 0 on the deterministic round-robin schedule and

@@ -48,7 +48,6 @@ let summary_line (b : Supervise.batch) =
         if n > 0 then Some (Printf.sprintf "%d %s" n label) else None)
       [
         ("ok_retried", "retried");
-        ("ok_sequential", "sequential");
         ("ok_truncated", "truncated");
       ]
   in

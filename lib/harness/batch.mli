@@ -7,7 +7,7 @@ val degradation_table : Supervise.batch -> string
 
 val summary_line : Supervise.batch -> string
 (** One-line batch verdict, e.g.
-    ["batch: 6 jobs, 4 ok (1 retried, 1 sequential), 1 failed, 1
+    ["batch: 6 jobs, 4 ok (2 retried, 1 truncated), 1 failed, 1
     quarantined [interrupted]"]. *)
 
 val failed : Supervise.batch -> bool

@@ -39,61 +39,6 @@ let with_live_mb f =
   sample ();
   (r, word_mb !peak)
 
-(* Per-pool-domain peak sampling. [Gc.alarm]s are domain-local in OCaml 5,
-   so the caller-domain alarm in [with_live_mb] never sees a worker's
-   heap: each pool task installs its own alarm via the {!Domain_pool}
-   task hook. A slot is only ever run by one domain per [map] call (the
-   pool's stable mapping), so a plain int array needs no atomics. *)
-let max_pool_slots = 64
-
-let pool_peak_words = Array.make max_pool_slots 0
-
-let reset_pool_peaks () = Array.fill pool_peak_words 0 max_pool_slots 0
-
-let pool_peak_mbs () =
-  let acc = ref [] in
-  for i = max_pool_slots - 1 downto 0 do
-    if pool_peak_words.(i) > 0 then
-      acc := (i, word_mb pool_peak_words.(i)) :: !acc
-  done;
-  !acc
-
-let pool_task_hook slot task =
-  (* Slot 0 is the calling domain — [with_live_mb]'s own alarm already
-     covers it. Out-of-range slots are not sampled rather than crashed. *)
-  if slot <= 0 || slot >= max_pool_slots then task ()
-  else begin
-    let inside = ref false in
-    let sample () =
-      if not !inside then begin
-        inside := true;
-        Fun.protect
-          ~finally:(fun () -> inside := false)
-          (fun () ->
-            let s = Gc.stat () in
-            if s.Gc.live_words > pool_peak_words.(slot) then
-              pool_peak_words.(slot) <- s.Gc.live_words)
-      end
-    in
-    sample ();
-    let alarm = Gc.create_alarm sample in
-    Fun.protect
-      ~finally:(fun () ->
-        Gc.delete_alarm alarm;
-        sample ())
-      task
-  end
-
-let with_pool_live_mb f =
-  reset_pool_peaks ();
-  Hawkset.Domain_pool.set_task_hook (Some pool_task_hook);
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Hawkset.Domain_pool.set_task_hook None)
-      f
-  in
-  (r, pool_peak_mbs ())
-
 let avg_time_to_race ~t ~found ~missed =
   if found <= 0 then None
   else Some (t *. ((float_of_int missed /. 2.0) +. 1.0))

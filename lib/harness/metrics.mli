@@ -10,15 +10,6 @@ val with_live_mb : (unit -> 'a) -> 'a * float
     Figure 6b peak-memory series. The alarm is removed even if [f]
     raises. *)
 
-val with_pool_live_mb : (unit -> 'a) -> 'a * (int * float) list
-(** [with_pool_live_mb f] runs [f] with a {!Hawkset.Domain_pool} task
-    hook installed that samples peak live heap inside each pool worker
-    (Gc alarms are domain-local, so the caller-domain alarm of
-    {!with_live_mb} never observes them). Returns [f]'s result and the
-    per-slot peaks [(slot, mb)] for every worker slot that ran a task;
-    slot 0 (the calling domain) is covered by {!with_live_mb} instead.
-    The hook is uninstalled even if [f] raises. *)
-
 val final_live_mb : unit -> float
 (** Live heap megabytes after a full major collection — the end-of-run
     value (the trace, access records and interning tables are all still

@@ -29,28 +29,23 @@ let instrumented_run ?(config = Hawkset.Pipeline.default) ~entry ~seed ~ops ()
     =
   let reg = Obs.Registry.global in
   Obs.Registry.reset reg;
-  let ((sched_report, pipeline), pool_peaks), peak_mb =
+  let (sched_report, pipeline), peak_mb =
     Metrics.with_live_mb (fun () ->
-        (* Only instrumented runs pay the per-task Gc.stat of the pool
-           sampler — raw [Pipeline.run] callers (the perf gates) never
-           see the hook. *)
-        Metrics.with_pool_live_mb (fun () ->
-            Obs.Registry.with_span "run" (fun () ->
-                Obs.Timeline.begin_ tl_run;
-                Fun.protect
-                  ~finally:(fun () -> Obs.Timeline.end_ tl_run)
-                @@ fun () ->
-                let sched_report =
-                  Obs.Registry.with_span "execute" (fun () ->
-                      Obs.Timeline.begin_ tl_execute;
-                      Fun.protect
-                        ~finally:(fun () -> Obs.Timeline.end_ tl_execute)
-                        (fun () -> entry.Pmapps.Registry.run ~seed ~ops ()))
-                in
-                let pipeline =
-                  Hawkset.Pipeline.run ~config sched_report.Machine.Sched.trace
-                in
-                (sched_report, pipeline))))
+        Obs.Registry.with_span "run" (fun () ->
+            Obs.Timeline.begin_ tl_run;
+            Fun.protect ~finally:(fun () -> Obs.Timeline.end_ tl_run)
+            @@ fun () ->
+            let sched_report =
+              Obs.Registry.with_span "execute" (fun () ->
+                  Obs.Timeline.begin_ tl_execute;
+                  Fun.protect
+                    ~finally:(fun () -> Obs.Timeline.end_ tl_execute)
+                    (fun () -> entry.Pmapps.Registry.run ~seed ~ops ()))
+            in
+            let pipeline =
+              Hawkset.Pipeline.run ~config sched_report.Machine.Sched.trace
+            in
+            (sched_report, pipeline)))
   in
   Obs.Metric.add obs_distinct_races
     (Hawkset.Report.count pipeline.Hawkset.Pipeline.races);
@@ -59,15 +54,9 @@ let instrumented_run ?(config = Hawkset.Pipeline.default) ~entry ~seed ~ops ()
     Obs.Manifest.of_registry
       ~labels:
         (base_labels ~app:entry.Pmapps.Registry.reg_name ~detector:"hawkset"
-           ~seed ~ops
-        @ [ ("jobs", string_of_int config.Hawkset.Pipeline.jobs) ])
+           ~seed ~ops)
       ~extra_gauges:
-        (("peak_live_mb", peak_mb)
-        :: ("final_live_mb", final_live_mb)
-        :: List.map
-             (fun (slot, mb) ->
-               (Printf.sprintf "peak_live_mb.domain_%d" slot, mb))
-             pool_peaks)
+        [ ("peak_live_mb", peak_mb); ("final_live_mb", final_live_mb) ]
       reg
   in
   { sched_report; pipeline; peak_mb; final_live_mb; manifest }

@@ -22,11 +22,9 @@ val instrumented_run :
   run
 (** Reset {!Obs.Registry.global}, execute the application's workload under
     spans ([run/execute], [run/pipeline/...]), analyse the trace, and
-    snapshot everything into a manifest (labelled with the app, seed, ops
-    and the analysis [jobs] count). Counters in the manifest are
-    byte-identical across calls with equal [(entry, seed, ops, config)] —
-    and across [config.jobs] values, since the parallel analysis is
-    bit-identical to the sequential one. *)
+    snapshot everything into a manifest (labelled with the app, detector,
+    seed and ops). Counters in the manifest are byte-identical across
+    calls with equal [(entry, seed, ops, config)]. *)
 
 val base_labels :
   app:string -> detector:string -> seed:int -> ops:int ->

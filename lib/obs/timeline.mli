@@ -63,7 +63,7 @@ val begin_ : ?arg:int -> handle -> unit
 val end_ : ?arg:int -> handle -> unit
 
 val instant : ?arg:int -> handle -> unit
-(** Record a point event (truncation, shard failure, crash point, ...). *)
+(** Record a point event (truncation, crash point, ...). *)
 
 val events : int -> event list
 (** Recorded events of a lane, in recording order. *)

@@ -134,7 +134,6 @@ type config = {
   deadline_s : float option;
   max_heap_mb : float option;
   breaker_threshold : int;
-  pipeline_jobs : int;
   job_workers : int;
   faults : fault list;
   stop_after : int option;
@@ -148,7 +147,6 @@ let default_config =
     deadline_s = None;
     max_heap_mb = None;
     breaker_threshold = 2;
-    pipeline_jobs = 1;
     job_workers = 1;
     faults = [];
     stop_after = None;
@@ -157,7 +155,6 @@ let default_config =
 type status =
   | Done of {
       d_attempts : int;
-      d_sequential : bool;
       d_truncations : int;
       d_failures : failure list;
       d_races_json : string;
@@ -166,7 +163,6 @@ type status =
   | Quarantined
 
 let status_string = function
-  | Done { d_sequential = true; _ } -> "ok-sequential"
   | Done { d_truncations = n; _ } when n > 0 -> "ok-truncated"
   | Done { d_failures = _ :: _; _ } -> "ok-retried"
   | Done _ -> "ok"
@@ -200,9 +196,9 @@ let fingerprint config jobs =
            j.j_ops))
     jobs;
   Buffer.add_string b
-    (Printf.sprintf "attempts=%d;backoff=%d;bseed=%d;breaker=%d;pjobs=%d;"
+    (Printf.sprintf "attempts=%d;backoff=%d;bseed=%d;breaker=%d;"
        config.attempts config.backoff_ms config.backoff_seed
-       config.breaker_threshold config.pipeline_jobs);
+       config.breaker_threshold);
   (match config.deadline_s with
   | Some d -> Buffer.add_string b (Printf.sprintf "deadline=%g;" d)
   | None -> ());
@@ -258,16 +254,10 @@ let tl_quarantine = Obs.Timeline.name "supervise.quarantine"
 
 (* --- one attempt ------------------------------------------------------ *)
 
-(* A [Worker_lost] poisons the pool for the rest of the call and an [Oom]
-   indicts the parallel footprint, so both degrade the job's remaining
-   attempts to the sequential analysis: smaller, pool-free, and
-   bit-identical in its report. *)
-let degrades = function Worker_lost | Oom -> true | _ -> false
-
 (* One attempt's product: the report JSON bytes and the truncation count
    — all a terminal [Done] needs, whether the analysis ran or a cache
    hit substituted the recorded bytes of an identical trace. *)
-let run_attempt ?cache config (job : job) ~attempt ~sequential ~cap_jobs =
+let run_attempt ?cache config (job : job) ~attempt =
   (match
      List.find_opt
        (fun f -> f.f_job = job.j_id && attempt <= f.f_times)
@@ -291,16 +281,10 @@ let run_attempt ?cache config (job : job) ~attempt ~sequential ~cap_jobs =
       let report = entry.R.run ~seed:job.j_seed ~policy ~ops () in
       (* The wall budget also feeds the pipeline's cooperative stage
          deadlines: the stages yield at their polling points well before
-         the Gc-alarm guard has to fire. [cap_jobs] (job-concurrency > 1)
-         forces the stage-3 analysis sequential so the total domain
-         count stays bounded by the job width — bit-identical by the
-         parallel-analysis contract, and it must not re-enter the pool
-         this very job is running on. *)
+         the Gc-alarm guard has to fire. *)
       let pcfg =
         {
           Hawkset.Pipeline.default with
-          jobs =
-            (if sequential || cap_jobs then 1 else max 1 config.pipeline_jobs);
           collect_deadline_s = config.deadline_s;
           analyse_deadline_s = config.deadline_s;
         }
@@ -335,7 +319,7 @@ let restore path =
               let s = state id in
               Hashtbl.replace tbl id { s with rs_fails = s.rs_fails @ [ c ] }
           | _ -> ())
-      | "done", [ id; attempts; seq; truncs ] -> (
+      | "done", [ id; attempts; truncs ] -> (
           match (int_of_string_opt id, r.J.payload) with
           | Some id, Some races ->
               let s = state id in
@@ -349,7 +333,6 @@ let restore path =
                            d_attempts =
                              Option.value (int_of_string_opt attempts)
                                ~default:1;
-                           d_sequential = seq = "1";
                            d_truncations =
                              Option.value (int_of_string_opt truncs) ~default:0;
                            d_failures = s.rs_fails;
@@ -423,7 +406,6 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
      driver decides where records go (straight to the journal, or a
      per-job buffer flushed at completion) and where the per-app
      consecutive-failure count lives (a shared table, or chain-local). *)
-  let cap_jobs = config.job_workers > 1 in
   let process ~app_failures ~record (job : job) =
     Obs.Metric.incr obs_jobs;
     match Hashtbl.find_opt prior job.j_id with
@@ -447,7 +429,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
         else begin
           let id = string_of_int job.j_id in
           let failures = ref prior_fails in
-          let rec go attempt ~sequential =
+          let rec go attempt =
             if attempt > config.attempts then begin
               Obs.Metric.incr obs_gave_up;
               record "gaveup" [ id; string_of_int config.attempts ] None;
@@ -455,9 +437,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
             end
             else begin
               Obs.Metric.incr obs_attempts;
-              record "start"
-                [ id; string_of_int attempt; (if sequential then "1" else "0") ]
-                None;
+              record "start" [ id; string_of_int attempt ] None;
               Obs.Timeline.begin_ tl_attempt ~arg:job.j_id;
               let outcome =
                 Fun.protect
@@ -465,8 +445,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
                   (fun () ->
                     match
                       Obs.Registry.with_span "job" (fun () ->
-                          run_attempt ?cache config job ~attempt ~sequential
-                            ~cap_jobs)
+                          run_attempt ?cache config job ~attempt)
                     with
                     | r -> Ok r
                     | exception e -> Error e)
@@ -474,17 +453,11 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
               match outcome with
               | Ok (races, truncs) ->
                   record "done"
-                    [
-                      id;
-                      string_of_int attempt;
-                      (if sequential then "1" else "0");
-                      string_of_int truncs;
-                    ]
+                    [ id; string_of_int attempt; string_of_int truncs ]
                     (Some races);
                   Done
                     {
                       d_attempts = attempt;
-                      d_sequential = sequential;
                       d_truncations = truncs;
                       d_failures = !failures;
                       d_races_json = races;
@@ -499,7 +472,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
                       Printf.sprintf "job %d (%s seed %d %s): attempt %d failed: %s (%s)"
                         job.j_id job.j_app job.j_seed job.j_policy attempt
                         (failure_to_string cls) (Printexc.to_string e));
-                  if attempt >= config.attempts then go (attempt + 1) ~sequential
+                  if attempt >= config.attempts then go (attempt + 1)
                   else begin
                     Obs.Metric.incr obs_retries;
                     Obs.Timeline.instant tl_retry ~arg:job.j_id;
@@ -507,15 +480,11 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
                       backoff_delay_ms config ~job:job.j_id ~attempt
                     in
                     if delay > 0 then Unix.sleepf (float_of_int delay /. 1000.0);
-                    go (attempt + 1) ~sequential:(sequential || degrades cls)
+                    go (attempt + 1)
                   end
             end
           in
-          let st =
-            go
-              (List.length prior_fails + 1)
-              ~sequential:(List.exists degrades prior_fails)
-          in
+          let st = go (List.length prior_fails + 1) in
           { jr_job = job; jr_status = st; jr_replayed = false }
         end
   in
@@ -682,7 +651,6 @@ let summary b =
     ("ok", count (fun jr -> match jr.jr_status with Done _ -> true | _ -> false));
     ("ok_clean", count (is "ok"));
     ("ok_retried", count (is "ok-retried"));
-    ("ok_sequential", count (is "ok-sequential"));
     ("ok_truncated", count (is "ok-truncated"));
     ("failed", count (is "failed"));
     ("quarantined", count (is "quarantined"));
@@ -706,9 +674,6 @@ let merged_json b =
         ("ops", Json.int j.j_ops);
         ("status", Json.str (status_string jr.jr_status));
         ("attempts", Json.int (attempts_of jr.jr_status));
-        ( "sequential",
-          Json.bool
-            (match jr.jr_status with Done d -> d.d_sequential | _ -> false) );
         ( "truncations",
           Json.int
             (match jr.jr_status with Done d -> d.d_truncations | _ -> 0) );
@@ -722,7 +687,7 @@ let merged_json b =
   in
   Json.obj
     [
-      ("schema", Json.str "hawkset.batch_report/1");
+      ("schema", Json.str "hawkset.batch_report/2");
       ("fingerprint", Json.str b.b_fingerprint);
       ("jobs", Json.arr (List.map job_json b.b_results));
       ( "summary",
@@ -767,7 +732,6 @@ let manifest b =
         ("breaker", string_of_int b.b_config.breaker_threshold);
         ("fingerprint", b.b_fingerprint);
         ("job_workers", string_of_int b.b_config.job_workers);
-        ("pipeline_jobs", string_of_int b.b_config.pipeline_jobs);
         ("policies", uniq (fun j -> j.j_policy));
         ("seeds", uniq (fun j -> string_of_int j.j_seed));
       ]

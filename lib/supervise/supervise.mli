@@ -4,7 +4,7 @@
     the production shape of HawkSet a large batch of independent
     analyses (app × seed × schedule policy × pipeline config) rather
     than a single run. At that scale the failure modes change: one hung
-    shard, OOM, corrupt trace or SIGKILL must cost one job (or one
+    analysis, OOM, corrupt trace or SIGKILL must cost one job (or one
     attempt), never the campaign. This module is the supervision layer
     above {!Hawkset.Pipeline}:
 
@@ -18,9 +18,7 @@
        Worker_lost]) by {!classify_exn}.}
     {- {b Retry}: deterministic exponential backoff with seeded jitter
        ({!backoff_delay_ms} is a pure function of (config, job,
-       attempt)) and a bounded attempt count. [Worker_lost] and [Oom]
-       failures degrade the remaining attempts to sequential analysis
-       ([jobs = 1]) — less parallelism, smaller footprint, no pool.}
+       attempt)) and a bounded attempt count.}
     {- {b Circuit breaker}: after [breaker_threshold] consecutive jobs
        of the same application exhaust their attempts, the app's
        remaining jobs are quarantined without running.}
@@ -35,8 +33,8 @@
        uninterrupted run.}} *)
 
 (** The failure taxonomy. Every way an attempt can die maps onto one of
-    these five classes; the class drives the retry policy and the
-    degradation table. *)
+    these five classes; every class is retried, and the class is recorded
+    in the job's failure history and the degradation table. *)
 type failure = Timeout | Oom | Corrupt_trace | Pipeline_exn | Worker_lost
 
 val failure_to_string : failure -> string
@@ -95,15 +93,12 @@ type config = {
   breaker_threshold : int;
       (** Consecutive exhausted jobs of one app before quarantine
           (default 2). *)
-  pipeline_jobs : int;  (** Stage-3 analysis domains per job. *)
   job_workers : int;
       (** Jobs in flight at once (default 1). With [> 1], per-app job
-          chains run concurrently on the domain pool and every job's
-          stage-3 analysis is forced sequential so total domains stay
-          bounded by the width; the merged report is byte-identical to
-          the [job_workers = 1] run (see DESIGN), so this knob — like
-          [pipeline_jobs] — trades only wall-clock time and is excluded
-          from the batch {!fingerprint}. *)
+          chains run concurrently on the domain pool; the merged report
+          is byte-identical to the [job_workers = 1] run (see DESIGN), so
+          this knob trades only wall-clock time and is excluded from the
+          batch {!fingerprint}. *)
   faults : fault list;
   stop_after : int option;
       (** Chaos hook: stop the batch loop after this many jobs reach a
@@ -117,7 +112,6 @@ val default_config : config
 type status =
   | Done of {
       d_attempts : int;
-      d_sequential : bool;  (** Succeeded after degrading to [jobs=1]. *)
       d_truncations : int;
           (** {!Hawkset.Pipeline.result.truncated} entries of the
               successful attempt (0 = complete analysis). *)
@@ -130,9 +124,8 @@ type status =
   | Quarantined  (** Circuit breaker: never attempted. *)
 
 val status_string : status -> string
-(** ["ok" | "ok-retried" | "ok-sequential" | "ok-truncated" | "failed"
-    | "quarantined"] (sequential wins over truncated wins over
-    retried). *)
+(** ["ok" | "ok-retried" | "ok-truncated" | "failed" | "quarantined"]
+    (truncated wins over retried). *)
 
 type job_result = {
   jr_job : job;
@@ -194,7 +187,7 @@ val run :
     [jobs]. *)
 
 val merged_json : batch -> string
-(** The merged batch report (schema ["hawkset.batch_report/1"]): one
+(** The merged batch report (schema ["hawkset.batch_report/2"]): one
     entry per terminal job with its status, attempt count, failure
     history and verbatim race-report JSON, plus a summary block.
     Deterministic — and byte-identical between an uninterrupted run and
@@ -203,7 +196,7 @@ val merged_json : batch -> string
 
 val summary : batch -> (string * int) list
 (** Degradation summary, in rendering order: jobs, ok, ok-clean,
-    ok-retried, ok-sequential, ok-truncated, failed, quarantined,
+    ok-retried, ok-truncated, failed, quarantined,
     attempts, retries, replayed. *)
 
 val counters : batch -> (string * int) list
@@ -213,5 +206,5 @@ val counters : batch -> (string * int) list
     taxonomy class. *)
 
 val manifest : batch -> Obs.Manifest.t
-(** Labels (apps, seeds, policies, attempts, pipeline_jobs, breaker),
+(** Labels (apps, seeds, policies, attempts, job_workers, breaker),
     the {!counters}, and a [supervise.interrupted] gauge. *)

@@ -175,24 +175,28 @@ module Stats_tests = struct
       (Obs.Manifest.counters_json r1.Harness.Stats.manifest)
       (Obs.Manifest.counters_json r2.Harness.Stats.manifest)
 
-  (* The parallel analysis must not perturb the deterministic half: the
-     same run sharded over 4 domains serializes the very same counter
-     snapshot, byte for byte. *)
-  let parallel_counters_identical () =
-    let run jobs =
-      Harness.Stats.instrumented_run
-        ~config:{ Hawkset.Pipeline.default with Hawkset.Pipeline.jobs = jobs }
-        ~entry ~seed:7 ~ops:400 ()
-    in
-    let r1 = run 1 in
-    let r4 = run 4 in
-    Alcotest.(check string)
-      "counters byte-identical across jobs=1 and jobs=4"
-      (Obs.Manifest.counters_json r1.Harness.Stats.manifest)
-      (Obs.Manifest.counters_json r4.Harness.Stats.manifest);
-    Alcotest.(check (option string))
-      "jobs label recorded" (Some "4")
-      (Obs.Manifest.label r4.Harness.Stats.manifest "jobs")
+  (* The manifest carries the base labels and the two heap gauges only:
+     no [jobs] label and no per-domain heap gauge, since an instrumented
+     run never touches the domain pool. *)
+  let labels_and_gauges () =
+    let r = Harness.Stats.instrumented_run ~entry ~seed:7 ~ops:400 () in
+    let m = r.Harness.Stats.manifest in
+    Alcotest.(check (list (pair string string)))
+      "base labels only"
+      (Harness.Stats.base_labels ~app:"fast-fair" ~detector:"hawkset" ~seed:7
+         ~ops:400)
+      m.Obs.Manifest.labels;
+    List.iter
+      (fun g ->
+        Alcotest.(check bool) (g ^ " present") true
+          (Obs.Manifest.gauge m g <> None))
+      [ "peak_live_mb"; "final_live_mb" ];
+    Alcotest.(check (list string))
+      "no per-domain gauges" []
+      (List.filter
+         (fun (g, _) -> String.starts_with ~prefix:"peak_live_mb.domain_" g)
+         m.Obs.Manifest.gauges
+      |> List.map fst)
 
   let manifest_shape () =
     let r = Harness.Stats.instrumented_run ~entry ~seed:7 ~ops:400 () in
@@ -272,8 +276,7 @@ module Stats_tests = struct
   let tests =
     [
       Alcotest.test_case "same seed, same counters" `Slow deterministic_counters;
-      Alcotest.test_case "jobs=4, same counters" `Slow
-        parallel_counters_identical;
+      Alcotest.test_case "labels and gauges" `Slow labels_and_gauges;
       Alcotest.test_case "manifest shape" `Slow manifest_shape;
       Alcotest.test_case "stats render" `Slow render_has_sections;
       Alcotest.test_case "span tree render" `Slow render_span_tree;
@@ -282,7 +285,7 @@ end
 
 module Explore_jobs_tests = struct
   (* The schedule sweep extends the counter byte-identity contract: the
-     same exploration sharded over 4 worker domains must reach the same
+     same exploration split over 4 worker domains must reach the same
      verdict, the same per-schedule rows and the same deterministic
      counter snapshot as the sequential run — byte for byte once
      serialized ([jobs] itself is a manifest label, not a counter). *)

@@ -1007,6 +1007,359 @@ module Truncation_tests = struct
     ]
 end
 
+module Pipeline_tests = struct
+  (* [Pipeline.config.jobs] is inert: stage 3 always runs sequentially on
+     the calling domain, so a wide setting neither grows the domain pool
+     nor changes a report byte or the cache key. *)
+  let jobs_field_has_no_effect () =
+    let t = Truncation_tests.app_trace 1_000 in
+    let pool = Hawkset.Domain_pool.global () in
+    let size = Hawkset.Domain_pool.size pool in
+    let wide = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs = 4 } in
+    let json config =
+      Hawkset.Report.to_json
+        (Hawkset.Pipeline.run ~config t).Hawkset.Pipeline.races
+    in
+    let wide_json = json wide in
+    Alcotest.(check int) "pool size unchanged" size
+      (Hawkset.Domain_pool.size pool);
+    Alcotest.(check string) "to_json bytes identical"
+      (json Hawkset.Pipeline.default)
+      wide_json;
+    Alcotest.(check string) "same cache key"
+      (Hawkset.Result_cache.config_fingerprint Hawkset.Pipeline.default)
+      (Hawkset.Result_cache.config_fingerprint wide)
+
+  let jobs_values = [ 1; 2; 4; 7 ]
+  let json = Hawkset.Report.to_json
+
+  (* Stage 3 of the pipeline is exactly [Analysis.run] over stage 1's
+     records, whatever [jobs] says: the same report bytes, the same pair
+     count, and the same counter delta at every setting. *)
+  let stage3_is_analysis_run irh =
+    QCheck.Test.make
+      ~name:(Printf.sprintf "stage 3 == Analysis.run, any jobs (irh=%b)" irh)
+      ~count:150 Reference_tests.arb_trace
+      (fun trace ->
+        let base =
+          if irh then Hawkset.Pipeline.default else Hawkset.Pipeline.no_irh
+        in
+        let direct =
+          Hawkset.Analysis.run (Hawkset.Collector.collect ~irh trace)
+        in
+        let first = Hawkset.Pipeline.run ~config:base trace in
+        json first.Hawkset.Pipeline.races = json direct.Hawkset.Analysis.report
+        && first.Hawkset.Pipeline.pairs_examined = direct.Hawkset.Analysis.pairs
+        && List.for_all
+             (fun jobs ->
+               let r =
+                 Hawkset.Pipeline.run
+                   ~config:{ base with Hawkset.Pipeline.jobs = jobs }
+                   trace
+               in
+               json r.Hawkset.Pipeline.races = json first.Hawkset.Pipeline.races
+               && r.Hawkset.Pipeline.pairs_examined
+                  = first.Hawkset.Pipeline.pairs_examined
+               && r.Hawkset.Pipeline.counters = first.Hawkset.Pipeline.counters)
+             jobs_values)
+
+  (* The config's ablation switches reach [Analysis.run] as its [features]. *)
+  let stage3_under_ablations =
+    QCheck.Test.make ~name:"stage 3 == Analysis.run, ablations"
+      ~count:60 Reference_tests.arb_trace
+      (fun trace ->
+        List.for_all
+          (fun (f : Hawkset.Analysis.features) ->
+            let config =
+              { Hawkset.Pipeline.no_irh with
+                Hawkset.Pipeline.effective_lockset = f.effective_lockset;
+                timestamps = f.timestamps;
+                vector_clocks = f.vector_clocks }
+            in
+            let direct =
+              Hawkset.Analysis.run ~features:f
+                (Hawkset.Collector.collect ~irh:false ~timestamps:f.timestamps
+                   trace)
+            in
+            let r = Hawkset.Pipeline.run ~config trace in
+            json r.Hawkset.Pipeline.races = json direct.Hawkset.Analysis.report
+            && r.Hawkset.Pipeline.pairs_examined = direct.Hawkset.Analysis.pairs)
+          [
+            Hawkset.Analysis.traditional;
+            { Hawkset.Analysis.all_features with vector_clocks = false };
+            { Hawkset.Analysis.all_features with timestamps = false };
+          ])
+
+  (* One racing word: a [jobs] value far above the word count changes
+     nothing. *)
+  let more_jobs_than_words () =
+    let trace =
+      Trace.Tracebuf.of_list
+        [
+          Trace.Event.Thread_create
+            { parent = Trace.Tid.main; child = Trace.Tid.of_int 1 };
+          Trace.Event.Thread_create
+            { parent = Trace.Tid.main; child = Trace.Tid.of_int 2 };
+          Trace.Event.Store
+            { tid = Trace.Tid.of_int 1; addr = 128; size = 8;
+              site = Trace.Site.v "one.ml" 1; non_temporal = false };
+          Trace.Event.Load
+            { tid = Trace.Tid.of_int 2; addr = 128; size = 8;
+              site = Trace.Site.v "one.ml" 2 };
+        ]
+    in
+    let base = Hawkset.Pipeline.run ~config:Hawkset.Pipeline.no_irh trace in
+    Alcotest.(check int) "the race is found" 1
+      (Hawkset.Report.count base.Hawkset.Pipeline.races);
+    List.iter
+      (fun jobs ->
+        let r =
+          Hawkset.Pipeline.run
+            ~config:{ Hawkset.Pipeline.no_irh with Hawkset.Pipeline.jobs = jobs }
+            trace
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "jobs=%d: same report" jobs)
+          (json base.Hawkset.Pipeline.races)
+          (json r.Hawkset.Pipeline.races);
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: same pairs" jobs)
+          base.Hawkset.Pipeline.pairs_examined r.Hawkset.Pipeline.pairs_examined)
+      [ 2; 16; 64 ]
+
+  let empty_trace () =
+    List.iter
+      (fun jobs ->
+        let r =
+          Hawkset.Pipeline.run
+            ~config:{ Hawkset.Pipeline.default with Hawkset.Pipeline.jobs = jobs }
+            (Trace.Tracebuf.of_list [])
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: no races" jobs)
+          0
+          (Hawkset.Report.count r.Hawkset.Pipeline.races);
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: no pairs" jobs)
+          0 r.Hawkset.Pipeline.pairs_examined;
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: not truncated" jobs)
+          0
+          (List.length r.Hawkset.Pipeline.truncated))
+      jobs_values
+
+  (* Batch and explore run whole pipelines as tasks of the global pool.
+     Stage 3 never re-enters the pool, so even a wide [jobs] setting inside
+     a task completes (re-entering would self-deadlock) and reports what a
+     run on the calling domain reports. *)
+  let wide_config_in_pool_task () =
+    let t = Truncation_tests.app_trace 600 in
+    let wide = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs = 4 } in
+    let expected = json (Hawkset.Pipeline.run t).Hawkset.Pipeline.races in
+    let outcomes =
+      Hawkset.Domain_pool.run_queue (Hawkset.Domain_pool.global ()) ~workers:2
+        (Array.init 3 (fun _ () ->
+             json (Hawkset.Pipeline.run ~config:wide t).Hawkset.Pipeline.races))
+    in
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Ok j -> Alcotest.(check string) (Printf.sprintf "task %d" i) expected j
+        | Error e -> Alcotest.failf "task %d failed: %s" i (Printexc.to_string e))
+      outcomes
+
+  let tests =
+    [
+      Alcotest.test_case "jobs field has no effect" `Quick
+        jobs_field_has_no_effect;
+      QCheck_alcotest.to_alcotest (stage3_is_analysis_run false);
+      QCheck_alcotest.to_alcotest (stage3_is_analysis_run true);
+      QCheck_alcotest.to_alcotest stage3_under_ablations;
+      Alcotest.test_case "more jobs than words" `Quick more_jobs_than_words;
+      Alcotest.test_case "empty trace" `Quick empty_trace;
+      Alcotest.test_case "wide config inside a pool task" `Quick
+        wide_config_in_pool_task;
+    ]
+end
+
+module App_tests = struct
+  (* Job-level width for every Table 1 application: the same trace
+     analysed as concurrent tasks of a pool (how explore spreads its
+     schedules) gives each task the report bytes and pair count of the
+     run on the calling domain. *)
+  let pool_tasks_match_sequential (entry : Pmapps.Registry.entry) () =
+    let ops = Pmapps.Registry.clamp_ops entry 250 in
+    let trace = (entry.Pmapps.Registry.run ~seed:11 ~ops ()).Machine.Sched.trace in
+    let summary (r : Hawkset.Pipeline.result) =
+      (Hawkset.Report.to_json r.Hawkset.Pipeline.races, r.Hawkset.Pipeline.pairs_examined)
+    in
+    let expected = summary (Hawkset.Pipeline.run trace) in
+    let pool = Hawkset.Domain_pool.create () in
+    Fun.protect ~finally:(fun () -> Hawkset.Domain_pool.shutdown pool)
+    @@ fun () ->
+    Hawkset.Domain_pool.map pool
+      (Array.init 3 (fun _ () -> summary (Hawkset.Pipeline.run trace)))
+    |> Array.iteri (fun i o ->
+           match o with
+           | Ok (races, pairs) ->
+               Alcotest.(check string)
+                 (Printf.sprintf "task %d races" i)
+                 (fst expected) races;
+               Alcotest.(check int)
+                 (Printf.sprintf "task %d pairs" i)
+                 (snd expected) pairs
+           | Error e ->
+               Alcotest.failf "task %d failed: %s" i (Printexc.to_string e))
+
+  let tests =
+    List.map
+      (fun (e : Pmapps.Registry.entry) ->
+        Alcotest.test_case e.Pmapps.Registry.reg_name `Slow
+          (pool_tasks_match_sequential e))
+      Pmapps.Registry.all
+end
+
+module Golden_tests = struct
+  (* Hand-written traces under fixtures/ with their exact expected
+     reports baked in: a regression net for the report's witness fields,
+     which the reference tests only compare between two live runs. *)
+  type expect = {
+    e_store : string;
+    e_load : string;
+    e_store_tid : int;
+    e_load_tid : int;
+    e_addr : int;
+    e_end : Hawkset.Access.end_kind;
+    e_occ : int;
+  }
+
+  let check_fixture file expects () =
+    let trace = Trace.Trace_io.load (Filename.concat "fixtures" file) in
+    let races =
+      Hawkset.Report.sorted (Hawkset.Pipeline.run trace).Hawkset.Pipeline.races
+    in
+    Alcotest.(check int) "race count" (List.length expects) (List.length races);
+    List.iter2
+      (fun e (race : Hawkset.Report.race) ->
+        let ctx fmt = Printf.sprintf "%s->%s: %s" e.e_store e.e_load fmt in
+        Alcotest.(check string)
+          (ctx "store site")
+          e.e_store
+          (Trace.Site.location race.Hawkset.Report.store_site);
+        Alcotest.(check string)
+          (ctx "load site")
+          e.e_load
+          (Trace.Site.location race.Hawkset.Report.load_site);
+        Alcotest.(check int)
+          (ctx "store tid")
+          e.e_store_tid race.Hawkset.Report.store_tid;
+        Alcotest.(check int)
+          (ctx "load tid")
+          e.e_load_tid race.Hawkset.Report.load_tid;
+        Alcotest.(check int) (ctx "addr") e.e_addr race.Hawkset.Report.addr;
+        Alcotest.(check bool)
+          (ctx "window end")
+          true
+          (race.Hawkset.Report.window_end = e.e_end);
+        Alcotest.(check int)
+          (ctx "occurrences")
+          e.e_occ race.Hawkset.Report.occurrences)
+      expects races
+
+  (* A store published under lock 7 and loaded by another thread under the
+     same lock, but persisted only after the critical section: the
+     effective lockset is empty, so the lock does not protect the pair.
+     The second word (persisted inside the section) must stay silent. *)
+  let publish_unpersisted =
+    check_fixture "publish_unpersisted.trace"
+      [
+        {
+          e_store = "fix_a.ml:6";
+          e_load = "fix_a.ml:11";
+          e_store_tid = 1;
+          e_load_tid = 2;
+          e_addr = 128;
+          e_end = Hawkset.Access.Persisted_same_thread;
+          e_occ = 1;
+        };
+      ]
+
+  (* An 8-byte store crossing a word boundary caught by a 4-byte load on
+     its tail, plus a second witness at another address for the same site
+     pair: one aggregated report with two occurrences. The disjoint-bytes
+     pair and the store-store pair must stay silent. *)
+  let overlap_aggregate =
+    check_fixture "overlap_aggregate.trace"
+      [
+        {
+          e_store = "fix_b.ml:3";
+          e_load = "fix_b.ml:8";
+          e_store_tid = 1;
+          e_load_tid = 2;
+          e_addr = 128;
+          e_end = Hawkset.Access.Open_at_exit;
+          e_occ = 2;
+        };
+      ]
+
+  let tests =
+    [
+      Alcotest.test_case "publish before persist" `Quick publish_unpersisted;
+      Alcotest.test_case "overlap aggregation" `Quick overlap_aggregate;
+    ]
+end
+
+module Pool_tests = struct
+  (* Lifecycle contract of the worker pool: shutdown is idempotent, and a
+     submission after shutdown raises instead of parking forever on a
+     stopped worker. *)
+  let map_works t n =
+    let r = Hawkset.Domain_pool.map t (Array.init n (fun i () -> i * i)) in
+    Alcotest.(check int) "results" n (Array.length r);
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Ok v -> Alcotest.(check int) (Printf.sprintf "task %d" i) (i * i) v
+        | Error e -> Alcotest.failf "task %d failed: %s" i (Printexc.to_string e))
+      r
+
+  let double_shutdown () =
+    let t = Hawkset.Domain_pool.create () in
+    map_works t 3;
+    Hawkset.Domain_pool.shutdown t;
+    (* Second call must be a no-op, not a hang or a double-join crash. *)
+    Hawkset.Domain_pool.shutdown t
+
+  let post_shutdown_submit () =
+    let t = Hawkset.Domain_pool.create () in
+    map_works t 3;
+    Hawkset.Domain_pool.shutdown t;
+    Alcotest.check_raises "map after shutdown" Hawkset.Domain_pool.Pool_closed
+      (fun () -> ignore (Hawkset.Domain_pool.map t [| (fun () -> ()) |]));
+    Alcotest.check_raises "empty map after shutdown"
+      Hawkset.Domain_pool.Pool_closed (fun () ->
+        ignore (Hawkset.Domain_pool.map t ([||] : (unit -> unit) array)));
+    Alcotest.check_raises "ensure after shutdown"
+      Hawkset.Domain_pool.Pool_closed (fun () ->
+        Hawkset.Domain_pool.ensure t 2)
+
+  let shutdown_fresh_pool () =
+    (* No workers ever spawned: both calls still succeed. *)
+    let t = Hawkset.Domain_pool.create () in
+    Hawkset.Domain_pool.shutdown t;
+    Hawkset.Domain_pool.shutdown t;
+    Alcotest.check_raises "map after shutdown" Hawkset.Domain_pool.Pool_closed
+      (fun () -> ignore (Hawkset.Domain_pool.map t [| (fun () -> ()) |]))
+
+  let tests =
+    [
+      Alcotest.test_case "double shutdown is a no-op" `Quick double_shutdown;
+      Alcotest.test_case "post-shutdown submit raises" `Quick
+        post_shutdown_submit;
+      Alcotest.test_case "shutdown of a fresh pool" `Quick shutdown_fresh_pool;
+    ]
+end
+
 let () =
   Alcotest.run "hawkset"
     [
@@ -1018,4 +1371,8 @@ let () =
       ("reference", Reference_tests.tests);
       ("eadr", Eadr_tests.tests);
       ("truncation", Truncation_tests.tests);
+      ("pipeline", Pipeline_tests.tests);
+      ("apps", App_tests.tests);
+      ("golden", Golden_tests.tests);
+      ("pool", Pool_tests.tests);
     ]

@@ -78,14 +78,6 @@ module Config_fp = struct
     Alcotest.(check string) "deterministic" a b;
     Alcotest.(check int) "16 hex digits" 16 (String.length a)
 
-  let jobs_excluded () =
-    (* Any jobs value produces bit-identical reports, so it must not
-       split the key space. *)
-    let base = Hawkset.Pipeline.default in
-    Alcotest.(check string) "jobs=4 same key"
-      (RC.config_fingerprint base)
-      (RC.config_fingerprint { base with Hawkset.Pipeline.jobs = 4 })
-
   let semantic_knobs_included () =
     let base = Hawkset.Pipeline.default in
     Alcotest.(check bool) "event budget changes key" true
@@ -96,7 +88,6 @@ module Config_fp = struct
   let tests =
     [
       Alcotest.test_case "stable" `Quick stable;
-      Alcotest.test_case "jobs excluded" `Quick jobs_excluded;
       Alcotest.test_case "semantic knobs included" `Quick
         semantic_knobs_included;
     ]
@@ -113,7 +104,6 @@ module Run_cached = struct
     let trace = trace () in
     let config =
       { Hawkset.Pipeline.default with
-        jobs = 1;
         event_budget = Some (Trace.Tracebuf.length trace / 2) }
     in
     let c = RC.create () in
@@ -127,15 +117,14 @@ module Run_cached = struct
     Alcotest.(check int) "both calls missed" 2 (stat c "cache.misses")
 
   let one_entry_serves_every_caller () =
-    (* Explore analyses at jobs=1; batch workers carry their wall budget
-       as stage deadlines and may run stage 3 wider. Neither knob is part
-       of the key, so the batch call hits explore's entry — and the bytes
-       are what an uncached run renders. *)
+    (* Explore analyses under the default config; batch workers carry
+       their wall budget as stage deadlines. Deadlines are not part of the
+       key, so the batch call hits explore's entry — and the bytes are
+       what an uncached run renders. *)
     let trace = trace () in
-    let explore_config = { Hawkset.Pipeline.default with jobs = 1 } in
+    let explore_config = Hawkset.Pipeline.default in
     let batch_config =
       { Hawkset.Pipeline.default with
-        jobs = 4;
         collect_deadline_s = Some 600.;
         analyse_deadline_s = Some 600. }
     in

@@ -14,8 +14,8 @@ module Journal_tests = struct
   let sample =
     [
       record "batch" [ "deadbeef"; "3" ] None;
-      record "start" [ "0"; "1"; "0" ] None;
-      record "done" [ "0"; "1"; "0"; "0" ] (Some "[{\"a\": 1}]\nline two");
+      record "start" [ "0"; "1" ] None;
+      record "done" [ "0"; "1"; "0" ] (Some "[{\"a\": 1}]\nline two");
       record "fail" [ "1"; "1"; "timeout" ] None;
     ]
 
@@ -324,13 +324,18 @@ module Run_tests = struct
         Alcotest.(check bool) "history" true (d_failures = [ Supervise.Timeout ])
     | _ -> Alcotest.fail "expected Done"
 
-  let oom_degrades_to_sequential () =
+  let oom_is_retried () =
     let b =
       Supervise.run
         ~config:(config ~faults:[ fault 0 Supervise.Oom 1 ] ())
         (jobs ())
     in
-    Alcotest.(check string) "status" "ok-sequential" (status_of 0 b)
+    Alcotest.(check string) "status" "ok-retried" (status_of 0 b);
+    match (List.hd b.Supervise.b_results).Supervise.jr_status with
+    | Supervise.Done { d_attempts; d_failures; _ } ->
+        Alcotest.(check int) "attempts" 2 d_attempts;
+        Alcotest.(check bool) "history" true (d_failures = [ Supervise.Oom ])
+    | _ -> Alcotest.fail "expected Done"
 
   let permanent_fault_bounded () =
     let attempts = 3 in
@@ -471,6 +476,40 @@ module Run_tests = struct
           | _ -> false
           | exception Supervise.Resume_mismatch _ -> true))
 
+  (* A journal written before the fingerprint lost its [pjobs=] term (and
+     before [start]/[done] lost their sequential flag) is refused on
+     resume instead of being read in the old record layout. *)
+  let previous_layout_refused () =
+    let js = chaos_jobs () in
+    let c = config () in
+    let b = Buffer.create 256 in
+    List.iter
+      (fun (j : Supervise.job) ->
+        Buffer.add_string b
+          (Printf.sprintf "%d %s %d %s %d;" j.Supervise.j_id j.j_app j.j_seed
+             j.j_policy j.j_ops))
+      js;
+    Buffer.add_string b
+      (Printf.sprintf "attempts=%d;backoff=%d;bseed=%d;breaker=%d;pjobs=1;"
+         c.Supervise.attempts c.backoff_ms c.backoff_seed c.breaker_threshold);
+    let old_fp = Trace.Journal.fnv_hex (Buffer.contents b) in
+    Alcotest.(check bool) "fingerprint changed" true
+      (old_fp <> Supervise.fingerprint c js);
+    with_tmp (fun journal ->
+        let w = Trace.Journal.create journal in
+        let add tag fields payload =
+          Trace.Journal.add w { Trace.Journal.tag; fields; payload }
+        in
+        add "batch" [ old_fp; string_of_int (List.length js) ] None;
+        add "start" [ "0"; "1"; "0" ] None;
+        add "done" [ "0"; "1"; "0"; "0" ] (Some "[]");
+        Trace.Journal.close w;
+        match Supervise.run ~journal ~resume:true ~config:c js with
+        | _ -> Alcotest.fail "resume accepted a previous-layout journal"
+        | exception Supervise.Resume_mismatch { found; _ } ->
+            Alcotest.(check (option string)) "found the old fingerprint"
+              (Some old_fp) found)
+
   (* --- job-level concurrency: byte-identity across widths --- *)
 
   let concurrent_byte_identical () =
@@ -579,7 +618,7 @@ module Run_tests = struct
           | _ -> true
           | exception Not_found -> false))
       [
-        "\"schema\":\"hawkset.batch_report/1\"";
+        "\"schema\":\"hawkset.batch_report/2\"";
         "\"status\":\"ok-retried\"";
         "\"failures\":[\"timeout\"]";
         "\"races\":[";
@@ -592,8 +631,7 @@ module Run_tests = struct
       Alcotest.test_case "clean run" `Quick clean_run;
       Alcotest.test_case "transient fault retried" `Quick
         transient_fault_retried;
-      Alcotest.test_case "oom degrades to sequential" `Quick
-        oom_degrades_to_sequential;
+      Alcotest.test_case "oom is retried" `Quick oom_is_retried;
       Alcotest.test_case "permanent fault bounded" `Quick
         permanent_fault_bounded;
       Alcotest.test_case "breaker quarantines" `Quick breaker_quarantines;
@@ -606,6 +644,8 @@ module Run_tests = struct
         resume_survives_torn_tail;
       Alcotest.test_case "resume mismatch refused" `Quick
         resume_mismatch_refused;
+      Alcotest.test_case "previous journal layout refused" `Quick
+        previous_layout_refused;
       Alcotest.test_case "concurrent byte-identical" `Quick
         concurrent_byte_identical;
       Alcotest.test_case "concurrent breaker quarantines" `Quick

@@ -26,14 +26,27 @@ let with_fake_clock src f =
   Obs.Clock.set_source src;
   Fun.protect ~finally:(fun () -> Obs.Clock.set_source Unix.gettimeofday) f
 
-let pipeline_signatures ~jobs ~seed ~ops () =
-  let report = entry.Pmapps.Registry.run ~seed ~ops () in
-  Obs.Timeline.reset ();
-  let config = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs } in
-  let _ = Hawkset.Pipeline.run ~config report.Machine.Sched.trace in
+let lane_signatures () =
   List.map
     (fun lane -> (lane, Obs.Timeline.signature lane))
     (Obs.Timeline.used_lanes ())
+
+let pipeline_signatures ~seed ~ops () =
+  let report = entry.Pmapps.Registry.run ~seed ~ops () in
+  Obs.Timeline.reset ();
+  let _ = Hawkset.Pipeline.run report.Machine.Sched.trace in
+  lane_signatures ()
+
+(* A two-worker exploration of two schedules: {!Hawkset.Domain_pool.map}
+   keeps task [i] on lane [i], so schedule 0's pipeline lands on lane 0
+   (the caller) and schedule 1's on lane 1. *)
+let explore_signatures ~seed ~ops () =
+  Obs.Timeline.reset ();
+  let config =
+    { Explore.default_config with Explore.schedules = 2; jobs = 2; seed; ops }
+  in
+  ignore (Explore.run ~config entry : Explore.t);
+  lane_signatures ()
 
 (* --- ring behaviour --------------------------------------------------- *)
 
@@ -150,36 +163,44 @@ module Determinism_tests = struct
      per-lane event sequences (timestamps excluded by {!signature}). *)
   let same_seed_same_signatures () =
     with_timeline (fun () ->
-        let s1 = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
-        let s2 = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
+        let s1 = explore_signatures ~seed:7 ~ops:400 () in
+        let s2 = explore_signatures ~seed:7 ~ops:400 () in
         Alcotest.(check int) "two lanes used" 2 (List.length s1);
         Alcotest.(check (list (pair int string)))
           "per-lane signatures byte-identical" s1 s2)
 
-  let expected_lane0_shape () =
+  let per_lane_shape () =
     with_timeline (fun () ->
-        let sigs = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
-        let lane0 = List.assoc 0 sigs in
+        let sigs = explore_signatures ~seed:7 ~ops:400 () in
+        let shape = Str.regexp "^B pipeline [0-9]+$" in
+        let pipeline_runs lane =
+          List.length
+            (List.filter
+               (fun l -> Str.string_match shape l 0)
+               (String.split_on_char '\n' lane))
+        in
         List.iter
-          (fun needle ->
-            Alcotest.(check bool) ("lane 0 has " ^ needle) true
-              (contains ~needle lane0))
-          [
-            "B pipeline"; "B pipeline.collect"; "B collector.collect";
-            "E collector.collect"; "B pipeline.analyse"; "B analysis.shard 0";
-            "E analysis.shard 0"; "E pipeline";
-          ];
-        (* Shard 1 runs on the pool worker's lane, never the caller's. *)
-        Alcotest.(check bool) "shard 1 not on lane 0" false
-          (contains ~needle:"B analysis.shard 1" lane0);
-        let lane1 = List.assoc 1 sigs in
-        Alcotest.(check string)
-          "worker lane is exactly its shard"
-          "B analysis.shard 1\nE analysis.shard 1\ndropped 0\n" lane1)
+          (fun (lane, signature) ->
+            List.iter
+              (fun needle ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "lane %d has %s" lane needle)
+                  true
+                  (contains ~needle signature))
+              [
+                "B pipeline"; "B pipeline.collect"; "B collector.collect";
+                "E collector.collect"; "B pipeline.analyse";
+                "B analysis.sequential"; "E analysis.sequential"; "E pipeline";
+              ];
+            (* Each lane ran exactly its own schedule's pipeline. *)
+            Alcotest.(check int)
+              (Printf.sprintf "lane %d: one pipeline run" lane)
+              1 (pipeline_runs signature))
+          sigs)
 
   let sequential_uses_one_lane () =
     with_timeline (fun () ->
-        let sigs = pipeline_signatures ~jobs:1 ~seed:7 ~ops:400 () in
+        let sigs = pipeline_signatures ~seed:7 ~ops:400 () in
         Alcotest.(check (list int)) "only the caller lane" [ 0 ]
           (List.map fst sigs);
         Alcotest.(check bool) "sequential analysis event" true
@@ -189,8 +210,8 @@ module Determinism_tests = struct
     [
       Alcotest.test_case "same seed, same signatures" `Slow
         same_seed_same_signatures;
-      Alcotest.test_case "lane 0 event shape" `Slow expected_lane0_shape;
-      Alcotest.test_case "jobs=1 stays on lane 0" `Slow
+      Alcotest.test_case "per-lane event shape" `Slow per_lane_shape;
+      Alcotest.test_case "pipeline stays on lane 0" `Slow
         sequential_uses_one_lane;
     ]
 end
@@ -202,7 +223,7 @@ module Mini_json = Test_util.Mini_json
 module Export_tests = struct
   let export () =
     with_timeline (fun () ->
-        ignore (pipeline_signatures ~jobs:4 ~seed:7 ~ops:400 ());
+        ignore (explore_signatures ~seed:7 ~ops:400 ());
         Obs.Timeline.to_chrome_json ())
 
   let valid_json_and_monotone () =
@@ -247,14 +268,14 @@ module Export_tests = struct
             Hashtbl.replace last tid ts
         | ph -> Alcotest.fail ("unexpected ph " ^ ph))
       evs;
-    (* One thread_name lane per pool domain: jobs=4 -> lanes 0..3. *)
-    Alcotest.(check int) "4 labelled lanes" 4 (Hashtbl.length lanes);
+    (* One thread_name lane per pool domain: two workers -> lanes 0..1. *)
+    Alcotest.(check int) "2 labelled lanes" 2 (Hashtbl.length lanes);
     List.iter
       (fun lane ->
         Alcotest.(check bool)
           (Printf.sprintf "lane %d labelled" lane)
           true (Hashtbl.mem lanes lane))
-      [ 0; 1; 2; 3 ]
+      [ 0; 1 ]
 
   let begin_end_nesting () =
     (* B/E events on a lane must balance like parentheses, or Perfetto
@@ -322,13 +343,12 @@ end
 (* --- bug provenance --------------------------------------------------- *)
 
 module Provenance_tests = struct
-  let races ~jobs =
+  let races () =
     let report = entry.Pmapps.Registry.run ~seed:7 ~ops:400 () in
-    let config = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs } in
-    Hawkset.Pipeline.races ~config report.Machine.Sched.trace
+    Hawkset.Pipeline.races report.Machine.Sched.trace
 
   let every_report_has_a_witness () =
-    let races = races ~jobs:1 in
+    let races = races () in
     Alcotest.(check bool) "found races" true (Hawkset.Report.count races > 0);
     List.iter
       (fun (r : Hawkset.Report.race) ->
@@ -351,7 +371,7 @@ module Provenance_tests = struct
       (Hawkset.Report.sorted races)
 
   let witness_in_json () =
-    let j = Hawkset.Report.to_json (races ~jobs:1) in
+    let j = Hawkset.Report.to_json (races ()) in
     List.iter
       (fun needle ->
         Alcotest.(check bool) ("json has " ^ needle) true (contains ~needle j))
@@ -361,16 +381,17 @@ module Provenance_tests = struct
         {|"load_vclock":|};
       ]
 
-  let witness_identical_across_jobs () =
-    (* Witnesses ride the first-witness-wins merge, so the full JSON —
-       provenance included — is byte-identical for any jobs count. *)
+  let witness_identical_across_runs () =
+    (* Witnesses are resolved from interned ids on deterministic paths,
+       so the full JSON — provenance included — is byte-identical for
+       two runs of the same seed. *)
     Alcotest.(check string)
-      "to_json identical jobs=1 vs jobs=4"
-      (Hawkset.Report.to_json (races ~jobs:1))
-      (Hawkset.Report.to_json (races ~jobs:4))
+      "to_json identical across same-seed runs"
+      (Hawkset.Report.to_json (races ()))
+      (Hawkset.Report.to_json (races ()))
 
   let pp_witness_renders () =
-    let races = races ~jobs:1 in
+    let races = races () in
     match
       List.filter_map
         (fun (r : Hawkset.Report.race) -> r.Hawkset.Report.witness)
@@ -390,8 +411,8 @@ module Provenance_tests = struct
       Alcotest.test_case "every report has a witness" `Slow
         every_report_has_a_witness;
       Alcotest.test_case "witness in to_json" `Slow witness_in_json;
-      Alcotest.test_case "witness identical across jobs" `Slow
-        witness_identical_across_jobs;
+      Alcotest.test_case "witness identical across runs" `Slow
+        witness_identical_across_runs;
       Alcotest.test_case "pp_witness renders" `Slow pp_witness_renders;
     ]
 end
