@@ -43,6 +43,13 @@ let app_arg =
     & opt (some string) None
     & info [ "a"; "app" ] ~docv:"APP" ~doc)
 
+let entry_of app =
+  match Pmapps.Registry.find app with
+  | Some entry -> entry
+  | None ->
+      Format.eprintf "unknown application %S (try list-apps)@." app;
+      exit 1
+
 let ops_arg default =
   Arg.(
     value & opt int default
@@ -233,6 +240,13 @@ let emit_stats ~stats ~stats_json manifest =
         exit 1)
   | None -> ()
 
+(* The memory gauges every detector run reports next to its counters. *)
+let live_gauges peak_mb =
+  [
+    ("peak_live_mb", peak_mb);
+    ("final_live_mb", Harness.Metrics.final_live_mb ());
+  ]
+
 let classify_races entry races =
   List.iter
     (fun race ->
@@ -247,100 +261,88 @@ let classify_races entry races =
 let run_cmd =
   let run () app ops seed detector no_irh eadr json stats stats_json
       trace_out event_budget allow_truncated =
-    match Pmapps.Registry.find app with
-    | None ->
-        Format.eprintf "unknown application %S (try list-apps)@." app;
-        exit 1
-    | Some entry -> (
-        start_timeline trace_out;
-        let ops = Pmapps.Registry.clamp_ops entry ops in
-        let labels detector =
-          Harness.Stats.base_labels ~app:entry.Pmapps.Registry.reg_name
-            ~detector ~seed ~ops
+    let entry = entry_of app in
+    start_timeline trace_out;
+    let ops = Pmapps.Registry.clamp_ops entry ops in
+    let labels detector =
+      Harness.Stats.base_labels ~app:entry.Pmapps.Registry.reg_name
+        ~detector ~seed ~ops
+    in
+    match detector with
+    | `Pmrace ->
+        (* Observation-based detection needs delay injection and the
+           runtime monitor; reports are direct observations. *)
+        Obs.Registry.reset Obs.Registry.global;
+        let report, peak_mb =
+          Harness.Metrics.with_live_mb (fun () ->
+              Obs.Registry.with_span "run" (fun () ->
+                  Obs.Registry.with_span "execute" (fun () ->
+                      entry.Pmapps.Registry.run ~seed
+                        ~policy:
+                          (Machine.Sched.Delay_injection
+                             { probability = 0.05; duration = 40 })
+                        ~observe:true ~ops ())))
         in
-        match detector with
-        | `Pmrace ->
-            (* Observation-based detection needs delay injection and the
-               runtime monitor; reports are direct observations. *)
-            Obs.Registry.reset Obs.Registry.global;
-            let report, peak_mb =
-              Harness.Metrics.with_live_mb (fun () ->
-                  Obs.Registry.with_span "run" (fun () ->
-                      Obs.Registry.with_span "execute" (fun () ->
-                          entry.Pmapps.Registry.run ~seed
-                            ~policy:
-                              (Machine.Sched.Delay_injection
-                                 { probability = 0.05; duration = 40 })
-                            ~observe:true ~ops ())))
-            in
-            Format.printf "%d directly-observed inconsistencies:@."
-              (List.length report.Machine.Sched.observations);
-            List.iter
-              (fun (o : Machine.Sched.observation) ->
-                Format.printf "  store %a / load %a@." Trace.Site.pp
-                  o.Machine.Sched.obs_store_site Trace.Site.pp
-                  o.Machine.Sched.obs_load_site)
-              report.Machine.Sched.observations;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out
-                 (Obs.Manifest.of_registry ~labels:(labels "pmrace")
-                    ~extra_gauges:
-                      [
-                        ("peak_live_mb", peak_mb);
-                        ("final_live_mb", Harness.Metrics.final_live_mb ());
-                      ]
-                    Obs.Registry.global))
-        | `Hawkset ->
-            let config =
-              { Hawkset.Pipeline.default with irh = not no_irh; eadr;
-                event_budget }
-            in
-            let r = Harness.Stats.instrumented_run ~config ~entry ~seed ~ops () in
-            let races = r.Harness.Stats.pipeline.Hawkset.Pipeline.races in
-            if json then print_endline (Hawkset.Report.to_json races)
-            else begin
-              Format.printf "trace: %d events; %d race reports@.@."
-                (Trace.Tracebuf.length
-                   r.Harness.Stats.sched_report.Machine.Sched.trace)
-                (Hawkset.Report.count races);
-              classify_races entry races
-            end;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out r.Harness.Stats.manifest);
-            check_truncated ~allow:allow_truncated
-              r.Harness.Stats.pipeline.Hawkset.Pipeline.truncated
-        | `Eraser ->
-            Obs.Registry.reset Obs.Registry.global;
-            let (report, races), peak_mb =
-              Harness.Metrics.with_live_mb (fun () ->
-                  Obs.Registry.with_span "run" (fun () ->
-                      let report =
-                        Obs.Registry.with_span "execute" (fun () ->
-                            entry.Pmapps.Registry.run ~seed ~ops ())
-                      in
-                      let races =
-                        Obs.Registry.with_span "analyse" (fun () ->
-                            Baselines.Eraser.analyse
-                              report.Machine.Sched.trace)
-                      in
-                      (report, races)))
-            in
-            if json then print_endline (Hawkset.Report.to_json races)
-            else begin
-              Format.printf "trace: %d events; %d race reports@.@."
-                (Trace.Tracebuf.length report.Machine.Sched.trace)
-                (Hawkset.Report.count races);
-              classify_races entry races
-            end;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out
-                 (Obs.Manifest.of_registry ~labels:(labels "eraser")
-                    ~extra_gauges:
-                      [
-                        ("peak_live_mb", peak_mb);
-                        ("final_live_mb", Harness.Metrics.final_live_mb ());
-                      ]
-                    Obs.Registry.global)))
+        Format.printf "%d directly-observed inconsistencies:@."
+          (List.length report.Machine.Sched.observations);
+        List.iter
+          (fun (o : Machine.Sched.observation) ->
+            Format.printf "  store %a / load %a@." Trace.Site.pp
+              o.Machine.Sched.obs_store_site Trace.Site.pp
+              o.Machine.Sched.obs_load_site)
+          report.Machine.Sched.observations;
+        emit_stats ~stats ~stats_json
+          (finish_timeline trace_out
+             (Obs.Manifest.of_registry ~labels:(labels "pmrace")
+                ~extra_gauges:(live_gauges peak_mb)
+                Obs.Registry.global))
+    | `Hawkset ->
+        let config =
+          { Hawkset.Pipeline.default with irh = not no_irh; eadr;
+            event_budget }
+        in
+        let r = Harness.Stats.instrumented_run ~config ~entry ~seed ~ops () in
+        let races = r.Harness.Stats.pipeline.Hawkset.Pipeline.races in
+        if json then print_endline (Hawkset.Report.to_json races)
+        else begin
+          Format.printf "trace: %d events; %d race reports@.@."
+            (Trace.Tracebuf.length
+               r.Harness.Stats.sched_report.Machine.Sched.trace)
+            (Hawkset.Report.count races);
+          classify_races entry races
+        end;
+        emit_stats ~stats ~stats_json
+          (finish_timeline trace_out r.Harness.Stats.manifest);
+        check_truncated ~allow:allow_truncated
+          r.Harness.Stats.pipeline.Hawkset.Pipeline.truncated
+    | `Eraser ->
+        Obs.Registry.reset Obs.Registry.global;
+        let (report, races), peak_mb =
+          Harness.Metrics.with_live_mb (fun () ->
+              Obs.Registry.with_span "run" (fun () ->
+                  let report =
+                    Obs.Registry.with_span "execute" (fun () ->
+                        entry.Pmapps.Registry.run ~seed ~ops ())
+                  in
+                  let races =
+                    Obs.Registry.with_span "analyse" (fun () ->
+                        Baselines.Eraser.analyse
+                          report.Machine.Sched.trace)
+                  in
+                  (report, races)))
+        in
+        if json then print_endline (Hawkset.Report.to_json races)
+        else begin
+          Format.printf "trace: %d events; %d race reports@.@."
+            (Trace.Tracebuf.length report.Machine.Sched.trace)
+            (Hawkset.Report.count races);
+          classify_races entry races
+        end;
+        emit_stats ~stats ~stats_json
+          (finish_timeline trace_out
+             (Obs.Manifest.of_registry ~labels:(labels "eraser")
+                ~extra_gauges:(live_gauges peak_mb)
+                Obs.Registry.global))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application under a detector.")
@@ -372,17 +374,13 @@ let list_cmd =
 
 let trace_cmd =
   let go app ops seed out =
-    match Pmapps.Registry.find app with
-    | None ->
-        Format.eprintf "unknown application %S (try list-apps)@." app;
-        exit 1
-    | Some entry ->
-        let ops = Pmapps.Registry.clamp_ops entry ops in
-        let report = entry.Pmapps.Registry.run ~seed ~ops () in
-        Trace.Trace_io.save out report.Machine.Sched.trace;
-        Format.printf "wrote %d events to %s@."
-          (Trace.Tracebuf.length report.Machine.Sched.trace)
-          out
+    let entry = entry_of app in
+    let ops = Pmapps.Registry.clamp_ops entry ops in
+    let report = entry.Pmapps.Registry.run ~seed ~ops () in
+    Trace.Trace_io.save out report.Machine.Sched.trace;
+    Format.printf "wrote %d events to %s@."
+      (Trace.Tracebuf.length report.Machine.Sched.trace)
+      out
   in
   let out =
     Arg.(
@@ -430,11 +428,7 @@ let analyze_cmd =
         in
         ( races,
           Obs.Manifest.of_registry ~labels:(labels "eraser")
-            ~extra_gauges:
-              [
-                ("peak_live_mb", peak_mb);
-                ("final_live_mb", Harness.Metrics.final_live_mb ());
-              ]
+            ~extra_gauges:(live_gauges peak_mb)
             Obs.Registry.global,
           [] )
       end
@@ -452,11 +446,7 @@ let analyze_cmd =
             res.Hawkset.Pipeline.collector_stats;
         ( res.Hawkset.Pipeline.races,
           Harness.Stats.manifest_of_pipeline ~labels:(labels "hawkset")
-            ~extra_gauges:
-              [
-                ("peak_live_mb", peak_mb);
-                ("final_live_mb", Harness.Metrics.final_live_mb ());
-              ]
+            ~extra_gauges:(live_gauges peak_mb)
             res,
           res.Hawkset.Pipeline.truncated )
     in
@@ -477,12 +467,6 @@ let analyze_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace file produced by $(b,trace).")
   in
-  let eadr =
-    Arg.(
-      value & flag
-      & info [ "eadr" ]
-          ~doc:"Assume eADR hardware (persistent cache): nothing can race.")
-  in
   let eraser =
     Arg.(
       value & flag
@@ -502,38 +486,34 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Analyse a saved trace — the application-agnostic offline workflow:           the analyser knows nothing about what produced the events.")
-    Term.(const go $ logging_term $ file $ tolerant $ no_irh_arg $ eadr
+    Term.(const go $ logging_term $ file $ tolerant $ no_irh_arg $ eadr_arg
           $ eraser $ json_arg $ stats_arg $ stats_json_arg
           $ trace_out_arg $ event_budget_arg $ allow_truncated_arg)
 
 let explain_cmd =
   let go () app ops seed no_irh eadr json =
-    match Pmapps.Registry.find app with
-    | None ->
-        Format.eprintf "unknown application %S (try list-apps)@." app;
-        exit 1
-    | Some entry ->
-        let ops = Pmapps.Registry.clamp_ops entry ops in
-        let report = entry.Pmapps.Registry.run ~seed ~ops () in
-        let config =
-          { Hawkset.Pipeline.default with irh = not no_irh; eadr }
-        in
-        let races =
-          Hawkset.Pipeline.races ~config report.Machine.Sched.trace
-        in
-        if json then print_endline (Hawkset.Report.to_json races)
-        else begin
-          Format.printf "%d race report%s@.@." (Hawkset.Report.count races)
-            (if Hawkset.Report.count races = 1 then "" else "s");
-          List.iter
-            (fun (race : Hawkset.Report.race) ->
-              Format.printf "%a@." Hawkset.Report.pp_race race;
-              (match race.Hawkset.Report.witness with
-              | Some w -> Format.printf "%a@." Hawkset.Report.pp_witness w
-              | None -> Format.printf "(no witness recorded)@.");
-              Format.printf "@.")
-            (Hawkset.Report.sorted races)
-        end
+    let entry = entry_of app in
+    let ops = Pmapps.Registry.clamp_ops entry ops in
+    let report = entry.Pmapps.Registry.run ~seed ~ops () in
+    let config =
+      { Hawkset.Pipeline.default with irh = not no_irh; eadr }
+    in
+    let races =
+      Hawkset.Pipeline.races ~config report.Machine.Sched.trace
+    in
+    if json then print_endline (Hawkset.Report.to_json races)
+    else begin
+      Format.printf "%d race report%s@.@." (Hawkset.Report.count races)
+        (if Hawkset.Report.count races = 1 then "" else "s");
+      List.iter
+        (fun (race : Hawkset.Report.race) ->
+          Format.printf "%a@." Hawkset.Report.pp_race race;
+          (match race.Hawkset.Report.witness with
+          | Some w -> Format.printf "%a@." Hawkset.Report.pp_witness w
+          | None -> Format.printf "(no witness recorded)@.");
+          Format.printf "@.")
+        (Hawkset.Report.sorted races)
+    end
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1236,9 +1216,9 @@ let check_cmd =
        ~doc:
          "Differential conformance fuzzing: generate synthetic traces and \
           assert the production pipeline's reports are byte-identical to \
-          the naive executable specification across the full configuration \
-          matrix (memo and dedup implementations, result cache, \
-          event budgets). Divergent traces are delta-debugged to minimal \
+          the naive executable specification across the configuration \
+          matrix (full trace and event-budget prefix, result cache cold and \
+          warm). Divergent traces are delta-debugged to minimal \
           reproducers. With $(b,--mutate), seeded kernel faults prove the \
           oracle catches real divergences. Exits 1 on any divergence or \
           uncaught fault.")

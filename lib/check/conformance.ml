@@ -23,10 +23,6 @@ let tl_divergence = Obs.Timeline.name "check.divergence"
    without a registry snapshot — fuzz reports delta it). *)
 let comparisons_run = ref 0
 
-let features = Hawkset.Analysis.all_features
-
-let impl_name = function `Packed -> "packed" | `Tuple -> "tuple"
-
 let check_variant acc ~variant ~expected f =
   incr comparisons_run;
   Obs.Metric.incr obs_comparisons;
@@ -41,13 +37,6 @@ let check_variant acc ~variant ~expected f =
       { d_variant = variant; d_kind = `Crash; d_expected = expected;
         d_actual = Printexc.to_string e }
       :: acc
-
-(* One production run through the collector + analysis, the path every
-   front end takes. *)
-let produced ~memo ~dedup trace =
-  let collected = Hawkset.Collector.collect ~dedup trace in
-  let outcome = Hawkset.Analysis.run ~features ~memo_impl:memo collected in
-  Hawkset.Report.to_json outcome.Hawkset.Analysis.report
 
 let divergences trace =
   let len = Trace.Tracebuf.length trace in
@@ -68,51 +57,39 @@ let divergences trace =
         let expected =
           Hawkset.Report.to_json (Hawkset.Reference.pipeline cut)
         in
-        let acc = ref [] in
-        (* memo × dedup over the collector + analysis path. *)
-        List.iter
-          (fun memo ->
-            List.iter
-              (fun dedup ->
-                let variant =
-                  Printf.sprintf "memo=%s dedup=%s budget=%s" (impl_name memo)
-                    (impl_name dedup) bname
-                in
-                acc :=
-                  check_variant !acc ~variant ~expected (fun () ->
-                      produced ~memo ~dedup cut))
-              [ `Packed; `Tuple ])
-          [ `Packed; `Tuple ];
-        (* The assembled pipeline (event budget applied inside). *)
-        acc :=
-          check_variant !acc ~variant:("pipeline budget=" ^ bname) ~expected
+        (* The assembled pipeline (event budget applied inside): the
+           collector + analysis path every front end takes. *)
+        let acc =
+          check_variant [] ~variant:("pipeline budget=" ^ bname) ~expected
             (fun () ->
               let config =
                 { Hawkset.Pipeline.default with event_budget = budget }
               in
               Hawkset.Report.to_json
-                (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races);
+                (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races)
+        in
         (* Result cache, cold then warm: a complete run's bytes stored
            under (trace fingerprint, config fingerprint) must come back
            verbatim — and still equal the specification's. Budget runs
            are truncated results, which the cache contract excludes. *)
-        if budget = None then begin
-          let cache = Hawkset.Result_cache.create () in
-          let run () =
-            fst
-              (Hawkset.Result_cache.run_cached ~cache
-                 ~config:Hawkset.Pipeline.default cut)
-          in
-          acc :=
-            check_variant !acc ~variant:"cache cold+warm" ~expected (fun () ->
+        let acc =
+          if budget <> None then acc
+          else
+            let cache = Hawkset.Result_cache.create () in
+            let run () =
+              fst
+                (Hawkset.Result_cache.run_cached ~cache
+                   ~config:Hawkset.Pipeline.default cut)
+            in
+            check_variant acc ~variant:"cache cold+warm" ~expected (fun () ->
                 ignore (run ());
                 let warm = run () in
                 let stat k = List.assoc k (Hawkset.Result_cache.stats cache) in
                 if stat "cache.misses" <> 1 || stat "cache.hits" <> 1 then
                   failwith "cache: expected one cold miss, then one warm hit";
                 warm.Hawkset.Result_cache.e_races_json)
-        end;
-        List.rev !acc)
+        in
+        List.rev acc)
       budgets
   in
   if divs <> [] then begin

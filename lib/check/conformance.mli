@@ -3,9 +3,9 @@
 
     The oracle is {!Hawkset.Reference.pipeline} — the naive executable
     specification. [divergences] replays one trace through the
-    production pipeline across the full configuration matrix (memo
-    implementation × dedup implementation × result-cache cold/warm ×
-    event-budget prefix) and reports every variant whose
+    production pipeline across the configuration matrix (the assembled
+    pipeline on the full trace and on an event-budget prefix, plus a
+    result-cache cold/warm round trip) and reports every variant whose
     {!Hawkset.Report.to_json} bytes differ from the specification's — a
     witness, occurrence-count, ordering or site mismatch all surface, as
     does a production crash.
@@ -18,7 +18,7 @@
     clean with the fault disarmed — the oracle has teeth. *)
 
 type divergence = {
-  d_variant : string;  (** Which matrix point diverged, e.g. ["memo=tuple dedup=packed budget=full"]. *)
+  d_variant : string;  (** Which matrix point diverged, e.g. ["pipeline budget=prefix"]. *)
   d_kind : [ `Report | `Crash ];
   d_expected : string;  (** Specification report JSON. *)
   d_actual : string;  (** Production report JSON, or the exception. *)

@@ -39,42 +39,26 @@ let () =
       "analysis.races_reported";
     ]
 
-(* Memo tables for the interned-id comparisons. With [`Packed], a pair
-   of ids becomes one int key ({!Trace.Packed_key.pair}) probed in an
-   open-addressing map — no tuple allocation, no polymorphic hashing;
-   ids above the packable range (unreachable for dense interner ids,
-   but never silently wrong) fall back to the tuple tables, which also
-   serve as the whole implementation under [`Tuple] (the reference
-   path the differential tests compare against). Truth values are
-   stored as 0/1 because {!Trace.Int_tbl.Map.find} returns -1 for
-   absent. *)
+(* Memo tables for the interned-id comparisons: a pair of ids becomes
+   one int key ({!Trace.Packed_key.pair}) probed in an open-addressing
+   map — no tuple allocation, no polymorphic hashing. [pair] raises on
+   an id of 2^31 or more rather than collide (unreachable for dense
+   interner ids). Truth values are stored as 0/1 because
+   {!Trace.Int_tbl.Map.find} returns -1 for absent. *)
 type memo = {
-  m_packed : bool;
   p_disjoint : Trace.Int_tbl.Map.t;
   p_leq : Trace.Int_tbl.Map.t;
-  t_disjoint : (int * int, bool) Hashtbl.t;
-  t_leq : (int * int, bool) Hashtbl.t;
   mutable ls_lookups : int;
   mutable vc_lookups : int;
 }
 
-let make_memo ?(impl = `Packed) () =
+let make_memo () =
   {
-    m_packed = (impl = `Packed);
     p_disjoint = Trace.Int_tbl.Map.create ~size:512 ();
     p_leq = Trace.Int_tbl.Map.create ~size:512 ();
-    t_disjoint = Hashtbl.create 64;
-    t_leq = Hashtbl.create 64;
     ls_lookups = 0;
     vc_lookups = 0;
   }
-
-(* Distinct keys probed. A key is packed or not by value alone, so the
-   two representations never overlap and the sum is exact. *)
-let ls_misses m =
-  Trace.Int_tbl.Map.length m.p_disjoint + Hashtbl.length m.t_disjoint
-
-let vc_misses m = Trace.Int_tbl.Map.length m.p_leq + Hashtbl.length m.t_leq
 
 type stats = {
   buf : Obs.Buffer.t;
@@ -109,59 +93,27 @@ let pair_key a b =
 (* Memoized comparisons on interned ids (§4: "direct comparison"). *)
 let disjoint ~tables ~memo a b =
   memo.ls_lookups <- memo.ls_lookups + 1;
-  if
-    memo.m_packed && a <= Trace.Packed_key.pair_max
-    && b <= Trace.Packed_key.pair_max
-  then begin
-    let key = pair_key a b in
-    match Trace.Int_tbl.Map.find memo.p_disjoint key with
-    | -1 ->
-        let r = raw_disjoint ~tables a b in
-        Trace.Int_tbl.Map.set memo.p_disjoint key (Bool.to_int r);
-        r
-    | v -> v <> 0
-  end
-  else begin
-    let key = (a, b) in
-    match Hashtbl.find_opt memo.t_disjoint key with
-    | Some r -> r
-    | None ->
-        let r = raw_disjoint ~tables a b in
-        Hashtbl.add memo.t_disjoint key r;
-        r
-  end
+  let key = pair_key a b in
+  match Trace.Int_tbl.Map.find memo.p_disjoint key with
+  | -1 ->
+      let r = raw_disjoint ~tables a b in
+      Trace.Int_tbl.Map.set memo.p_disjoint key (Bool.to_int r);
+      r
+  | v -> v <> 0
 
 let leq ~tables ~memo a b =
   memo.vc_lookups <- memo.vc_lookups + 1;
-  if
-    memo.m_packed && a <= Trace.Packed_key.pair_max
-    && b <= Trace.Packed_key.pair_max
-  then begin
-    let key = pair_key a b in
-    match Trace.Int_tbl.Map.find memo.p_leq key with
-    | -1 ->
-        let r =
-          Vclock.leq
-            (Access.Vc_table.get tables.Access.vc a)
-            (Access.Vc_table.get tables.Access.vc b)
-        in
-        Trace.Int_tbl.Map.set memo.p_leq key (Bool.to_int r);
-        r
-    | v -> v <> 0
-  end
-  else begin
-    let key = (a, b) in
-    match Hashtbl.find_opt memo.t_leq key with
-    | Some r -> r
-    | None ->
-        let r =
-          Vclock.leq
-            (Access.Vc_table.get tables.Access.vc a)
-            (Access.Vc_table.get tables.Access.vc b)
-        in
-        Hashtbl.add memo.t_leq key r;
-        r
-  end
+  let key = pair_key a b in
+  match Trace.Int_tbl.Map.find memo.p_leq key with
+  | -1 ->
+      let r =
+        Vclock.leq
+          (Access.Vc_table.get tables.Access.vc a)
+          (Access.Vc_table.get tables.Access.vc b)
+      in
+      Trace.Int_tbl.Map.set memo.p_leq key (Bool.to_int r);
+      r
+  | v -> v <> 0
 
 (* The load may fall inside the store's visible-but-not-durable window:
    it must not happen-before the store, and the window's end (the
@@ -247,8 +199,8 @@ let analyse_slot ~features ~memo ~stats (c : Collector.result) slot report =
 
 let tl_seq = Obs.Timeline.name "analysis.sequential"
 
-let run ?(features = all_features) ?memo_impl ?stop (c : Collector.result) =
-  let memo = make_memo ?impl:memo_impl () in
+let run ?(features = all_features) ?stop (c : Collector.result) =
+  let memo = make_memo () in
   let stats = make_stats () in
   let nslots = Array.length c.Collector.slots in
   let report = ref Report.empty in
@@ -269,7 +221,9 @@ let run ?(features = all_features) ?memo_impl ?stop (c : Collector.result) =
   Obs.Timeline.end_ tl_seq ~arg:!analysed;
   let pairs = Obs.Buffer.value stats.s_pairs in
   Obs.Buffer.flush stats.buf;
-  let ls_misses = ls_misses memo and vc_misses = vc_misses memo in
+  (* Misses are the distinct keys probed. *)
+  let ls_misses = Trace.Int_tbl.Map.length memo.p_disjoint
+  and vc_misses = Trace.Int_tbl.Map.length memo.p_leq in
   Obs.Metric.add obs_ls_memo_misses ls_misses;
   Obs.Metric.add obs_ls_memo_hits (memo.ls_lookups - ls_misses);
   Obs.Metric.add obs_vc_comparisons vc_misses;
@@ -283,5 +237,3 @@ let run ?(features = all_features) ?memo_impl ?stop (c : Collector.result) =
     words_analysed = !analysed;
     words_total = nslots;
   }
-
-let analyse ?features c = (run ?features c).report

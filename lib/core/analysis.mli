@@ -51,7 +51,6 @@ type outcome = {
 
 val run :
   ?features:features ->
-  ?memo_impl:[ `Packed | `Tuple ] ->
   ?stop:(unit -> bool) ->
   Collector.result ->
   outcome
@@ -60,10 +59,4 @@ val run :
     word boundaries; when it returns [true] the remaining words are
     skipped and the outcome covers exactly the words visited
     ([words_analysed] of [words_total]) — the pipeline's deadline
-    degradation. [memo_impl] (default [`Packed]) selects the memo-key
-    implementation; [`Tuple] is the tuple-keyed reference path the
-    differential tests compare against. Both produce identical outcomes
-    and counters. *)
-
-val analyse : ?features:features -> Collector.result -> Report.t
-(** [(run c).report]. *)
+    degradation. *)

@@ -112,7 +112,6 @@ type state = {
   irh : bool;
   timestamps : bool;
   eadr : bool;
-  packed : bool; (* false: force every key through the tuple spill path *)
   tables : Access.tables;
   sites : Site_table.t;
   mutable threads : thread_state array;
@@ -120,9 +119,9 @@ type state = {
   cell_idx : Trace.Int_tbl.Map.t; (* word -> index into cell_list *)
   cell_list : cell Trace.Vec.t;
   mutable scratch : cell array; (* per-event word cells, reused *)
-  (* Keys that exceed a packed field width — and, with [packed = false],
-     every key (the reference implementation for the differential
-     tests) — fall back to the old tuple-keyed tables. *)
+  (* Keys that exceed a packed field width (tid >= 2^9, lockset id >=
+     2^9, ...) fall back to tuple-keyed tables: never a silent
+     collision. *)
   spill_w : (int * int * int * int * int * int * int, unit) Hashtbl.t;
   spill_l : (int * int * int * int * int, unit) Hashtbl.t;
   mutable next_id : int;
@@ -251,15 +250,12 @@ let emit_window st cell entry ~eff ~end_vec ~kind =
   let eff_id = Access.Ls_table.intern st.tables.Access.ls (Lockset.strip_ts eff) in
   let evec = match end_vec with Some v -> v | None -> -1 in
   let tag = end_kind_tag kind in
+  let key =
+    Trace.Packed_key.window_key ~tid:m.m_tid ~site:m.m_site_id ~eff:eff_id
+      ~vec:m.m_vec_id ~evec:(evec + 1) ~kind:tag
+  in
   let fresh =
-    if st.packed then begin
-      let key =
-        Trace.Packed_key.window_key ~tid:m.m_tid ~site:m.m_site_id ~eff:eff_id
-          ~vec:m.m_vec_id ~evec:(evec + 1) ~kind:tag
-      in
-      if key >= 0 then Trace.Int_tbl.Set.add cell.cl_wdedup key
-      else spill_window_fresh st cell m ~eff_id ~evec ~tag
-    end
+    if key >= 0 then Trace.Int_tbl.Set.add cell.cl_wdedup key
     else spill_window_fresh st cell m ~eff_id ~evec ~tag
   in
   if fresh then begin
@@ -425,15 +421,11 @@ let on_load st ~tid ~addr ~size ~site =
     in
     for i = 0 to !nw - 1 do
       let c = st.scratch.(i) in
+      let key =
+        Trace.Packed_key.load_key ~tid:itid ~site:site_id ~ls:ls_id ~vec:vec_id
+      in
       let fresh =
-        if st.packed then begin
-          let key =
-            Trace.Packed_key.load_key ~tid:itid ~site:site_id ~ls:ls_id
-              ~vec:vec_id
-          in
-          if key >= 0 then Trace.Int_tbl.Set.add c.cl_ldedup key
-          else spill_load_fresh st c ~tid:itid ~site_id ~ls_id ~vec_id
-        end
+        if key >= 0 then Trace.Int_tbl.Set.add c.cl_ldedup key
         else spill_load_fresh st c ~tid:itid ~site_id ~ls_id ~vec_id
       in
       if fresh then Trace.Vec.push c.cl_loads (get_record ())
@@ -574,15 +566,13 @@ let pp_stats ppf s =
 
 let tl_collect = Obs.Timeline.name "collector.collect"
 
-let collect ?(irh = true) ?(timestamps = true) ?(eadr = false)
-    ?(dedup = `Packed) ?stop trace =
+let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
   Obs.Timeline.begin_ tl_collect ~arg:(Trace.Tracebuf.length trace);
   let st =
     {
       irh;
       timestamps;
       eadr;
-      packed = (dedup = `Packed);
       tables = Access.create_tables ();
       sites = Site_table.create ();
       threads = Array.init 8 (fun _ -> fresh_thread ());

@@ -60,7 +60,6 @@ val collect :
   ?irh:bool ->
   ?timestamps:bool ->
   ?eadr:bool ->
-  ?dedup:[ `Packed | `Tuple ] ->
   ?stop:(unit -> bool) ->
   Trace.Tracebuf.t ->
   result
@@ -76,12 +75,9 @@ val collect :
     the trace under the §2.1 eADR assumption — the cache is persistent, so
     visible-but-not-durable windows cannot exist and no store records are
     produced (persistency-induced races are impossible by construction).
-    [dedup] (default [`Packed]) selects the dedup-key implementation:
-    [`Packed] packs each key into one int ({!Trace.Packed_key}; keys whose
-    fields exceed a packed field width spill to the tuple-keyed tables —
-    never a silent collision); [`Tuple] forces every key through the
-    tuple-keyed reference path. Both must produce identical results — the
-    differential property the packed-key test suite checks. *)
+    Dedup keys are packed into one int ({!Trace.Packed_key}); keys whose
+    fields exceed a packed field width (for example tid >= 2^9) spill to
+    tuple-keyed tables, so a wide key is never a silent collision. *)
 
 val all_windows : result -> Access.window list
 (** Every window record, words ascending, newest-first within a word —

@@ -41,8 +41,8 @@ val pipeline : ?config:config -> ?event_budget:int -> Trace.Tracebuf.t -> Report
 val analyse : ?config:config -> Collector.result -> Report.t
 (** Stage 3 alone on production-collected records: the same naive pair
     loop reading the per-word record arrays through the interning
-    tables. Oracle for {!Analysis.analyse} on
-    an already-collected result. Only [config]'s [effective_lockset] and
+    tables. Oracle for {!Analysis.run}'s report
+    on an already-collected result. Only [config]'s [effective_lockset] and
     [vector_clocks] fields are consulted (the rest shaped collection). *)
 
 val locs : Report.t -> (string * string) list

@@ -847,7 +847,7 @@ module Reference_tests = struct
         let collected = Hawkset.Collector.collect ~irh trace in
         (* Full-JSON equality: same races, same occurrence counts, same
            witnesses, same order — not just the same (store, load) set. *)
-        Hawkset.Report.to_json (Hawkset.Analysis.analyse collected)
+        Hawkset.Report.to_json (Hawkset.Analysis.run collected).report
         = Hawkset.Report.to_json (Hawkset.Reference.analyse collected))
 
   let sanity () =

@@ -1,18 +1,15 @@
-(* Differential tests for the packed-int key representations: the packed
-   collector dedup ([`Packed] vs the tuple-keyed [`Tuple] reference path)
-   and the packed analysis memo must be invisible — byte-identical
-   records, reports, stats and counter snapshots on random traces — and
-   the packers themselves must be injective inside their field widths and
-   refuse (spill / raise) outside them. *)
-
-let with_counters f =
-  Obs.Registry.reset Obs.Registry.global;
-  let x = f () in
-  (x, Obs.Registry.counters Obs.Registry.global)
+(* Spec differentials for the packed-int key representations: the
+   collector's packed dedup keys (with their tuple-keyed spill tables for
+   keys that do not fit) and the analysis's packed memo keys must be
+   invisible — the production pipeline's report bytes equal the
+   executable specification's ({!Hawkset.Reference}) on key-nasty random
+   traces and on a trace wide enough to spill — and the packers
+   themselves must be injective inside their field widths and refuse
+   (spill / raise) outside them. *)
 
 (* --- random traces ---------------------------------------------------- *)
 
-(* Like test_par_analysis's generator but nastier for key packing: more
+(* A random-trace generator that is nasty for key packing: several
    threads, unaligned multi-byte accesses that straddle words (so one
    record registers under several dedup tables) and a wider site space. *)
 module Gen = struct
@@ -120,81 +117,124 @@ module Gen = struct
       gen_trace
 end
 
-(* --- collector dedup differential ------------------------------------- *)
+(* --- spec differentials ------------------------------------------------ *)
 
-module Collect_tests = struct
-  let same_result (a : Hawkset.Collector.result) (b : Hawkset.Collector.result)
-      =
-    a.Hawkset.Collector.words = b.Hawkset.Collector.words
-    && a.Hawkset.Collector.slots = b.Hawkset.Collector.slots
-    && a.Hawkset.Collector.windows_of = b.Hawkset.Collector.windows_of
-    && a.Hawkset.Collector.loads_of = b.Hawkset.Collector.loads_of
-    && a.Hawkset.Collector.stats = b.Hawkset.Collector.stats
+let spec_bytes ~config trace =
+  Hawkset.Report.to_json
+    (Hawkset.Reference.pipeline
+       ~config:(Hawkset.Reference.config_of_pipeline config) trace)
 
-  (* The tentpole property for stage 1-2: packed dedup keys change
-     nothing — same records in the same order, same stats, same counter
-     snapshot, and downstream the same report. *)
-  let differential irh =
+let production_bytes ~config trace =
+  Hawkset.Report.to_json
+    (Hawkset.Pipeline.run ~config trace).Hawkset.Pipeline.races
+
+module Spec_tests = struct
+  let configs =
+    let d = Hawkset.Pipeline.default in
+    [
+      ("default", d);
+      ("no_irh", Hawkset.Pipeline.no_irh);
+      ("eadr", { d with Hawkset.Pipeline.eadr = true });
+      ("no-timestamps", { d with Hawkset.Pipeline.timestamps = false });
+    ]
+
+  (* Stages 1-3 with packed dedup and memo keys == the specification,
+     byte for byte, under each semantic configuration. *)
+  let pipeline (name, config) =
     QCheck.Test.make
-      ~name:(Printf.sprintf "packed dedup == tuple dedup (irh=%b)" irh)
+      ~name:(Printf.sprintf "packed-key pipeline == spec (%s)" name)
       ~count:120 Gen.arb_trace
-      (fun trace ->
-        let (packed, packed_report), packed_counters =
-          with_counters (fun () ->
-              let c = Hawkset.Collector.collect ~irh ~dedup:`Packed trace in
-              (c, (Hawkset.Analysis.run c).Hawkset.Analysis.report))
-        in
-        let (tuple, tuple_report), tuple_counters =
-          with_counters (fun () ->
-              let c = Hawkset.Collector.collect ~irh ~dedup:`Tuple trace in
-              (c, (Hawkset.Analysis.run c).Hawkset.Analysis.report))
-        in
-        same_result packed tuple
-        && Hawkset.Report.to_json packed_report
-           = Hawkset.Report.to_json tuple_report
-        && packed_counters = tuple_counters)
+      (fun trace -> production_bytes ~config trace = spec_bytes ~config trace)
 
-  let eadr_and_ablation =
-    QCheck.Test.make ~name:"packed == tuple under eadr / no-timestamps"
-      ~count:40 Gen.arb_trace
+  (* Stage 3 alone on one collected result: the packed memo changes no
+     verdict, witness or order. *)
+  let memo =
+    QCheck.Test.make ~name:"packed memo analysis == spec analysis" ~count:120
+      Gen.arb_trace
       (fun trace ->
-        List.for_all
-          (fun (eadr, timestamps) ->
-            let c d =
-              Hawkset.Collector.collect ~eadr ~timestamps ~dedup:d trace
-            in
-            same_result (c `Packed) (c `Tuple))
-          [ (true, true); (false, false) ])
+        let c = Hawkset.Collector.collect trace in
+        Hawkset.Report.to_json (Hawkset.Analysis.run c).Hawkset.Analysis.report
+        = Hawkset.Report.to_json (Hawkset.Reference.analyse c))
+
+  let tests =
+    List.map (fun c -> QCheck_alcotest.to_alcotest (pipeline c)) configs
+    @ [ QCheck_alcotest.to_alcotest memo ]
+end
+
+(* --- the production spill path ----------------------------------------- *)
+
+module Spill_tests = struct
+  let nthreads = 600
+  let high = 1 lsl Trace.Packed_key.tid_bits
+
+  (* Every thread stores, persists and loads the same word twice with the
+     same sites, so threads below [high] dedup through packed keys and
+     threads at or above it through the spill tables — both in the same
+     word cells, and the repeated accesses of a spilled thread must
+     collapse to one record. *)
+  let trace =
+    let site l = Trace.Site.v "spill.ml" l in
+    let addr = 256 in
+    let per_thread t =
+      let tid = Trace.Tid.of_int t in
+      List.concat
+        (List.init 2 (fun _ ->
+             [
+               Trace.Event.Store
+                 { tid; addr; size = 8; site = site 1; non_temporal = false };
+               Trace.Event.Flush
+                 { tid; line = Pmem.Layout.line_of addr;
+                   kind = Trace.Event.Clwb; site = site 2 };
+               Trace.Event.Fence { tid; site = site 3 };
+               Trace.Event.Load { tid; addr; size = 8; site = site 4 };
+             ]))
+    in
+    let creates =
+      List.init nthreads (fun i ->
+          Trace.Event.Thread_create
+            { parent = Trace.Tid.main; child = Trace.Tid.of_int (i + 1) })
+    in
+    let joins =
+      List.init nthreads (fun i ->
+          Trace.Event.Thread_join
+            { waiter = Trace.Tid.main; joined = Trace.Tid.of_int (i + 1) })
+    in
+    Trace.Tracebuf.of_list
+      (creates @ List.concat (List.init nthreads (fun i -> per_thread (i + 1)))
+      @ joins)
+
+  let spilled_keys_dedup () =
+    let c = Hawkset.Collector.collect trace in
+    let spilled_windows =
+      List.filter
+        (fun w -> w.Hawkset.Access.w_tid >= high)
+        (Hawkset.Collector.all_windows c)
+    and spilled_loads =
+      List.filter
+        (fun l -> l.Hawkset.Access.l_tid >= high)
+        (Hawkset.Collector.all_loads c)
+    in
+    (* Threads [high .. nthreads], two identical accesses each. *)
+    let spilled_threads = nthreads - high + 1 in
+    Alcotest.(check int)
+      "one window per spilled thread" spilled_threads
+      (List.length spilled_windows);
+    Alcotest.(check int)
+      "one load per spilled thread" spilled_threads
+      (List.length spilled_loads);
+    let config = Hawkset.Pipeline.default in
+    let races = (Hawkset.Pipeline.run ~config trace).Hawkset.Pipeline.races in
+    Alcotest.(check bool) "the spilled trace races" true
+      (Hawkset.Report.count races > 0);
+    Alcotest.(check string)
+      "pipeline == spec" (spec_bytes ~config trace)
+      (production_bytes ~config trace)
 
   let tests =
     [
-      QCheck_alcotest.to_alcotest (differential false);
-      QCheck_alcotest.to_alcotest (differential true);
-      QCheck_alcotest.to_alcotest eadr_and_ablation;
+      Alcotest.test_case "tid >= 2^tid_bits spills and dedups" `Quick
+        spilled_keys_dedup;
     ]
-end
-
-(* --- analysis memo differential --------------------------------------- *)
-
-module Memo_tests = struct
-  (* Packed memo keys change neither the outcome nor any counter. *)
-  let differential =
-    QCheck.Test.make ~name:"packed memo == tuple memo"
-      ~count:120 Gen.arb_trace
-      (fun trace ->
-        let c = Hawkset.Collector.collect trace in
-        let packed, packed_counters =
-          with_counters (fun () -> Hawkset.Analysis.run ~memo_impl:`Packed c)
-        in
-        let tuple, tuple_counters =
-          with_counters (fun () -> Hawkset.Analysis.run ~memo_impl:`Tuple c)
-        in
-        Hawkset.Report.to_json packed.Hawkset.Analysis.report
-        = Hawkset.Report.to_json tuple.Hawkset.Analysis.report
-        && packed.Hawkset.Analysis.pairs = tuple.Hawkset.Analysis.pairs
-        && packed_counters = tuple_counters)
-
-  let tests = [ QCheck_alcotest.to_alcotest differential ]
 end
 
 (* --- the packers themselves ------------------------------------------- *)
@@ -302,7 +342,7 @@ end
 let () =
   Alcotest.run "packed_keys"
     [
-      ("collector dedup", Collect_tests.tests);
-      ("analysis memo", Memo_tests.tests);
+      ("spec differential", Spec_tests.tests);
+      ("spill path", Spill_tests.tests);
       ("packers", Key_tests.tests);
     ]
