@@ -8,8 +8,8 @@ let apply (type a) (module App : App_intf.KV with type t = a) (t : a) ctx op =
   | Workload.Op.Delete key -> App.delete t ctx ~key
 
 let run_kv (module App : App_intf.KV) ?(seed = 0) ?sched_seed ?policy ?observe
-    ?(heap_mb = 64) ?crash_after_events ~load ~per_thread () =
-  let heap = Pmem.Heap.create ~size:(heap_mb * 1024 * 1024) () in
+    ?crash_after_events ~load ~per_thread () =
+  let heap = Pmem.Heap.create ~size:(64 * 1024 * 1024) () in
   let nthreads = max 1 (Array.length per_thread) in
   (* The scheduler seed defaults to the workload seed; passing it
      separately explores different interleavings of the same operations

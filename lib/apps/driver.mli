@@ -12,7 +12,6 @@ val run_kv :
   ?sched_seed:int ->
   ?policy:Machine.Sched.policy ->
   ?observe:bool ->
-  ?heap_mb:int ->
   ?crash_after_events:int ->
   load:Workload.Op.kv list ->
   per_thread:Workload.Op.kv list array ->

@@ -16,11 +16,22 @@ and pending_flush = {
 
 type nt_range = { nt_addr : int; nt_size : int }
 
+(* Both byte images are arrays of fixed 64 KiB chunks: chunk [i] holds
+   addresses [i * chunk_size, (i + 1) * chunk_size). Every chunk starts as
+   [zero_chunk], one shared buffer that is never written, and gets its own
+   zeroed bytes on its first write, so a run pays only for the chunks it
+   touches. A 64-byte line never straddles a chunk. *)
+let chunk_bits = 16
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let zero_chunk = Bytes.make chunk_size '\000'
+
 type t = {
   heap_name : string;
   heap_eadr : bool;
-  volatile : bytes;
-  persistent : bytes;
+  heap_size : int;
+  volatile : bytes array;
+  persistent : bytes array;
   lines : (int, line_state) Hashtbl.t;
   nt_pending : (int, nt_range list) Hashtbl.t; (* keyed by tid *)
   mutable bump : int;
@@ -36,18 +47,21 @@ let obs_nt_stores = Obs.Registry.counter "pmem.nt_stores"
 let obs_crash_images = Obs.Registry.counter "pmem.crash_images"
 
 let create ?(name = "/mnt/pmem/pool") ?(eadr = false) ~size () =
+  if size < 0 then invalid_arg "Heap.create: negative size";
+  let chunks = (size + chunk_mask) lsr chunk_bits in
   {
     heap_name = name;
     heap_eadr = eadr;
-    volatile = Bytes.make size '\000';
-    persistent = Bytes.make size '\000';
+    heap_size = size;
+    volatile = Array.make chunks zero_chunk;
+    persistent = Array.make chunks zero_chunk;
     lines = Hashtbl.create 1024;
     nt_pending = Hashtbl.create 16;
     bump = Layout.line_size (* keep address 0 unused as a null pointer *);
     free_lists = Hashtbl.create 16;
   }
 
-let size t = Bytes.length t.volatile
+let size t = t.heap_size
 let name t = t.heap_name
 let eadr t = t.heap_eadr
 
@@ -63,7 +77,7 @@ let alloc ?(align = 8) t n =
       addr
   | Some [] | None ->
       let addr = (t.bump + align - 1) land lnot (align - 1) in
-      if addr + n > Bytes.length t.volatile then raise Out_of_memory;
+      if addr + n > t.heap_size then raise Out_of_memory;
       t.bump <- addr + n;
       addr
 
@@ -73,12 +87,83 @@ let free t ~addr ~size =
 
 let allocated_bytes t = t.bump
 
-let read_i64 t addr = Bytes.get_int64_le t.volatile addr
-let write_i64 t addr v = Bytes.set_int64_le t.volatile addr v
-let read_u8 t addr = Char.code (Bytes.get t.volatile addr)
-let write_u8 t addr v = Bytes.set t.volatile addr (Char.chr (v land 0xff))
-let read_bytes t addr len = Bytes.sub t.volatile addr len
-let write_bytes t addr b = Bytes.blit b 0 t.volatile addr (Bytes.length b)
+(* Every access checks its whole range before it touches any chunk. *)
+let check t addr len =
+  if addr < 0 || len < 0 || addr > t.heap_size - len then
+    invalid_arg "index out of bounds"
+
+let writable image i =
+  let c = image.(i) in
+  if c != zero_chunk then c
+  else begin
+    let c = Bytes.make chunk_size '\000' in
+    image.(i) <- c;
+    c
+  end
+
+(* [iter_pieces addr len f] calls [f chunk offset pos n] for each maximal
+   piece of [addr, addr + len) inside one chunk: [n] bytes at [offset] in
+   chunk number [chunk], [pos] bytes into the range. *)
+let iter_pieces addr len f =
+  let stop = addr + len in
+  let pos = ref addr in
+  while !pos < stop do
+    let off = !pos land chunk_mask in
+    let n = min (stop - !pos) (chunk_size - off) in
+    f (!pos lsr chunk_bits) off (!pos - addr) n;
+    pos := !pos + n
+  done
+
+let read_bytes t addr len =
+  check t addr len;
+  let b = Bytes.create len in
+  iter_pieces addr len (fun i off pos n ->
+      Bytes.blit t.volatile.(i) off b pos n);
+  b
+
+let write_bytes t addr b =
+  let len = Bytes.length b in
+  check t addr len;
+  iter_pieces addr len (fun i off pos n ->
+      Bytes.blit b pos (writable t.volatile i) off n)
+
+let read_i64 t addr =
+  check t addr 8;
+  let off = addr land chunk_mask in
+  if off <= chunk_size - 8 then
+    Bytes.get_int64_le t.volatile.(addr lsr chunk_bits) off
+  else Bytes.get_int64_le (read_bytes t addr 8) 0
+
+let write_i64 t addr v =
+  check t addr 8;
+  let off = addr land chunk_mask in
+  if off <= chunk_size - 8 then
+    Bytes.set_int64_le (writable t.volatile (addr lsr chunk_bits)) off v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t addr b
+  end
+
+let read_u8 t addr =
+  check t addr 1;
+  Char.code (Bytes.get t.volatile.(addr lsr chunk_bits) (addr land chunk_mask))
+
+let write_u8 t addr v =
+  check t addr 1;
+  Bytes.set
+    (writable t.volatile (addr lsr chunk_bits))
+    (addr land chunk_mask)
+    (Char.chr (v land 0xff))
+
+(* Volatile -> persistent copy of a range; a zero chunk copied onto a zero
+   chunk is already in place. *)
+let persist_range t addr len =
+  check t addr len;
+  iter_pieces addr len (fun i off _ n ->
+      let src = t.volatile.(i) in
+      if src != zero_chunk || t.persistent.(i) != zero_chunk then
+        Bytes.blit src off (writable t.persistent i) off n)
 
 let line_state t line_idx =
   match Hashtbl.find_opt t.lines line_idx with
@@ -111,7 +196,7 @@ let note_store t ~tid ~addr ~size ~non_temporal =
   if t.heap_eadr then
     (* The cache is part of the persistent domain: stores are durable on
        visibility; nothing is ever dirty. *)
-    Bytes.blit t.volatile addr t.persistent addr size
+    persist_range t addr size
   else if non_temporal then begin
     Obs.Metric.incr obs_nt_stores;
     let key = Trace.Tid.to_int tid in
@@ -157,7 +242,11 @@ let flush t ~tid ~line =
   match Hashtbl.find_opt t.lines line_idx with
   | None -> () (* clean line: flushing is a no-op *)
   | Some s ->
-      let snapshot = Bytes.sub t.volatile line Layout.line_size in
+      check t line Layout.line_size;
+      let snapshot =
+        Bytes.sub t.volatile.(line lsr chunk_bits) (line land chunk_mask)
+          Layout.line_size
+      in
       let p =
         {
           flusher = Trace.Tid.to_int tid;
@@ -169,7 +258,9 @@ let flush t ~tid ~line =
 
 let commit_line t line_idx s p =
   let line_base = line_idx * Layout.line_size in
-  Bytes.blit p.snapshot 0 t.persistent line_base Layout.line_size;
+  Bytes.blit p.snapshot 0
+    (writable t.persistent (line_base lsr chunk_bits))
+    (line_base land chunk_mask) Layout.line_size;
   if p.flushed_version = s.version then
     (* No store hit the line after the flush: it is now fully clean. *)
     Array.fill s.writers 0 Layout.line_size 0
@@ -195,7 +286,7 @@ let fence t ~tid =
   | Some ranges ->
       Hashtbl.remove t.nt_pending me;
       let commit { nt_addr; nt_size } =
-        Bytes.blit t.volatile nt_addr t.persistent nt_addr nt_size;
+        persist_range t nt_addr nt_size;
         let stop = nt_addr + nt_size in
         let pos = ref nt_addr in
         while !pos < stop do
@@ -247,12 +338,41 @@ let unpersisted_bytes t =
       Array.fold_left (fun n w -> if w <> 0 then n + 1 else n) acc s.writers)
     t.lines 0
 
+let resident_bytes t =
+  let count image =
+    Array.fold_left (fun n c -> if c != zero_chunk then n + 1 else n) 0 image
+  in
+  (count t.volatile + count t.persistent) * chunk_size
+
+(* Bytes of chunk [i] that lie inside a heap of [size] bytes. *)
+let chunk_length size i = min chunk_size (size - (i lsl chunk_bits))
+
 let crash_image t =
   Obs.Metric.incr obs_crash_images;
-  Bytes.copy t.persistent
+  let img = Bytes.make t.heap_size '\000' in
+  Array.iteri
+    (fun i c ->
+      if c != zero_chunk then
+        Bytes.blit c 0 img (i lsl chunk_bits) (chunk_length t.heap_size i))
+    t.persistent;
+  img
+
+let all_zero img base len =
+  let stop = base + len in
+  let rec words j =
+    if j + 8 > stop then bytes j
+    else Bytes.get_int64_le img j = 0L && words (j + 8)
+  and bytes j = j >= stop || (Bytes.get img j = '\000' && bytes (j + 1)) in
+  words base
 
 let of_image ?(name = "/mnt/pmem/pool") img =
   let t = create ~name ~size:(Bytes.length img) () in
-  Bytes.blit img 0 t.volatile 0 (Bytes.length img);
-  Bytes.blit img 0 t.persistent 0 (Bytes.length img);
+  for i = 0 to Array.length t.volatile - 1 do
+    let base = i lsl chunk_bits in
+    let len = chunk_length t.heap_size i in
+    if not (all_zero img base len) then begin
+      Bytes.blit img base (writable t.volatile i) 0 len;
+      Bytes.blit img base (writable t.persistent i) 0 len
+    end
+  done;
   t

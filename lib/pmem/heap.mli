@@ -24,6 +24,13 @@ val create : ?name:string -> ?eadr:bool -> size:int -> unit -> t
 (** [create ~size ()] maps a fresh, zero-initialised PM region of [size]
     bytes. [name] models the PM file path (default ["/mnt/pmem/pool"]).
 
+    [size] is an address-space limit, not an up-front allocation: both
+    images are stored as fixed 64 KiB chunks that read as zero until their
+    first write allocates them, so a heap costs memory only for the chunks
+    a run actually writes (see {!resident_bytes}). Accesses outside
+    [0, size) raise [Invalid_argument] and {!alloc} raises
+    [Out_of_memory] past [size].
+
     [eadr] (default [false]) models extended Asynchronous DRAM Refresh
     (§2.1): the persistent domain extends to the cache, so every store is
     durable the moment it becomes visible — flushes and fences become
@@ -106,7 +113,13 @@ val crash_image : t -> bytes
 (** Copy of the persistent image: exactly what a post-crash execution
     would observe. All unpersisted stores are lost. *)
 
+val resident_bytes : t -> int
+(** Memory the two images hold: allocated chunks times the chunk size,
+    summed over the volatile and the persistent image. Untouched chunks
+    cost nothing. *)
+
 val of_image : ?name:string -> bytes -> t
 (** [of_image img] builds the post-crash heap: both images equal [img],
     the cache is clean, the allocator restarts (recovery code re-derives
-    structure from the data, as PM applications do). *)
+    structure from the data, as PM applications do). All-zero chunks of
+    [img] stay unallocated. *)

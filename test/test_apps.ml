@@ -1266,6 +1266,48 @@ module Crash_damage_tests = struct
     ]
 end
 
+(* Trace identity of every registry app under every policy family, pinned
+   against a table generated before the pmem storage was made sparse. The
+   heap's representation must never show through: the same (app, seed,
+   policy, ops) must produce a byte-identical trace. *)
+module Fingerprint_tests = struct
+  let fixture = "fixtures/app-fingerprints.txt"
+
+  let policies =
+    [
+      ("random", S.Random_interleave);
+      ("round-robin", S.Round_robin);
+      ("pct", S.Pct { depth = 3 });
+      ( "delay-injection",
+        S.Delay_injection { probability = 0.05; duration = 40 } );
+    ]
+
+  let table () =
+    List.concat_map
+      (fun (e : Pmapps.Registry.entry) ->
+        List.map
+          (fun (pname, policy) ->
+            let r = e.run ~seed:7 ~policy ~ops:200 () in
+            Printf.sprintf "%s %s %s" e.reg_name pname
+              (Trace.Trace_io.fingerprint r.S.trace))
+          policies)
+      Pmapps.Registry.all
+
+  let matches_fixture () =
+    let expected =
+      In_channel.with_open_text fixture In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    Alcotest.(check (list string)) "9 apps x 4 policies" expected (table ())
+
+  let tests =
+    [
+      Alcotest.test_case "app x policy fingerprints match fixture" `Slow
+        matches_fixture;
+    ]
+end
+
 let () =
   Alcotest.run "apps"
     [
@@ -1282,4 +1324,5 @@ let () =
       ("crash_damage", Crash_damage_tests.tests);
       ("region_scan", Region_and_scan_tests.tests);
       ("recovery", Recovery_tests.tests);
+      ("fingerprints", Fingerprint_tests.tests);
     ]

@@ -314,10 +314,304 @@ module Persistence_tests = struct
     ]
 end
 
+(* Differential test of the chunked storage against a flat-[Bytes] model
+   of the heap. The model keeps both images as single [bytes] of the heap's
+   size, so its bounds checks are the [Bytes] primitives' own, and it
+   restates the worst-case cache rules byte by byte. Addresses are biased
+   to straddle the 64 KiB chunk boundaries and the last byte of a heap
+   whose size is not a multiple of the chunk size. *)
+module Chunk_tests = struct
+  let chunk = 1 lsl 16
+  let heap_size = (2 * chunk) + (chunk / 2) + 40
+
+  module Model = struct
+    type line = {
+      mutable version : int;
+      mutable pending : (int * bytes * int) list; (* newest first *)
+    }
+
+    type t = {
+      eadr : bool;
+      vol : bytes;
+      per : bytes;
+      writer : int array; (* 1 + tid of the byte's unpersisted store, or 0 *)
+      lines : (int, line) Hashtbl.t; (* line base -> cache state *)
+      nt : (int, (int * int) list) Hashtbl.t; (* tid -> ranges, newest first *)
+      mutable bump : int;
+    }
+
+    let of_image ~eadr per =
+      {
+        eadr;
+        vol = Bytes.copy per;
+        per;
+        writer = Array.make (Bytes.length per) 0;
+        lines = Hashtbl.create 16;
+        nt = Hashtbl.create 4;
+        bump = 64;
+      }
+
+    let create ~eadr size = of_image ~eadr (Bytes.make size '\000')
+
+    (* Recovery: both images restart from the persistent one. *)
+    let crash m = of_image ~eadr:false (Bytes.copy m.per)
+
+    let alloc m ~align n =
+      let addr = (m.bump + align - 1) land lnot (align - 1) in
+      if addr + n > Bytes.length m.vol then raise Out_of_memory;
+      m.bump <- addr + n;
+      addr
+
+    let line_clean m base =
+      let rec go a =
+        a >= min (base + 64) (Bytes.length m.vol)
+        || (m.writer.(a) = 0 && go (a + 1))
+      in
+      go base
+
+    let note_store m ~tid ~addr ~size ~nt =
+      if m.eadr then Bytes.blit m.vol addr m.per addr size
+      else begin
+        if nt then
+          Hashtbl.replace m.nt tid
+            ((addr, size)
+            :: Option.value ~default:[] (Hashtbl.find_opt m.nt tid));
+        for a = addr to addr + size - 1 do
+          m.writer.(a) <- tid + 1
+        done;
+        List.iter
+          (fun base ->
+            match Hashtbl.find_opt m.lines base with
+            | Some l -> l.version <- l.version + 1
+            | None -> Hashtbl.add m.lines base { version = 1; pending = [] })
+          (Pmem.Layout.lines_of_range addr size)
+      end
+
+    let flush m ~tid ~line =
+      match Hashtbl.find_opt m.lines line with
+      | None -> ()
+      | Some l ->
+          l.pending <- (tid, Bytes.sub m.vol line 64, l.version) :: l.pending
+
+    let clear_line m base =
+      for a = base to min (base + 64) (Bytes.length m.vol) - 1 do
+        m.writer.(a) <- 0
+      done
+
+    let drop_if_clean m base =
+      match Hashtbl.find_opt m.lines base with
+      | Some l when l.pending = [] && line_clean m base ->
+          Hashtbl.remove m.lines base
+      | _ -> ()
+
+    let fence m ~tid =
+      let bases = Hashtbl.fold (fun b _ acc -> b :: acc) m.lines [] in
+      List.iter
+        (fun base ->
+          let l = Hashtbl.find m.lines base in
+          let mine, rest = List.partition (fun (f, _, _) -> f = tid) l.pending in
+          if mine <> [] then begin
+            l.pending <- rest;
+            List.iter
+              (fun (_, snap, v) ->
+                Bytes.blit snap 0 m.per base 64;
+                if v = l.version then clear_line m base)
+              (List.rev mine);
+            drop_if_clean m base
+          end)
+        bases;
+      let ranges = Option.value ~default:[] (Hashtbl.find_opt m.nt tid) in
+      Hashtbl.remove m.nt tid;
+      List.iter
+        (fun (addr, size) ->
+          Bytes.blit m.vol addr m.per addr size;
+          for a = addr to addr + size - 1 do
+            if m.writer.(a) = tid + 1 then m.writer.(a) <- 0
+          done;
+          List.iter (drop_if_clean m) (Pmem.Layout.lines_of_range addr size))
+        (List.rev ranges)
+
+    let unpersisted m =
+      Array.fold_left (fun n w -> if w <> 0 then n + 1 else n) 0 m.writer
+  end
+
+  type op =
+    | Write_i64 of int * int64
+    | Write_u8 of int * int
+    | Write_bytes of int * int * char
+    | Store of int * int * int * bool (* tid, addr, size, non-temporal *)
+    | Flush of int * int
+    | Fence of int
+    | Read_i64 of int
+    | Read_u8 of int
+    | Read_bytes of int * int
+    | Alloc of int * int (* align, size *)
+    | Crash (* continue on [of_image (crash_image h)] *)
+
+  let show = function
+    | Write_i64 (a, v) -> Printf.sprintf "write_i64 %d %Ld" a v
+    | Write_u8 (a, v) -> Printf.sprintf "write_u8 %d %d" a v
+    | Write_bytes (a, n, c) -> Printf.sprintf "write_bytes %d %d %C" a n c
+    | Store (t, a, n, nt) -> Printf.sprintf "store t%d %d %d nt=%b" t a n nt
+    | Flush (t, a) -> Printf.sprintf "flush t%d %d" t a
+    | Fence t -> Printf.sprintf "fence t%d" t
+    | Read_i64 a -> Printf.sprintf "read_i64 %d" a
+    | Read_u8 a -> Printf.sprintf "read_u8 %d" a
+    | Read_bytes (a, n) -> Printf.sprintf "read_bytes %d %d" a n
+    | Alloc (al, n) -> Printf.sprintf "alloc ~align:%d %d" al n
+    | Crash -> "crash"
+
+  (* Near a chunk boundary, near the last byte, anywhere, or just below 0. *)
+  let addr_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map2
+              (fun k d -> (k * chunk) + d)
+              (int_range 1 (heap_size / chunk))
+              (int_range (-12) 12) );
+          (2, map (fun d -> heap_size + d) (int_range (-16) 4));
+          (3, int_bound (heap_size - 1));
+          (1, int_range (-8) (-1));
+        ])
+
+  let len_gen =
+    QCheck.Gen.(
+      frequency [ (6, int_bound 80); (1, int_range chunk (chunk + 200)) ])
+
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun a v -> Write_i64 (a, Int64.of_int v)) addr_gen int);
+          (2, map2 (fun a v -> Write_u8 (a, v)) addr_gen (int_bound 255));
+          ( 2,
+            map3 (fun a n c -> Write_bytes (a, n, c)) addr_gen len_gen
+              printable );
+          ( 4,
+            (* A store's range is valid data the caller just wrote. *)
+            map3
+              (fun (t, nt) a n ->
+                let a = max 0 (min a (heap_size - 1)) in
+                Store (t, a, min n (heap_size - a), nt))
+              (pair (int_bound 2) bool) addr_gen (int_range 1 80) );
+          ( 3,
+            map2
+              (fun t a -> Flush (t, Pmem.Layout.line_of (max 0 a)))
+              (int_bound 2) addr_gen );
+          (3, map (fun t -> Fence t) (int_bound 2));
+          (2, map (fun a -> Read_i64 a) addr_gen);
+          (1, map (fun a -> Read_u8 a) addr_gen);
+          (1, map2 (fun a n -> Read_bytes (a, n)) addr_gen len_gen);
+          ( 1,
+            map2
+              (fun al n -> Alloc (al, n))
+              (oneofl [ 8; 64 ])
+              (frequency [ (3, int_range 1 200); (1, int_range 1 (2 * chunk)) ])
+          );
+          (1, return Crash);
+        ])
+
+  (* A step's observable result: what a read returned, or which exception
+     the access raised. *)
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Invalid_argument _ -> Error "Invalid_argument"
+    | exception Out_of_memory -> Error "Out_of_memory"
+
+  let step (h, m) op =
+    let h, m =
+      if op <> Crash then (h, m)
+      else (Pmem.Heap.of_image (Pmem.Heap.crash_image h), Model.crash m)
+    in
+    let tid = Trace.Tid.of_int in
+    let run_heap () =
+      match op with
+      | Write_i64 (a, v) -> Pmem.Heap.write_i64 h a v; ""
+      | Write_u8 (a, v) -> Pmem.Heap.write_u8 h a v; ""
+      | Write_bytes (a, n, c) -> Pmem.Heap.write_bytes h a (Bytes.make n c); ""
+      | Store (t, a, n, nt) ->
+          Pmem.Heap.note_store h ~tid:(tid t) ~addr:a ~size:n ~non_temporal:nt;
+          ""
+      | Flush (t, line) -> Pmem.Heap.flush h ~tid:(tid t) ~line; ""
+      | Fence t -> Pmem.Heap.fence h ~tid:(tid t); ""
+      | Read_i64 a -> Int64.to_string (Pmem.Heap.read_i64 h a)
+      | Read_u8 a -> string_of_int (Pmem.Heap.read_u8 h a)
+      | Read_bytes (a, n) -> Bytes.to_string (Pmem.Heap.read_bytes h a n)
+      | Alloc (align, n) -> string_of_int (Pmem.Heap.alloc ~align h n)
+      | Crash -> ""
+    in
+    let run_model () =
+      match op with
+      | Write_i64 (a, v) -> Bytes.set_int64_le m.Model.vol a v; ""
+      | Write_u8 (a, v) -> Bytes.set m.Model.vol a (Char.chr v); ""
+      | Write_bytes (a, n, c) -> Bytes.blit (Bytes.make n c) 0 m.Model.vol a n; ""
+      | Store (t, a, n, nt) -> Model.note_store m ~tid:t ~addr:a ~size:n ~nt; ""
+      | Flush (t, line) -> Model.flush m ~tid:t ~line; ""
+      | Fence t -> Model.fence m ~tid:t; ""
+      | Read_i64 a -> Int64.to_string (Bytes.get_int64_le m.Model.vol a)
+      | Read_u8 a -> string_of_int (Char.code (Bytes.get m.Model.vol a))
+      | Read_bytes (a, n) -> Bytes.sub_string m.Model.vol a n
+      | Alloc (align, n) -> string_of_int (Model.alloc m ~align n)
+      | Crash -> ""
+    in
+    let got = outcome run_heap and want = outcome run_model in
+    if got <> want then
+      QCheck.Test.fail_reportf "%s: heap and model disagree" (show op);
+    if not (Bytes.equal (Pmem.Heap.crash_image h) m.Model.per) then
+      QCheck.Test.fail_reportf "%s: crash image differs" (show op);
+    if Pmem.Heap.read_bytes h 0 heap_size <> m.Model.vol then
+      QCheck.Test.fail_reportf "%s: volatile image differs" (show op);
+    if Pmem.Heap.unpersisted_bytes h <> Model.unpersisted m then
+      QCheck.Test.fail_reportf "%s: unpersisted bytes differ" (show op);
+    (h, m)
+
+  let differential =
+    QCheck.Test.make ~name:"chunked heap == flat model across chunk edges"
+      ~count:150
+      (QCheck.make
+         ~print:(fun (eadr, ops) ->
+           Printf.sprintf "eadr=%b\n%s" eadr
+             (String.concat "\n" (List.map show ops)))
+         QCheck.Gen.(pair (frequency [ (4, return false); (1, return true) ])
+                       (list_size (int_range 1 60) op_gen)))
+      (fun (eadr, ops) ->
+        let h = Pmem.Heap.create ~eadr ~size:heap_size () in
+        ignore (List.fold_left step (h, Model.create ~eadr heap_size) ops);
+        true)
+
+  let resident () =
+    let h = Pmem.Heap.create ~size:(256 * 1024 * 1024) () in
+    Alcotest.(check int) "fresh heap holds nothing" 0
+      (Pmem.Heap.resident_bytes h);
+    let a = Pmem.Heap.alloc h 8 in
+    Pmem.Heap.write_i64 h a 42L;
+    Pmem.Heap.note_store h ~tid:t0 ~addr:a ~size:8 ~non_temporal:false;
+    Pmem.Heap.flush h ~tid:t0 ~line:(Pmem.Layout.line_of a);
+    Pmem.Heap.fence h ~tid:t0;
+    Alcotest.(check int) "one chunk per image" (2 * chunk)
+      (Pmem.Heap.resident_bytes h);
+    let post = Pmem.Heap.of_image (Pmem.Heap.crash_image h) in
+    Alcotest.(check int) "recovered heap: same two chunks" (2 * chunk)
+      (Pmem.Heap.resident_bytes post);
+    Alcotest.(check int64) "recovered value" 42L (Pmem.Heap.read_i64 post a);
+    Alcotest.(check int) "recovered size" (256 * 1024 * 1024)
+      (Pmem.Heap.size post)
+
+  let tests =
+    [
+      QCheck_alcotest.to_alcotest differential;
+      Alcotest.test_case "resident bytes" `Quick resident;
+    ]
+end
+
 let () =
   Alcotest.run "pmem"
     [
       ("layout", Layout_tests.tests);
       ("alloc", Alloc_tests.tests);
       ("persistence", Persistence_tests.tests);
+      ("chunks", Chunk_tests.tests);
     ]
