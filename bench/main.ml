@@ -1,13 +1,17 @@
-(* Benchmark and experiment harness.
+(* The paper's evaluation, its micro-benchmarks and two timing gates.
 
-     dune exec bench/main.exe              -- everything, scaled-down
-     dune exec bench/main.exe -- table2    -- one artifact (table2|table3|
-                                              table4|figure6|ablation|micro)
+     dune exec bench/main.exe              -- every artifact, scaled down
+     dune exec bench/main.exe -- table2    -- one artifact (table1|table2|
+                                              table3|table4|figure6|
+                                              ablation|micro)
      dune exec bench/main.exe -- full      -- paper-scale workloads (slow)
+     dune exec bench/main.exe -- perf-smoke   -- timeline overhead gate
+     dune exec bench/main.exe -- batch-par    -- job_workers=4 gate
 
    Every table and figure of the paper's evaluation has (i) a harness
    that prints the same rows/series (lib/harness) and (ii) a Bechamel
-   micro-benchmark of its computational kernel below. *)
+   micro-benchmark of its computational kernel below. The tools
+   (explore, crash-sweep, check, batch) live in the hawkset CLI. *)
 
 module S = Machine.Sched
 
@@ -138,6 +142,11 @@ let ablation ~full =
   let ops = if full then 10_000 else 1_500 in
   print_string (Harness.Ablation.to_string (Harness.Ablation.run ~ops ()))
 
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 (* ---- CI perf smoke (the `perf-smoke` target) ----
    The timeline overhead gate: the instrumentation must add <= 2% to the
    4000-op pipeline. We compare recording *enabled* against disabled —
@@ -152,11 +161,6 @@ let ablation ~full =
    violation. *)
 
 let perf_smoke ~full =
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   let ops = if full then 100_000 else 4_000 in
   let trace = fast_fair_trace ops 42 in
   let timed_round enabled =
@@ -189,210 +193,13 @@ let perf_smoke ~full =
     exit 1
   end
 
-(* ---- schedule exploration (the `explore` target) ----
-   The interleaving-stability gate: a policy/seed sweep over three apps
-   must pass the oracle (no erroring schedule, every directly-observed
-   inconsistency already reported by the lockset analysis of that trace,
-   identical traces identical reports) and reproduce the Table 3 shape —
-   at least one injected bug that HawkSet reports in more schedules than
-   direct observation catches it. *)
+(* ---- job-level parallelism (the `batch-par` target) ----
+   The wall-clock contract of job-level width, gated: a batch of four
+   per-app chains at job_workers=4 must produce a merged report
+   byte-identical to the sequential walk in <= 0.6x its wall-clock
+   (median of three paired reps). *)
 
-let explore_smoke ~full =
-  let config =
-    {
-      Explore.default_config with
-      Explore.schedules = (if full then 32 else 12);
-      ops = (if full then 400 else 200);
-      jobs = 2;
-    }
-  in
-  let apps = [ "fast-fair"; "p-masstree"; "wipe" ] in
-  let ts = Harness.Explore_sweep.run ~config ~apps () in
-  print_string (Harness.Explore_sweep.to_string ts);
-  print_string (Harness.Explore_sweep.bug_table_string ts);
-  if not (Harness.Explore_sweep.stable ts) then begin
-    print_string (Harness.Explore_sweep.divergences_string ts);
-    failwith "explore: interleaving-stability oracle violated"
-  end;
-  let pmrace_misses =
-    List.exists
-      (fun (t : Explore.t) ->
-        List.exists
-          (fun (b : Explore.bug_hits) ->
-            b.Explore.b_hawkset > b.Explore.b_pmrace)
-          t.Explore.x_bug_hits)
-      ts
-  in
-  if not pmrace_misses then
-    failwith
-      "explore: expected at least one bug observed in fewer schedules than \
-       HawkSet reports it"
-
-(* ---- crash sweep (the `crash-sweep` target) ----
-   Runs the fault-injection sweep on the four bug-target apps named in the
-   acceptance criteria plus the pmlog control, hunting across a few seeds
-   until each target bug is manifested (damage at a crash point whose
-   prefix analysis reports that bug). Then demonstrates the degradation
-   contract: an exhausted event budget still returns a report. Exits
-   non-zero via assert on violation. *)
-
-let crash_sweep ~full =
-  let ops = if full then 1_200 else 400 in
-  let base = { Crashtest.default_config with Crashtest.c_ops = ops } in
-  (* (app, bug that must manifest); None = control, must stay clean. *)
-  let targets =
-    [ ("fast-fair", Some 1); ("turbo-hash", Some 3); ("p-clht", Some 4);
-      ("memcached-pmem", Some 12); ("pmlog", None) ]
-  in
-  let rows =
-    List.map
-      (fun (app, want) ->
-        let runner =
-          match Crashtest.runner_for app with
-          | Some r -> r
-          | None -> failwith (app ^ " has no crash-sweep runner")
-        in
-        let rec hunt = function
-          | [] -> Crashtest.run_sweep ~config:base runner
-          | seed :: rest -> (
-              let config = { base with Crashtest.c_seed = seed } in
-              let sweep = Crashtest.run_sweep ~config runner in
-              match want with
-              | Some id
-                when (not (List.mem id sweep.Crashtest.sw_manifested))
-                     && rest <> [] ->
-                  hunt rest
-              | Some _ | None -> sweep)
-        in
-        let sweep = hunt [ 42; 7; 1; 13; 99 ] in
-        ({ Harness.Crash_sweep.cs_runner = runner; cs_sweep = sweep }, want))
-      targets
-  in
-  print_string (Harness.Crash_sweep.to_string (List.map fst rows));
-  (* Acceptance: the injected bugs are manifested, the control is clean. *)
-  List.iter
-    (fun ((r : Harness.Crash_sweep.row), want) ->
-      let s = r.Harness.Crash_sweep.cs_sweep in
-      match want with
-      | Some id ->
-          if not (List.mem id s.Crashtest.sw_manifested) then
-            failwith
-              (Printf.sprintf "bug #%d did not manifest on %s" id
-                 s.Crashtest.sw_app)
-      | None ->
-          if s.Crashtest.sw_damaged <> 0 || s.Crashtest.sw_raised <> 0 then
-            failwith
-              (Printf.sprintf "control %s was damaged (%d) / raised (%d)"
-                 s.Crashtest.sw_app s.Crashtest.sw_damaged
-                 s.Crashtest.sw_raised))
-    rows;
-  (* Degradation demo: an exhausted event budget still yields a report,
-     flagged as truncated. *)
-  let trace = fast_fair_trace 4_000 42 in
-  let budget = Trace.Tracebuf.length trace / 2 in
-  let degraded =
-    Hawkset.Pipeline.run
-      ~config:
-        { Hawkset.Pipeline.default with Hawkset.Pipeline.event_budget = Some budget }
-      trace
-  in
-  assert (
-    List.exists
-      (fun (t : Hawkset.Pipeline.truncation) ->
-        t.Hawkset.Pipeline.trunc_stage = "collect"
-        && t.Hawkset.Pipeline.trunc_reason = "event_budget"
-        && t.Hawkset.Pipeline.trunc_done = budget)
-      degraded.Hawkset.Pipeline.truncated);
-  print_string (Harness.Tables.section "Degradation contract");
-  Printf.printf
-    "event budget %d/%d: report returned, truncated=[collect:event_budget]\n"
-    budget
-    (Trace.Tracebuf.length trace)
-
-(* ---- supervised batch (the `batch-smoke` target) ----
-   The durability contract, in-process: the same declared job set — with
-   every fault class injected — run (i) uninterrupted, (ii) killed after
-   two jobs and resumed from the journal. The merged reports must be
-   byte-identical and the degradation table must show each injected class
-   classified and bounded. *)
-
-let batch_smoke ~full =
-  let ops = if full then 1_200 else 300 in
-  let jobs =
-    match
-      Supervise.jobs_of
-        ~apps:[ "fast-fair"; "p-clht" ]
-        ~seeds:[ 42; 43 ] ~policies:[ "round-robin" ] ~ops
-    with
-    | Ok js -> js
-    | Error msg -> failwith msg
-  in
-  let fault j cls times = { Supervise.f_job = j; f_class = cls; f_times = times } in
-  let config =
-    {
-      Supervise.default_config with
-      Supervise.backoff_ms = 0;
-      faults =
-        [
-          fault 0 Supervise.Corrupt_trace 1;
-          fault 1 Supervise.Timeout 1;
-          fault 2 Supervise.Oom 1;
-          fault 3 Supervise.Worker_lost 99;
-        ];
-    }
-  in
-  let golden = Supervise.run ~config jobs in
-  let journal = Filename.temp_file "hawkset_batch" ".jnl" in
-  let killed =
-    Supervise.run ~journal
-      ~config:{ config with Supervise.stop_after = Some 2 }
-      jobs
-  in
-  assert killed.Supervise.b_interrupted;
-  let resumed = Supervise.run ~journal ~resume:true ~config jobs in
-  Sys.remove journal;
-  print_string (Harness.Batch.degradation_table resumed);
-  print_endline (Harness.Batch.summary_line resumed);
-  if Supervise.merged_json golden <> Supervise.merged_json resumed then
-    failwith "batch-smoke: resumed merged report differs from golden run";
-  assert (List.exists (fun jr -> jr.Supervise.jr_replayed) resumed.Supervise.b_results);
-  let status i (b : Supervise.batch) =
-    Supervise.status_string (List.nth b.Supervise.b_results i).Supervise.jr_status
-  in
-  assert (status 0 resumed = "ok-retried");
-  assert (status 1 resumed = "ok-retried");
-  assert (status 2 resumed = "ok-retried");
-  assert (status 3 resumed = "failed");
-  let counters = Supervise.counters resumed in
-  let c name = Option.value ~default:0 (List.assoc_opt name counters) in
-  assert (c "supervise.failures.corrupt_trace" = 1);
-  assert (c "supervise.failures.timeout" = 1);
-  assert (c "supervise.failures.oom" = 1);
-  (* The worker-lost job is bounded: exactly [attempts] tries, no more. *)
-  assert (c "supervise.failures.worker_lost" = config.Supervise.attempts);
-  Printf.printf
-    "batch-smoke: kill+resume merged report byte-identical (%d jobs, %d \
-     replayed)\n"
-    (List.length resumed.Supervise.b_results)
-    (c "supervise.replayed")
-
-(* ---- job-level parallelism + result cache (the `batch-par` target) ----
-   The two wall-clock contracts of the concurrency work, gated: a batch
-   of four per-app chains at job_workers=4 must produce a merged report
-   byte-identical to the sequential walk in <= 0.6x its wall-clock, and
-   a duplicate-heavy (round-robin) explore sweep with a result cache
-   must record hits while the stability oracle still passes and the
-   reports stay identical to the uncached run. Both sweeps also feed the
-   `json` target's BENCH_pipeline.json batch/cache sections. *)
-
-type batch_par_point = {
-  bp_jobs : int;
-  bp_seq_s : float;  (** Median job_workers=1 wall-clock. *)
-  bp_par_s : float;  (** Median job_workers=4 wall-clock. *)
-  bp_ratio : float;  (** Median per-rep par/seq ratio. *)
-}
-
-let batch_par_sweep ~full =
+let batch_par ~full =
   let ops = if full then 2_000 else 600 in
   (* Four apps, so job_workers=4 gets four per-app chains to spread. *)
   let jobs =
@@ -410,9 +217,8 @@ let batch_par_sweep ~full =
     let b = Supervise.run ~config jobs in
     (b, Unix.gettimeofday () -. t0)
   in
-  let reps = 3 in
   let samples =
-    Array.init reps (fun _ ->
+    Array.init 3 (fun _ ->
         let b1, t1 = time base in
         let b4, t4 = time { base with Supervise.job_workers = 4 } in
         if Supervise.merged_json b4 <> Supervise.merged_json b1 then
@@ -421,238 +227,53 @@ let batch_par_sweep ~full =
              job_workers=1";
         (t1, t4))
   in
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  {
-    bp_jobs = List.length jobs;
-    bp_seq_s = median (Array.map fst samples);
-    bp_par_s = median (Array.map snd samples);
-    bp_ratio = median (Array.map (fun (t1, t4) -> t4 /. t1) samples);
-  }
-
-type cache_point = {
-  cp_schedules : int;
-  cp_hits : int;
-  cp_misses : int;
-  cp_entries : int;
-  cp_bytes : int;
-}
-
-let explore_cache_sweep ~full =
-  let entry =
-    match Pmapps.Registry.find "fast-fair" with
-    | Some e -> e
-    | None -> failwith "fast-fair not registered"
-  in
-  (* Round-robin scheduling ignores the schedule seed, so every schedule
-     replays the same interleaving: the duplicate-heavy shape where the
-     cache pays. Any schedule past the first per worker must hit. *)
-  let config =
-    {
-      Explore.default_config with
-      Explore.schedules = (if full then 16 else 8);
-      policy = Explore.Round_robin;
-      ops = (if full then 400 else 200);
-      jobs = 2;
-    }
-  in
-  let plain = Explore.run ~config entry in
-  let cache = Hawkset.Result_cache.create () in
-  let cached =
-    Explore.run ~config:{ config with Explore.cache = Some cache } entry
-  in
-  if not (Explore.stable cached) then
-    failwith "batch-par: stability oracle violated with cache enabled";
-  let canon (t : Explore.t) =
-    List.map
-      (fun (r : Explore.schedule_result) ->
-        (r.Explore.s_index, r.Explore.s_canonical))
-      t.Explore.x_results
-  in
-  if canon cached <> canon plain then
-    failwith "batch-par: cached explore reports differ from uncached";
-  let stats = Hawkset.Result_cache.stats cache in
-  let stat name = Option.value ~default:0 (List.assoc_opt name stats) in
-  {
-    cp_schedules = config.Explore.schedules;
-    cp_hits = stat "cache.hits";
-    cp_misses = stat "cache.misses";
-    cp_entries = stat "cache.entries";
-    cp_bytes = stat "cache.bytes";
-  }
-
-let batch_par ~full =
-  let bp = batch_par_sweep ~full in
+  let seq_s = median (Array.map fst samples) in
+  let par_s = median (Array.map snd samples) in
+  let ratio = median (Array.map (fun (t1, t4) -> t4 /. t1) samples) in
   print_string (Harness.Tables.section "Batch job-workers (4 vs 1)");
   (* The speedup gate needs hardware that can actually run four chains
      at once; on fewer cores (dev containers are often 1-2) the byte
-     identity asserted inside the sweep is the whole contract and the
-     wall-clock ratio is reported without gating. *)
+     identity asserted above is the whole contract and the wall-clock
+     ratio is reported without gating. *)
   let cores = Domain.recommended_domain_count () in
   let gated = cores >= 4 in
   Printf.printf
     "%d jobs: job_workers=1 %.3fs, job_workers=4 %.3fs (median ratio %.2fx, \
      bound 0.60x%s); merged reports byte-identical\n"
-    bp.bp_jobs bp.bp_seq_s bp.bp_par_s bp.bp_ratio
+    (List.length jobs) seq_s par_s ratio
     (if gated then ""
      else Printf.sprintf " — not gated, %d core(s)" cores);
-  if gated && bp.bp_ratio > 0.6 then begin
+  if gated && ratio > 0.6 then begin
     Printf.eprintf
       "batch-par FAIL: job_workers=4 wall-clock %.3fs > 0.6x sequential \
        %.3fs\n"
-      bp.bp_par_s bp.bp_seq_s;
+      par_s seq_s;
     exit 1
-  end;
-  let cp = explore_cache_sweep ~full in
-  Printf.printf
-    "explore round-robin x%d with cache: hits=%d misses=%d entries=%d \
-     (oracle stable, reports identical to uncached)\n"
-    cp.cp_schedules cp.cp_hits cp.cp_misses cp.cp_entries;
-  if cp.cp_hits = 0 then begin
-    Printf.eprintf "batch-par FAIL: explore cache recorded no hits\n";
-    exit 1
-  end;
-  (bp, cp)
+  end
 
-(* ---- pipeline perf-trajectory emitter (BENCH_pipeline.json) ----
-   One instrumented fast-fair run per workload size: per-stage seconds,
-   peak live heap and the deterministic counter snapshot, machine-readable
-   so CI can archive the trajectory per commit, plus the job-level batch
-   and result-cache sections. *)
+let targets =
+  [ ("table1", table1); ("table2", table2); ("table3", table3);
+    ("table4", table4); ("figure6", figure6); ("ablation", ablation);
+    ("perf-smoke", perf_smoke); ("batch-par", batch_par);
+    ("micro", fun ~full:_ -> micro ()) ]
 
-let bench_json ?batch_cache ~full () =
-  let sizes = if full then [ 1_000; 10_000; 100_000 ] else [ 1_000; 4_000 ] in
-  let entry =
-    match Pmapps.Registry.find "fast-fair" with
-    | Some e -> e
-    | None -> failwith "fast-fair not registered"
-  in
-  let points =
-    List.map
-      (fun ops ->
-        let r = Harness.Stats.instrumented_run ~entry ~seed:42 ~ops () in
-        let m = r.Harness.Stats.manifest in
-        Obs.Json.obj
-          [
-            ("ops", Obs.Json.int ops);
-            ( "stages",
-              Obs.Json.obj
-                (List.map
-                   (fun (s : Obs.Manifest.stage) ->
-                     (s.Obs.Manifest.stage_name,
-                      Obs.Json.float s.Obs.Manifest.stage_seconds))
-                   m.Obs.Manifest.stages) );
-            ("peak_live_mb", Obs.Json.float r.Harness.Stats.peak_mb);
-            ("final_live_mb", Obs.Json.float r.Harness.Stats.final_live_mb);
-            ( "counters",
-              Obs.Json.obj
-                (List.map
-                   (fun (k, v) -> (k, Obs.Json.int v))
-                   m.Obs.Manifest.counters) );
-          ])
-      sizes
-  in
-  let bp, cp =
-    match batch_cache with
-    | Some bc -> bc
-    | None -> (batch_par_sweep ~full, explore_cache_sweep ~full)
-  in
-  let doc =
-    Obs.Json.obj
-      [
-        ("schema", Obs.Json.str "hawkset.bench_pipeline/5");
-        ("app", Obs.Json.str "fast-fair");
-        ("seed", Obs.Json.int 42);
-        ("points", Obs.Json.arr points);
-        ( "batch",
-          Obs.Json.obj
-            [
-              ("jobs", Obs.Json.int bp.bp_jobs);
-              ("job_workers_1_s", Obs.Json.float bp.bp_seq_s);
-              ("job_workers_4_s", Obs.Json.float bp.bp_par_s);
-              ("ratio", Obs.Json.float bp.bp_ratio);
-            ] );
-        ( "cache",
-          Obs.Json.obj
-            [
-              ("schedules", Obs.Json.int cp.cp_schedules);
-              ("hits", Obs.Json.int cp.cp_hits);
-              ("misses", Obs.Json.int cp.cp_misses);
-              ("entries", Obs.Json.int cp.cp_entries);
-              ("bytes", Obs.Json.int cp.cp_bytes);
-            ] );
-      ]
-  in
-  let file = "BENCH_pipeline.json" in
-  let oc = open_out file in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d points)\n" file (List.length points)
-
-(* ---- conformance fuzz (the `check` target) ----
-   A bounded differential-fuzzing pass: production pipeline vs the
-   executable specification across the config matrix, with throughput
-   reported. Exits non-zero on any divergence — the same gate CI runs
-   through `hawkset check`, here sized for the bench driver. *)
-
-let check_smoke ~full =
-  let traces = if full then 5_000 else 500 in
-  let t0 = Unix.gettimeofday () in
-  let r = Check.Conformance.fuzz ~traces ~max_events:64 ~seed:42 () in
-  let dt = Unix.gettimeofday () -. t0 in
-  print_string (Harness.Tables.section "Conformance fuzz");
-  Printf.printf
-    "%d traces (%d events), %d comparisons in %.1fs (%.0f traces/s): %d \
-     divergent\n"
-    r.Check.Conformance.fz_traces r.Check.Conformance.fz_events
-    r.Check.Conformance.fz_comparisons dt
-    (float_of_int r.Check.Conformance.fz_traces /. dt)
-    (List.length r.Check.Conformance.fz_failures);
-  match r.Check.Conformance.fz_failures with
-  | [] -> ()
-  | (seed, _, d) :: _ ->
-      Printf.eprintf "check FAIL: seed %d diverged on %s\n" seed
-        d.Check.Conformance.d_variant;
-      exit 1
+(* The paper's artifacts and [micro] run when no target is named;
+   `perf-smoke` and `batch-par` are opt-in CI gates. *)
+let default_targets =
+  [ "table1"; "table2"; "table3"; "table4"; "figure6"; "ablation"; "micro" ]
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "full" args || List.mem "--full" args in
-  let wants name = List.mem name args in
-  let any =
-    List.exists wants
-      [ "table1"; "table2"; "table3"; "table4"; "figure6"; "ablation";
-        "micro"; "json"; "--json"; "crash-sweep"; "perf-smoke";
-        "explore"; "batch-smoke"; "batch-par"; "check" ]
-  in
-  let run name f = if (not any) || wants name then f ~full in
-  run "table1" table1;
-  run "table2" table2;
-  run "table3" table3;
-  run "table4" table4;
-  run "figure6" figure6;
-  run "ablation" ablation;
-  (* `crash-sweep` is opt-in only: it executes hundreds of cut runs. *)
-  if wants "crash-sweep" then crash_sweep ~full;
-  (* `explore` is opt-in only: it runs the full pipeline once per
-     schedule. *)
-  if wants "explore" then explore_smoke ~full;
-  (* `perf-smoke` is opt-in only: the CI regression gate. *)
-  if wants "perf-smoke" then perf_smoke ~full;
-  (* `check` is opt-in only: it runs the full config matrix per trace. *)
-  if wants "check" then check_smoke ~full;
-  (* `batch-smoke` is opt-in only: it runs the pipeline once per job,
-     twice over (golden + kill/resume). *)
-  if wants "batch-smoke" then batch_smoke ~full;
-  (* `batch-par` is opt-in only: it times the same batch six times over
-     (3 reps x 2 widths) plus two explore sweeps. When `json` also runs,
-     its measurements are reused for the batch/cache sections. *)
-  let batch_cache = if wants "batch-par" then Some (batch_par ~full) else None in
-  (* `json` (or `--json`) is opt-in only: it is not part of the default
-     everything-run because it re-executes instrumented workloads. *)
-  if wants "json" || wants "--json" then bench_json ?batch_cache ~full ();
-  if (not any) || wants "micro" then micro ()
+  let named = List.filter (fun a -> a <> "full" && a <> "--full") args in
+  match List.filter (fun a -> not (List.mem_assoc a targets)) named with
+  | _ :: _ as unknown ->
+      Printf.eprintf "bench: unknown target %s (targets: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst targets));
+      exit 2
+  | [] ->
+      let wanted = if named = [] then default_targets else named in
+      List.iter
+        (fun (name, f) -> if List.mem name wanted then f ~full)
+        targets

@@ -11,8 +11,8 @@
      analyze      analyse a saved trace offline
      explore      sweep schedules and check the interleaving-stability oracle
      crash-sweep  cut applications at fences and check recovery
-     table2/table3/table4/figure6/ablation
-                  regenerate the paper's tables and figures
+
+   The paper's tables and figures are regenerated by bench/main.exe.
 
    Exit codes (documented in the README): 0 success; 1 usage error or
    oracle violation; 2 damaged input trace; 3 degraded results (truncated
@@ -21,16 +21,14 @@
 
 open Cmdliner
 
-(* Trace files come from outside the process; a truncated or corrupted one
-   must produce a one-line diagnostic and exit 2, not a backtrace. The
-   exception carries the file so the top-level handler can say which input
-   was bad ({!Trace.Trace_io.Parse_error} only knows the line). *)
-exception Trace_error of string * int * string
+(* A run manifest lists every registered counter. PMRace's counters are
+   registered when Baselines.Pmrace initialises, and no subcommand calls
+   it, so link it explicitly: every manifest keeps the same counter set. *)
+let () = ignore Baselines.Pmrace.observed
 
-let load_trace file =
-  try Trace.Trace_io.load file
-  with Trace.Trace_io.Parse_error (line, msg) ->
-    raise (Trace_error (file, line, msg))
+(* A usage error: one diagnostic line on stderr, exit 1. *)
+let usage_error fmt =
+  Format.kasprintf (fun msg -> Format.eprintf "%s@." msg; exit 1) fmt
 
 let app_arg =
   let doc =
@@ -43,13 +41,6 @@ let app_arg =
     & opt (some string) None
     & info [ "a"; "app" ] ~docv:"APP" ~doc)
 
-let entry_of app =
-  match Pmapps.Registry.find app with
-  | Some entry -> entry
-  | None ->
-      Format.eprintf "unknown application %S (try list-apps)@." app;
-      exit 1
-
 let ops_arg default =
   Arg.(
     value & opt int default
@@ -58,6 +49,21 @@ let ops_arg default =
 let seed_arg =
   Arg.(
     value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
+
+(* One application's workload: the entry (an unknown name exits 1), its
+   op count clamped to what the application supports, and the seed. *)
+let workload_term =
+  let resolve app ops seed =
+    match Pmapps.Registry.find app with
+    | Some entry -> (entry, Pmapps.Registry.clamp_ops entry ops, seed)
+    | None -> usage_error "unknown application %S (try list-apps)" app
+  in
+  Term.(const resolve $ app_arg $ ops_arg 1000 $ seed_arg)
+
+(* Repeatable [-a] for the sweeping subcommands; none means their
+   default application set. *)
+let apps_arg doc =
+  Arg.(value & opt_all string [] & info [ "a"; "app" ] ~docv:"APP" ~doc)
 
 let detector_arg =
   let det =
@@ -86,6 +92,12 @@ let eadr_arg =
         ~doc:
           "Analyse assuming eADR hardware (persistent cache, \u{00a7}2.1): \
            the visible-but-not-durable window cannot exist.")
+
+let analysis_config_term =
+  Term.(
+    const (fun no_irh eadr ->
+        { Hawkset.Pipeline.default with irh = not no_irh; eadr })
+    $ no_irh_arg $ eadr_arg)
 
 let event_budget_arg =
   Arg.(
@@ -118,11 +130,11 @@ let check_truncated ~allow truncated =
           t.Hawkset.Pipeline.trunc_stage t.Hawkset.Pipeline.trunc_reason
           t.Hawkset.Pipeline.trunc_done t.Hawkset.Pipeline.trunc_total)
       truncated;
+    let n = List.length truncated in
     Format.eprintf
       "hawkset: analysis truncated (%d record%s); pass --allow-truncated to \
        accept partial results@."
-      (List.length truncated)
-      (if List.length truncated = 1 then "" else "s");
+      n (if n = 1 then "" else "s");
     exit 3
   end
 
@@ -172,13 +184,11 @@ let log_level_arg =
 
 let setup_logging verbose log_level =
   let level =
-    match log_level with
-    | Some l -> l
-    | None -> (
-        match List.length verbose with
-        | 0 -> Obs.Logger.Quiet
-        | 1 -> Obs.Logger.Info
-        | _ -> Obs.Logger.Debug)
+    match (log_level, List.length verbose) with
+    | Some l, _ -> l
+    | None, 0 -> Obs.Logger.Quiet
+    | None, 1 -> Obs.Logger.Info
+    | None, _ -> Obs.Logger.Debug
   in
   Obs.Logger.set_level level;
   Obs.Logger.set_sink Obs.Logger.stderr_sink
@@ -197,26 +207,56 @@ let trace_out_arg =
            and crash points. Off by default — \
            recording costs nothing when this flag is absent.")
 
-(* Timeline capture brackets a whole subcommand: cleared and enabled up
-   front (only when requested), drained into the trace file and into
-   gauge-quarantined per-stage duration stats at the end. *)
-let start_timeline trace_out =
-  if trace_out <> None then begin
-    Obs.Timeline.reset ();
-    Obs.Timeline.set_enabled true
-  end
+(* The observability flags, evaluated as one term. Timeline capture
+   brackets a whole subcommand, so evaluating the term (before the
+   subcommand body runs) clears and enables it when requested; [emit]
+   drains it at the end. Subcommands without a timeline take
+   [stats_term]. *)
+type obs = {
+  stats : bool;
+  stats_json : string option;
+  trace_out : string option;
+}
 
-let finish_timeline trace_out manifest =
-  match trace_out with
-  | None -> manifest
-  | Some file -> (
-      Obs.Timeline.set_enabled false;
-      try
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Obs.Timeline.to_chrome_json ()));
-        Format.printf "wrote timeline trace to %s@." file;
+let stats_term =
+  Term.(
+    const (fun stats stats_json -> { stats; stats_json; trace_out = None })
+    $ stats_arg $ stats_json_arg)
+
+let obs_term =
+  let with_timeline obs trace_out =
+    if trace_out <> None then begin
+      Obs.Timeline.reset ();
+      Obs.Timeline.set_enabled true
+    end;
+    { obs with trace_out }
+  in
+  Term.(const with_timeline $ stats_term $ trace_out_arg)
+
+(* Write an output file with [save] and announce it on stdout; a write
+   error is a one-line diagnostic and exit 1. *)
+let write_file ~what file save =
+  try
+    save file;
+    Format.printf "wrote %s to %s@." what file
+  with Sys_error msg ->
+    Format.eprintf "cannot write %s: %s@." what msg;
+    exit 1
+
+let save_text contents file =
+  Out_channel.with_open_text file (fun oc -> output_string oc contents)
+
+(* Write the timeline trace (folding its per-stage duration stats into
+   the manifest's gauges), then print the stats block and save the
+   manifest, as the flags ask. *)
+let emit obs manifest =
+  let manifest =
+    match obs.trace_out with
+    | None -> manifest
+    | Some file ->
+        Obs.Timeline.set_enabled false;
+        write_file ~what:"timeline trace" file
+          (save_text (Obs.Timeline.to_chrome_json ()));
         {
           manifest with
           Obs.Manifest.gauges =
@@ -224,21 +264,12 @@ let finish_timeline trace_out manifest =
               (fun (a, _) (b, _) -> String.compare a b)
               (manifest.Obs.Manifest.gauges @ Obs.Timeline.duration_gauges ());
         }
-      with Sys_error msg ->
-        Format.eprintf "cannot write timeline trace: %s@." msg;
-        exit 1)
-
-let emit_stats ~stats ~stats_json manifest =
-  if stats then print_string (Harness.Stats.render manifest);
-  match stats_json with
-  | Some file -> (
-      try
-        Obs.Manifest.save file manifest;
-        Format.printf "wrote run manifest to %s@." file
-      with Sys_error msg ->
-        Format.eprintf "cannot write run manifest: %s@." msg;
-        exit 1)
-  | None -> ()
+  in
+  if obs.stats then print_string (Harness.Stats.render manifest);
+  Option.iter
+    (fun file ->
+      write_file ~what:"run manifest" file (fun f -> Obs.Manifest.save f manifest))
+    obs.stats_json
 
 (* The memory gauges every detector run reports next to its counters. *)
 let live_gauges peak_mb =
@@ -247,109 +278,94 @@ let live_gauges peak_mb =
     ("final_live_mb", Harness.Metrics.final_live_mb ());
   ]
 
-let classify_races entry races =
-  List.iter
-    (fun race ->
-      let cls =
-        Pmapps.Ground_truth.classify ~bugs:entry.Pmapps.Registry.bugs
-          ~benign:entry.Pmapps.Registry.benign race
-      in
-      Format.printf "[%a] %a@.@." Pmapps.Ground_truth.pp_classification cls
-        Hawkset.Report.pp_race race)
-    (Hawkset.Report.sorted races)
+(* One measured run: [f] on a freshly reset global registry under the
+   peak-heap sampler; the manifest snapshots the registry plus the
+   memory gauges. *)
+let measured ~labels f =
+  Obs.Registry.reset Obs.Registry.global;
+  let r, peak_mb = Harness.Metrics.with_live_mb f in
+  ( r,
+    Obs.Manifest.of_registry ~labels ~extra_gauges:(live_gauges peak_mb)
+      Obs.Registry.global )
 
 let run_cmd =
-  let run () app ops seed detector no_irh eadr json stats stats_json
-      trace_out event_budget allow_truncated =
-    let entry = entry_of app in
-    start_timeline trace_out;
-    let ops = Pmapps.Registry.clamp_ops entry ops in
+  let run () (entry, ops, seed) detector config json obs event_budget
+      allow_truncated =
     let labels detector =
       Harness.Stats.base_labels ~app:entry.Pmapps.Registry.reg_name
         ~detector ~seed ~ops
     in
-    match detector with
-    | `Pmrace ->
-        (* Observation-based detection needs delay injection and the
-           runtime monitor; reports are direct observations. *)
-        Obs.Registry.reset Obs.Registry.global;
-        let report, peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
-              Obs.Registry.with_span "run" (fun () ->
-                  Obs.Registry.with_span "execute" (fun () ->
-                      entry.Pmapps.Registry.run ~seed
-                        ~policy:
-                          (Machine.Sched.Delay_injection
-                             { probability = 0.05; duration = 40 })
-                        ~observe:true ~ops ())))
-        in
-        Format.printf "%d directly-observed inconsistencies:@."
-          (List.length report.Machine.Sched.observations);
+    let print_races (report : Machine.Sched.report) races =
+      if json then print_endline (Hawkset.Report.to_json races)
+      else begin
+        Format.printf "trace: %d events; %d race reports@.@."
+          (Trace.Tracebuf.length report.Machine.Sched.trace)
+          (Hawkset.Report.count races);
         List.iter
-          (fun (o : Machine.Sched.observation) ->
-            Format.printf "  store %a / load %a@." Trace.Site.pp
-              o.Machine.Sched.obs_store_site Trace.Site.pp
-              o.Machine.Sched.obs_load_site)
-          report.Machine.Sched.observations;
-        emit_stats ~stats ~stats_json
-          (finish_timeline trace_out
-             (Obs.Manifest.of_registry ~labels:(labels "pmrace")
-                ~extra_gauges:(live_gauges peak_mb)
-                Obs.Registry.global))
-    | `Hawkset ->
-        let config =
-          { Hawkset.Pipeline.default with irh = not no_irh; eadr;
-            event_budget }
-        in
-        let r = Harness.Stats.instrumented_run ~config ~entry ~seed ~ops () in
-        let races = r.Harness.Stats.pipeline.Hawkset.Pipeline.races in
-        if json then print_endline (Hawkset.Report.to_json races)
-        else begin
-          Format.printf "trace: %d events; %d race reports@.@."
-            (Trace.Tracebuf.length
-               r.Harness.Stats.sched_report.Machine.Sched.trace)
-            (Hawkset.Report.count races);
-          classify_races entry races
-        end;
-        emit_stats ~stats ~stats_json
-          (finish_timeline trace_out r.Harness.Stats.manifest);
-        check_truncated ~allow:allow_truncated
-          r.Harness.Stats.pipeline.Hawkset.Pipeline.truncated
-    | `Eraser ->
-        Obs.Registry.reset Obs.Registry.global;
-        let (report, races), peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
-              Obs.Registry.with_span "run" (fun () ->
-                  let report =
+          (fun race ->
+            Format.printf "[%a] %a@.@." Pmapps.Ground_truth.pp_classification
+              (Pmapps.Ground_truth.classify ~bugs:entry.Pmapps.Registry.bugs
+                 ~benign:entry.Pmapps.Registry.benign race)
+              Hawkset.Report.pp_race race)
+          (Hawkset.Report.sorted races)
+      end
+    in
+    let manifest, truncated =
+      match detector with
+      | `Pmrace ->
+          (* Observation-based detection needs delay injection and the
+             runtime monitor; reports are direct observations. *)
+          let report, manifest =
+            measured ~labels:(labels "pmrace") (fun () ->
+                Obs.Registry.with_span "run" (fun () ->
                     Obs.Registry.with_span "execute" (fun () ->
-                        entry.Pmapps.Registry.run ~seed ~ops ())
-                  in
-                  let races =
-                    Obs.Registry.with_span "analyse" (fun () ->
-                        Baselines.Eraser.analyse
-                          report.Machine.Sched.trace)
-                  in
-                  (report, races)))
-        in
-        if json then print_endline (Hawkset.Report.to_json races)
-        else begin
-          Format.printf "trace: %d events; %d race reports@.@."
-            (Trace.Tracebuf.length report.Machine.Sched.trace)
-            (Hawkset.Report.count races);
-          classify_races entry races
-        end;
-        emit_stats ~stats ~stats_json
-          (finish_timeline trace_out
-             (Obs.Manifest.of_registry ~labels:(labels "eraser")
-                ~extra_gauges:(live_gauges peak_mb)
-                Obs.Registry.global))
+                        entry.Pmapps.Registry.run ~seed
+                          ~policy:
+                            (Machine.Sched.Delay_injection
+                               { probability = 0.05; duration = 40 })
+                          ~observe:true ~ops ())))
+          in
+          Format.printf "%d directly-observed inconsistencies:@."
+            (List.length report.Machine.Sched.observations);
+          List.iter
+            (fun (o : Machine.Sched.observation) ->
+              Format.printf "  store %a / load %a@." Trace.Site.pp
+                o.Machine.Sched.obs_store_site Trace.Site.pp
+                o.Machine.Sched.obs_load_site)
+            report.Machine.Sched.observations;
+          (manifest, [])
+      | `Hawkset ->
+          let config = { config with Hawkset.Pipeline.event_budget } in
+          let r = Harness.Stats.instrumented_run ~config ~entry ~seed ~ops () in
+          let pipeline = r.Harness.Stats.pipeline in
+          print_races r.Harness.Stats.sched_report
+            pipeline.Hawkset.Pipeline.races;
+          (r.Harness.Stats.manifest, pipeline.Hawkset.Pipeline.truncated)
+      | `Eraser ->
+          let (report, races), manifest =
+            measured ~labels:(labels "eraser") (fun () ->
+                Obs.Registry.with_span "run" (fun () ->
+                    let report =
+                      Obs.Registry.with_span "execute" (fun () ->
+                          entry.Pmapps.Registry.run ~seed ~ops ())
+                    in
+                    let races =
+                      Obs.Registry.with_span "analyse" (fun () ->
+                          Baselines.Eraser.analyse report.Machine.Sched.trace)
+                    in
+                    (report, races)))
+          in
+          print_races report races;
+          (manifest, [])
+    in
+    emit obs manifest;
+    check_truncated ~allow:allow_truncated truncated
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application under a detector.")
-    Term.(const run $ logging_term $ app_arg $ ops_arg 1000 $ seed_arg
-          $ detector_arg $ no_irh_arg $ eadr_arg $ json_arg
-          $ stats_arg $ stats_json_arg $ trace_out_arg $ event_budget_arg
-          $ allow_truncated_arg)
+    Term.(const run $ logging_term $ workload_term $ detector_arg
+          $ analysis_config_term $ json_arg $ obs_term
+          $ event_budget_arg $ allow_truncated_arg)
 
 let list_cmd =
   let list () =
@@ -373,9 +389,7 @@ let list_cmd =
     Term.(const list $ const ())
 
 let trace_cmd =
-  let go app ops seed out =
-    let entry = entry_of app in
-    let ops = Pmapps.Registry.clamp_ops entry ops in
+  let go (entry, ops, seed) out =
     let report = entry.Pmapps.Registry.run ~seed ~ops () in
     Trace.Trace_io.save out report.Machine.Sched.trace;
     Format.printf "wrote %d events to %s@."
@@ -391,14 +405,20 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run an application and save its event trace for offline analysis.")
-    Term.(const go $ app_arg $ ops_arg 1000 $ seed_arg $ out)
+    Term.(const go $ workload_term $ out)
 
 let analyze_cmd =
-  let go () file tolerant no_irh eadr eraser json stats stats_json
-      trace_out event_budget allow_truncated =
-    start_timeline trace_out;
+  let go () file tolerant config eraser json obs event_budget
+      allow_truncated =
     let trace =
-      if not tolerant then load_trace file
+      if not tolerant then
+        (* Trace files come from outside the process; a truncated or
+           corrupted one is a one-line diagnostic naming the file and
+           exit 2, not a backtrace. *)
+        try Trace.Trace_io.load file
+        with Trace.Trace_io.Parse_error (line, msg) ->
+          Format.eprintf "hawkset: %s:%d: %s@." file line msg;
+          exit 2
       else begin
         let t = Trace.Trace_io.load_tolerant file in
         Format.eprintf "%s: salvaged %d events (%d lines dropped%s; checksum %s)@."
@@ -419,29 +439,20 @@ let analyze_cmd =
         ("events", string_of_int (Trace.Tracebuf.length trace)) ]
     in
     let races, manifest, truncated =
-      if eraser then begin
-        Obs.Registry.reset Obs.Registry.global;
-        let races, peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
+      if eraser then
+        let races, manifest =
+          measured ~labels:(labels "eraser") (fun () ->
               Obs.Registry.with_span "analyse" (fun () ->
                   Baselines.Eraser.analyse trace))
         in
-        ( races,
-          Obs.Manifest.of_registry ~labels:(labels "eraser")
-            ~extra_gauges:(live_gauges peak_mb)
-            Obs.Registry.global,
-          [] )
-      end
+        (races, manifest, [])
       else
-        let config =
-          { Hawkset.Pipeline.default with irh = not no_irh; eadr;
-            event_budget }
-        in
+        let config = { config with Hawkset.Pipeline.event_budget } in
         let res, peak_mb =
           Harness.Metrics.with_live_mb (fun () ->
               Hawkset.Pipeline.run ~config trace)
         in
-        if stats then
+        if obs.stats then
           Format.printf "collector: %a@.@." Hawkset.Collector.pp_stats
             res.Hawkset.Pipeline.collector_stats;
         ( res.Hawkset.Pipeline.races,
@@ -458,7 +469,7 @@ let analyze_cmd =
         (Trace.Tracebuf.stats trace);
       Format.printf "%a@." Hawkset.Report.pp races
     end;
-    emit_stats ~stats ~stats_json (finish_timeline trace_out manifest);
+    emit obs manifest;
     check_truncated ~allow:allow_truncated truncated
   in
   let file =
@@ -486,18 +497,13 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Analyse a saved trace — the application-agnostic offline workflow:           the analyser knows nothing about what produced the events.")
-    Term.(const go $ logging_term $ file $ tolerant $ no_irh_arg $ eadr_arg
-          $ eraser $ json_arg $ stats_arg $ stats_json_arg
-          $ trace_out_arg $ event_budget_arg $ allow_truncated_arg)
+    Term.(const go $ logging_term $ file $ tolerant $ analysis_config_term
+          $ eraser $ json_arg $ obs_term $ event_budget_arg
+          $ allow_truncated_arg)
 
 let explain_cmd =
-  let go () app ops seed no_irh eadr json =
-    let entry = entry_of app in
-    let ops = Pmapps.Registry.clamp_ops entry ops in
+  let go () (entry, ops, seed) config json =
     let report = entry.Pmapps.Registry.run ~seed ~ops () in
-    let config =
-      { Hawkset.Pipeline.default with irh = not no_irh; eadr }
-    in
     let races =
       Hawkset.Pipeline.races ~config report.Machine.Sched.trace
     in
@@ -522,8 +528,8 @@ let explain_cmd =
           witnessing store/load sites with their locksets (store, \
           effective, load) and vector clocks (store, window end, load) — \
           the exact evidence the analysis used to flag the pair.")
-    Term.(const go $ logging_term $ app_arg $ ops_arg 1000 $ seed_arg
-          $ no_irh_arg $ eadr_arg $ json_arg)
+    Term.(const go $ logging_term $ workload_term $ analysis_config_term
+          $ json_arg)
 
 let bugs_cmd =
   let go () =
@@ -546,57 +552,9 @@ let bugs_cmd =
        ~doc:"Print the ground-truth bug registry (the Table 2 rows).")
     Term.(const go $ const ())
 
-let table2_cmd =
-  let go small =
-    let sizes = if small then [ 1000; 6000 ] else [ 1000; 10_000; 100_000 ] in
-    print_string (Harness.Table2.to_string (Harness.Table2.run ~sizes ()))
-  in
-  let small =
-    Arg.(value & flag & info [ "small" ] ~doc:"Scaled-down workloads.")
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2.") Term.(const go $ small)
-
-let table3_cmd =
-  let go seeds executions =
-    print_string
-      (Harness.Table3.to_string
-         (Harness.Table3.run ~seeds ~pmrace_executions:executions ()))
-  in
-  let seeds =
-    Arg.(value & opt int 24 & info [ "seeds" ] ~doc:"Seed workloads (paper: 240).")
-  in
-  let executions =
-    Arg.(
-      value & opt int 12
-      & info [ "pmrace-executions" ]
-          ~doc:"Fuzzing executions per seed for the PMRace baseline.")
-  in
-  Cmd.v (Cmd.info "table3" ~doc:"Regenerate Table 3.")
-    Term.(const go $ seeds $ executions)
-
-let table4_cmd =
-  let go ops =
-    print_string (Harness.Table4.to_string (Harness.Table4.run ~ops ()))
-  in
-  Cmd.v (Cmd.info "table4" ~doc:"Regenerate Table 4.")
-    Term.(const go $ ops_arg 2000)
-
-let figure6_cmd =
-  let go small =
-    let sizes = if small then [ 250; 1000; 4000 ] else [ 1000; 10_000; 100_000 ] in
-    let r = Harness.Figure6.run ~sizes () in
-    print_string (Harness.Figure6.to_string r)
-  in
-  let small =
-    Arg.(value & flag & info [ "small" ] ~doc:"Scaled-down workloads.")
-  in
-  Cmd.v (Cmd.info "figure6" ~doc:"Regenerate Figure 6's series.")
-    Term.(const go $ small)
-
 let crash_sweep_cmd =
   let go () apps seed ops threads stride max_points no_fences no_attribute
-      verify_budget dump_traces details stats stats_json trace_out =
-    start_timeline trace_out;
+      verify_budget dump_traces details obs =
     let config =
       {
         Crashtest.c_seed = seed;
@@ -611,25 +569,19 @@ let crash_sweep_cmd =
       }
     in
     let rows = Harness.Crash_sweep.run ~config ~apps () in
-    if rows = [] then begin
-      Format.eprintf "no crash-sweep runner matched (try list-apps)@.";
-      exit 1
-    end;
+    if rows = [] then
+      usage_error "no crash-sweep runner matched (try list-apps)";
     print_string (Harness.Crash_sweep.to_string rows);
     if details then
       List.iter
         (fun row -> print_string (Harness.Crash_sweep.details_string row))
         rows;
-    emit_stats ~stats ~stats_json
-      (finish_timeline trace_out (Harness.Crash_sweep.manifest_of_sweeps rows))
+    emit obs (Harness.Crash_sweep.manifest_of_sweeps rows)
   in
   let apps =
-    Arg.(
-      value & opt_all string []
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:
-            "Application to sweep (repeatable). Default: every application \
-             with a recovery entry point (all but Apex).")
+    apps_arg
+      "Application to sweep (repeatable). Default: every application with \
+       a recovery entry point (all but Apex)."
   in
   let threads =
     Arg.(
@@ -693,8 +645,7 @@ let crash_sweep_cmd =
           what acknowledged work survived.")
     Term.(const go $ logging_term $ apps $ seed_arg $ ops_arg 400 $ threads
           $ stride $ max_points $ no_fences $ no_attribute $ verify_budget
-          $ dump_traces $ details $ stats_arg $ stats_json_arg
-          $ trace_out_arg)
+          $ dump_traces $ details $ obs_term)
 
 (* Load-or-create the persistent result cache, hand it to [f], then save
    it back and print one grep-friendly summary line (the CI cache smoke
@@ -732,46 +683,31 @@ let cache_arg cmd =
 
 let explore_cmd =
   let go () apps schedules policy depth jobs seed ops trace_out cache_file
-      stats stats_json =
+      obs =
     let policy =
       match Explore.policy_kind_of_string policy with
       | Ok p -> p
-      | Error msg ->
-          Format.eprintf "explore: %s@." msg;
-          exit 1
+      | Error msg -> usage_error "explore: %s" msg
     in
     let ts =
       with_result_cache cache_file (fun cache ->
           let config =
-            {
-              Explore.schedules;
-              policy;
-              depth;
-              jobs;
-              seed;
-              ops;
-              dump_dir = trace_out;
-              cache;
-            }
+            { Explore.schedules; policy; depth; jobs; seed; ops;
+              dump_dir = trace_out; cache }
           in
           Harness.Explore_sweep.run ~config ~apps ())
     in
-    if ts = [] then begin
-      Format.eprintf "explore: no application matched (try list-apps)@.";
-      exit 1
-    end;
+    if ts = [] then
+      usage_error "explore: no application matched (try list-apps)";
     print_string (Harness.Explore_sweep.to_string ts);
     print_string (Harness.Explore_sweep.bug_table_string ts);
     let diverged = Harness.Explore_sweep.divergences_string ts in
     if diverged <> "" then print_string diverged;
-    emit_stats ~stats ~stats_json (Harness.Explore_sweep.manifest ts);
+    emit obs (Harness.Explore_sweep.manifest ts);
     if not (Harness.Explore_sweep.stable ts) then exit 1
   in
   let apps =
-    Arg.(
-      value & opt_all string []
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:"Application to explore (repeatable). Default: all of them.")
+    apps_arg "Application to explore (repeatable). Default: all of them."
   in
   let schedules =
     Arg.(
@@ -821,17 +757,14 @@ let explore_cmd =
           identical reports. Exits 1 on any violation.")
     Term.(const go $ logging_term $ apps $ schedules $ policy $ depth $ jobs
           $ seed_arg $ ops_arg Explore.default_config.Explore.ops
-          $ explore_trace_out $ cache_arg "Exploration" $ stats_arg
-          $ stats_json_arg)
+          $ explore_trace_out $ cache_arg "Exploration" $ stats_term)
 
 let batch_cmd =
   let go () apps seed nseeds policies ops job_workers attempts backoff_ms
       breaker deadline_s max_heap_mb faults journal resume kill_after
-      cache_file out json stats stats_json =
-    if resume && journal = None then begin
-      Format.eprintf "batch: --resume needs --journal FILE@.";
-      exit 1
-    end;
+      cache_file out json obs =
+    if resume && journal = None then
+      usage_error "batch: --resume needs --journal FILE";
     let apps =
       if apps <> [] then apps
       else List.map (fun e -> e.Pmapps.Registry.reg_name) Pmapps.Registry.all
@@ -843,9 +776,7 @@ let batch_cmd =
         (fun s ->
           match Supervise.fault_of_string s with
           | Ok f -> f
-          | Error msg ->
-              Format.eprintf "batch: %s@." msg;
-              exit 1)
+          | Error msg -> usage_error "batch: %s" msg)
         faults
     in
     let config =
@@ -862,9 +793,7 @@ let batch_cmd =
       }
     in
     match Supervise.jobs_of ~apps ~seeds ~policies ~ops with
-    | Error msg ->
-        Format.eprintf "batch: %s@." msg;
-        exit 1
+    | Error msg -> usage_error "batch: %s" msg
     | Ok declared -> (
         Obs.Registry.reset Obs.Registry.global;
         let b =
@@ -873,37 +802,25 @@ let batch_cmd =
                 Supervise.run ?journal ~resume ?cache ~config declared)
           with
           | Supervise.Resume_mismatch { expected; found } ->
-              Format.eprintf
+              usage_error
                 "batch: journal records a different batch declaration \
                  (journal %s, declared %s); rerun without --resume to start \
-                 over@."
+                 over"
                 (Option.value found ~default:"<no batch record>")
-                expected;
-              exit 1
-          | Invalid_argument msg ->
-              Format.eprintf "batch: %s@." msg;
-              exit 1
+                expected
+          | Invalid_argument msg -> usage_error "batch: %s" msg
         in
-        (match out with
-        | Some file -> (
-            try
-              let oc = open_out file in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () ->
-                  output_string oc (Supervise.merged_json b);
-                  output_char oc '\n');
-              Format.printf "wrote merged batch report to %s@." file
-            with Sys_error msg ->
-              Format.eprintf "cannot write merged batch report: %s@." msg;
-              exit 1)
-        | None -> ());
+        Option.iter
+          (fun file ->
+            write_file ~what:"merged batch report" file
+              (save_text (Supervise.merged_json b ^ "\n")))
+          out;
         if json then print_endline (Supervise.merged_json b)
         else begin
           print_string (Harness.Batch.degradation_table b);
           print_endline (Harness.Batch.summary_line b)
         end;
-        emit_stats ~stats ~stats_json (Supervise.manifest b);
+        emit obs (Supervise.manifest b);
         if b.Supervise.b_interrupted then begin
           Format.eprintf
             "batch: stopped by --kill-after with jobs remaining; resume with \
@@ -914,10 +831,7 @@ let batch_cmd =
         if Harness.Batch.failed b then exit 3)
   in
   let apps =
-    Arg.(
-      value & opt_all string []
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:"Application to include (repeatable). Default: all of them.")
+    apps_arg "Application to include (repeatable). Default: all of them."
   in
   let nseeds =
     Arg.(
@@ -1041,16 +955,7 @@ let batch_cmd =
     Term.(const go $ logging_term $ apps $ seed_arg $ nseeds $ policies
           $ ops_arg 400 $ job_workers $ attempts $ backoff_ms
           $ breaker $ deadline_s $ max_heap_mb $ faults $ journal $ resume
-          $ kill_after $ cache_arg "Batch" $ out $ json_arg $ stats_arg
-          $ stats_json_arg)
-
-let ablation_cmd =
-  let go ops =
-    print_string (Harness.Ablation.to_string (Harness.Ablation.run ~ops ()))
-  in
-  Cmd.v
-    (Cmd.info "ablation" ~doc:"Design-choice ablation study.")
-    Term.(const go $ ops_arg 1500)
+          $ kill_after $ cache_arg "Batch" $ out $ json_arg $ stats_term)
 
 let check_cmd =
   let pp_divergence d =
@@ -1125,8 +1030,7 @@ let check_cmd =
       true faults
   in
   let go () traces max_events seed mutate no_minimize fixtures max_minimized
-      stats stats_json trace_out =
-    start_timeline trace_out;
+      obs =
     let minimize = not no_minimize in
     Obs.Registry.reset Obs.Registry.global;
     let ok =
@@ -1142,9 +1046,7 @@ let check_cmd =
         ("max_events", string_of_int max_events);
         ("seed", string_of_int seed) ]
     in
-    emit_stats ~stats ~stats_json
-      (finish_timeline trace_out
-         (Obs.Manifest.of_registry ~labels Obs.Registry.global));
+    emit obs (Obs.Manifest.of_registry ~labels Obs.Registry.global);
     if not ok then exit 1
   in
   let traces =
@@ -1224,7 +1126,7 @@ let check_cmd =
           uncaught fault.")
     Term.(const go $ logging_term $ traces $ max_events $ seed_arg
           $ mutate_resolved $ no_minimize $ fixtures $ max_minimized
-          $ stats_arg $ stats_json_arg $ trace_out_arg)
+          $ obs_term)
 
 let () =
   let info =
@@ -1236,16 +1138,12 @@ let () =
   let group =
     Cmd.group info
       [ run_cmd; batch_cmd; check_cmd; list_cmd; bugs_cmd; explain_cmd;
-        trace_cmd; analyze_cmd; explore_cmd; crash_sweep_cmd; table2_cmd;
-        table3_cmd; table4_cmd; figure6_cmd; ablation_cmd ]
+        trace_cmd; analyze_cmd; explore_cmd; crash_sweep_cmd ]
   in
   (* [~catch:false] so damaged inputs reach this handler: a bad trace file
      is an input problem (exit 2, one-line diagnostic), not a crash. *)
   match Cmd.eval ~catch:false group with
   | code -> exit code
-  | exception Trace_error (file, line, msg) ->
-      Format.eprintf "hawkset: %s:%d: %s@." file line msg;
-      exit 2
   | exception Trace.Trace_io.Parse_error (line, msg) ->
       Format.eprintf "hawkset: trace parse error at line %d: %s@." line msg;
       exit 2

@@ -11,9 +11,6 @@ let final_live_mb () =
   let s = Gc.stat () in
   word_mb s.Gc.live_words
 
-(* Kept as the end-of-run value; Figure 6b reports peak and final both. *)
-let live_mb = final_live_mb
-
 (* Peak live heap across [f], sampled by a [Gc.alarm] at the end of every
    major collection (plus one sample at entry and one at exit). [Gc.stat]
    walks the heap, so the reentrancy flag keeps a sample from observing

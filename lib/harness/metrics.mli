@@ -15,9 +15,6 @@ val final_live_mb : unit -> float
     value (the trace, access records and interning tables are all still
     live after an analysis). Reported alongside the peak in Figure 6b. *)
 
-val live_mb : unit -> float
-(** Alias of {!final_live_mb}, kept for callers of the historical name. *)
-
 val avg_time_to_race : t:float -> found:int -> missed:int -> float option
 (** The §5.2 metric: expected time to find a race when workloads are
     drawn at random without replacement, given the per-workload time [t],

@@ -1,4 +1,4 @@
-(* Shared observability plumbing for front ends (CLI, bench, tests): one
+(* Shared observability plumbing for the CLI and the tests: one
    instrumented execute+analyse run with the global registry reset at the
    start, peak-heap sampling around the whole thing, and a run manifest
    assembled at the end. Keeping this here (not in bin/) lets tests assert

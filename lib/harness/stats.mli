@@ -1,6 +1,6 @@
-(** Observability plumbing shared by the CLI, the bench emitter and the
-    tests: instrumented runs with the global metric registry reset at the
-    start, peak-heap sampling, and {!Obs.Manifest.t} assembly.
+(** Observability plumbing shared by the CLI and the tests: instrumented
+    runs with the global metric registry reset at the start, peak-heap
+    sampling, and {!Obs.Manifest.t} assembly.
 
     Living in the harness (not [bin/]) means tests assert the exact
     artifact the CLI's [--stats-json] emits. *)

@@ -135,6 +135,31 @@ module Sweep_tests = struct
        string_match (regexp ".*clean (as expected).*")
          (global_replace (regexp_string "\n") " " summary) 0)
 
+  (* At the default sweep (400 ops), each bug-target app manifests its
+     injected bug — durable damage at a crash point whose prefix report
+     names the bug — within a short seed hunt, and the bug-free control
+     stays clean at every point. *)
+  let bugs_manifest () =
+    let sweep app seed =
+      Crashtest.run_sweep
+        ~config:{ Crashtest.default_config with Crashtest.c_seed = seed }
+        (runner app)
+    in
+    List.iter
+      (fun (app, id) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s manifests bug #%d" app id)
+          true
+          (List.exists
+             (fun seed -> List.mem id (sweep app seed).Crashtest.sw_manifested)
+             [ 42; 7; 1; 13; 99 ]))
+      [ ("fast-fair", 1); ("turbo-hash", 3); ("p-clht", 4);
+        ("memcached-pmem", 12) ];
+    let control = sweep "pmlog" 42 in
+    Alcotest.(check int) "control: no damage" 0 control.Crashtest.sw_damaged;
+    Alcotest.(check int) "control: no recovery failures" 0
+      control.Crashtest.sw_raised
+
   let tests =
     [
       Alcotest.test_case "pmlog control survives every cut" `Quick
@@ -142,6 +167,8 @@ module Sweep_tests = struct
       Alcotest.test_case "outcome classes partition" `Quick
         outcome_counts_partition;
       Alcotest.test_case "harness driver and summary" `Quick harness_rows;
+      Alcotest.test_case "target bugs manifest, control clean" `Slow
+        bugs_manifest;
     ]
 end
 

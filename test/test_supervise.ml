@@ -418,7 +418,26 @@ module Run_tests = struct
                 resumed.Supervise.b_results));
         Alcotest.(check string) "byte-identical merged report"
           (Supervise.merged_json golden)
-          (Supervise.merged_json resumed))
+          (Supervise.merged_json resumed);
+        (* Every injected class is classified once, retried to success,
+           and the permanent fault is bounded by the attempt limit —
+           replayed jobs included. *)
+        List.iteri
+          (fun i want ->
+            Alcotest.(check string) (Printf.sprintf "job %d status" i) want
+              (status_of i resumed))
+          [ "ok-retried"; "ok-retried"; "ok-retried"; "failed" ];
+        let counters = Supervise.counters resumed in
+        List.iter
+          (fun (name, want) ->
+            Alcotest.(check (option int)) name (Some want)
+              (List.assoc_opt name counters))
+          [
+            ("supervise.failures.corrupt_trace", 1);
+            ("supervise.failures.timeout", 1);
+            ("supervise.failures.oom", 1);
+            ("supervise.failures.worker_lost", (config ()).Supervise.attempts);
+          ])
 
   let resume_of_complete_journal_is_pure_replay () =
     let js = chaos_jobs () in
