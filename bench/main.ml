@@ -196,7 +196,7 @@ let perf_smoke ~full =
 (* ---- job-level parallelism (the `batch-par` target) ----
    The wall-clock contract of job-level width, gated: a batch of four
    per-app chains at job_workers=4 must produce a merged report
-   byte-identical to the sequential walk in <= 0.6x its wall-clock
+   byte-identical to the job_workers=1 run in <= 0.6x its wall-clock
    (median of three paired reps). *)
 
 let batch_par ~full =

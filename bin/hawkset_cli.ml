@@ -681,6 +681,30 @@ let cache_arg cmd =
               one."
              cmd))
 
+(* Job-level width, shared by the sweeping tools: explore's schedule
+   chunks and batch's per-application job chains. *)
+let width_term =
+  let cap = Hawkset.Domain_pool.max_slots in
+  let check n =
+    if n > cap then usage_error "--job-workers %d: at most %d" n cap;
+    max 1 n
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "jobs"; "job-workers" ] ~docv:"N"
+            ~doc:
+              (Printf.sprintf
+                 "Job-level width: $(docv) domains run jobs at once \
+                  ($(b,explore): contiguous schedule chunks; $(b,batch): \
+                  per-application job chains). Results, merged reports and \
+                  deterministic counters are the same for every $(docv), \
+                  and a journal holds the same records; only wall-clock \
+                  time and the order of journal records change. At most \
+                  %d."
+                 cap)))
+
 let explore_cmd =
   let go () apps schedules policy depth jobs seed ops trace_out cache_file
       obs =
@@ -729,14 +753,6 @@ let explore_cmd =
       & info [ "depth" ] ~docv:"D"
           ~doc:"PCT preemption depth (priority change points per schedule).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs"; "job-workers" ] ~docv:"N"
-          ~doc:
-            "Worker domains exploring schedules in parallel. Results and \
-             deterministic counters are identical for every $(docv).")
-  in
   let explore_trace_out =
     Arg.(
       value
@@ -755,8 +771,8 @@ let explore_cmd =
           directly-observed inconsistency must already be in that \
           schedule's lockset report, and identical traces must yield \
           identical reports. Exits 1 on any violation.")
-    Term.(const go $ logging_term $ apps $ schedules $ policy $ depth $ jobs
-          $ seed_arg $ ops_arg Explore.default_config.Explore.ops
+    Term.(const go $ logging_term $ apps $ schedules $ policy $ depth
+          $ width_term $ seed_arg $ ops_arg Explore.default_config.Explore.ops
           $ explore_trace_out $ cache_arg "Exploration" $ stats_term)
 
 let batch_cmd =
@@ -785,7 +801,7 @@ let batch_cmd =
         Supervise.attempts;
         backoff_ms;
         breaker_threshold = breaker;
-        job_workers = max 1 job_workers;
+        job_workers;
         deadline_s;
         max_heap_mb;
         faults;
@@ -910,8 +926,9 @@ let batch_cmd =
           ~doc:
             "Resume from $(b,--journal): jobs already terminal replay their \
              recorded report bytes verbatim, partially-attempted jobs \
-             continue from their next attempt. The merged report is \
-             byte-identical to an uninterrupted run.")
+             continue from their next attempt, whatever $(b,--job-workers) \
+             either run used. The merged report is byte-identical to an \
+             uninterrupted run.")
   in
   let kill_after =
     Arg.(
@@ -930,18 +947,6 @@ let batch_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the merged batch report JSON to $(docv).")
   in
-  let job_workers =
-    Arg.(
-      value & opt int 1
-      & info [ "job-workers" ] ~docv:"N"
-          ~doc:
-            "Jobs in flight at once: per-application job chains run \
-             concurrently on $(docv) domains of the domain pool. The \
-             merged report is byte-identical to $(docv)=1 — \
-             only wall-clock time changes. Journal records are appended \
-             per completed job (replay stays keyed by job id, so \
-             $(b,--resume) is unaffected).")
-  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
@@ -953,7 +958,7 @@ let batch_cmd =
           report. Exits 3 if any job failed or was quarantined, 10 when \
           stopped by $(b,--kill-after).")
     Term.(const go $ logging_term $ apps $ seed_arg $ nseeds $ policies
-          $ ops_arg 400 $ job_workers $ attempts $ backoff_ms
+          $ ops_arg 400 $ width_term $ attempts $ backoff_ms
           $ breaker $ deadline_s $ max_heap_mb $ faults $ journal $ resume
           $ kill_after $ cache_arg "Batch" $ out $ json_arg $ stats_term)
 

@@ -6,8 +6,9 @@
    a mutex/condition pair; per-call cost is two lock transitions per
    worker instead of a spawn and a join.
 
-   In [map], task [i] always runs on the same slot — [0] on the caller,
-   [i] on worker [i - 1] — so each task's timeline lane is stable. *)
+   Both entry points are shapes over one slot driver, [drive]: slot 0 is
+   the caller, slot [s >= 1] is worker [s - 1]. A call that needs one
+   slot runs inline on the caller and never touches the workers. *)
 
 exception Pool_closed
 
@@ -25,6 +26,9 @@ type worker = {
 
 type t = { lock : Mutex.t; mutable workers : worker array; mutable closed : bool }
 
+(* One timeline lane per slot: the caller plus [max_lanes - 1] workers. *)
+let max_slots = Obs.Timeline.max_lanes
+
 let worker_loop w () =
   try
     Mutex.lock w.mutex;
@@ -33,8 +37,8 @@ let worker_loop w () =
       | Some f ->
           w.task <- None;
           Mutex.unlock w.mutex;
-          (* The task itself never raises: [map] wraps it in a catch-all
-             that stores the outcome. *)
+          (* The task itself never raises: [map] and [run_queue] wrap
+             every task in a catch-all that stores the outcome. *)
           f ();
           Mutex.lock w.mutex;
           w.busy <- false;
@@ -49,11 +53,11 @@ let worker_loop w () =
     in
     loop ()
   with _ ->
-    (* Watchdog path: tasks cannot raise here ([map] wraps them), so an
-       exception means the loop itself died. Mark the slot lost and wake
-       any joiner so [await] returns instead of hanging forever; [map]
-       then reports the loss as {!Worker_lost}. The unlocked writes are
-       single-writer (this domain is about to exit). *)
+    (* Watchdog path: tasks cannot raise here, so an exception means the
+       loop itself died. Mark the slot lost and wake any joiner so
+       [await] returns instead of hanging forever; [drive] then reports
+       the loss as {!Worker_lost}. The unlocked writes are single-writer
+       (this domain is about to exit). *)
     w.dead <- true;
     w.busy <- false;
     (try Condition.broadcast w.cond with _ -> ());
@@ -90,146 +94,90 @@ let await w =
 
 let create () = { lock = Mutex.create (); workers = [||]; closed = false }
 
-(* Every task runs with its slot bound to the matching timeline lane —
-   in [map], task [i] is always slot [i] (caller or worker [i - 1]), so
-   lane assignment is deterministic. *)
-let run_task i f = Obs.Timeline.with_lane i f
-
 let size t = Array.length t.workers
 
-let ensure t n =
-  Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    raise Pool_closed
-  end;
-  let have = Array.length t.workers in
-  if n > have then begin
-    let ws = Array.init n (fun i -> if i < have then t.workers.(i) else spawn_worker ()) in
-    t.workers <- ws
-  end;
-  Mutex.unlock t.lock
+(* The slot driver behind [ensure], [map] and [run_queue]: [body s] for
+   every slot [s] in [0, slots); [body] must not raise.
 
-let map t fns =
-  let n = Array.length fns in
-  if n = 0 then begin
-    (* Even a no-op map on a closed pool is a caller bug worth surfacing. *)
+   One slot runs inline on the caller, with the caller's timeline lane
+   and no pool lock, so it never waits on (or deadlocks against) a wider
+   call. Wider calls hold the pool lock for the whole call — concurrent
+   calls from different domains are serialised — and bind slot [s] to
+   lane [s]. *)
+let drive t ~slots body =
+  if slots > max_slots then
+    invalid_arg
+      (Printf.sprintf "Domain_pool: %d slots requested (max %d)" slots max_slots);
+  if slots <= 1 then begin
     if t.closed then raise Pool_closed;
-    [||]
+    if slots = 1 then body 0
   end
   else begin
-    (* Serialise whole [map] calls: workers hold no per-call state, so
-       two concurrent callers would otherwise interleave submissions. *)
     Mutex.lock t.lock;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      raise Pool_closed
-    end;
-    let have = Array.length t.workers in
-    if n - 1 > have then begin
-      t.workers <-
-        Array.init (n - 1) (fun i ->
-            if i < have then t.workers.(i) else spawn_worker ())
-    end;
-    (* Self-heal slots lost in an earlier call: the previous [map]
-       already reported them as {!Worker_lost}; this call gets a fresh
-       domain instead of submitting to a corpse (which would hang). *)
-    for i = 0 to n - 2 do
-      if t.workers.(i).dead then begin
-        (match t.workers.(i).domain with
-        | Some d -> ( try Domain.join d with _ -> ())
-        | None -> ());
-        let ws = Array.copy t.workers in
-        ws.(i) <- spawn_worker ();
-        t.workers <- ws
-      end
-    done;
-    let results = Array.make n (Error Not_found) in
-    let run i () =
-      results.(i) <- (try Ok (run_task i (fun () -> fns.(i) ())) with e -> Error e)
-    in
-    for i = 1 to n - 1 do
-      submit t.workers.(i - 1) (run i)
-    done;
-    (* Task 0 runs here: a 1-task map never touches a worker, and the
-       caller's domain contributes instead of idling on the join. *)
-    run 0 ();
-    for i = 1 to n - 1 do
-      await t.workers.(i - 1)
-    done;
-    (* Watchdog: a worker that died mid-call produced no result — report
-       the loss rather than hand back [Error Not_found] silently. *)
-    let lost = ref (-1) in
-    for i = n - 2 downto 0 do
-      if t.workers.(i).dead then lost := i + 1
-    done;
-    Mutex.unlock t.lock;
-    if !lost >= 0 then raise (Worker_lost !lost);
-    results
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.lock)
+      (fun () ->
+        if t.closed then raise Pool_closed;
+        (* Workers join one at a time, so a spawn failure part-way keeps
+           the ones already spawned for [shutdown] to join. *)
+        while Array.length t.workers < slots - 1 do
+          t.workers <- Array.append t.workers [| spawn_worker () |]
+        done;
+        (* Self-heal slots lost in an earlier call: that call already
+           reported them as {!Worker_lost}; this one gets a fresh domain
+           instead of submitting to a corpse (which would hang). *)
+        for i = 0 to slots - 2 do
+          let w = t.workers.(i) in
+          if w.dead then begin
+            (match w.domain with
+            | Some d -> ( try Domain.join d with _ -> ())
+            | None -> ());
+            let ws = Array.copy t.workers in
+            ws.(i) <- spawn_worker ();
+            t.workers <- ws
+          end
+        done;
+        let on_lane s () = Obs.Timeline.with_lane s (fun () -> body s) in
+        for s = 1 to slots - 1 do
+          submit t.workers.(s - 1) (on_lane s)
+        done;
+        on_lane 0 ();
+        for s = 1 to slots - 1 do
+          await t.workers.(s - 1)
+        done;
+        (* Watchdog: a worker that died mid-call produced no result —
+           report the loss rather than hand back [Error Not_found]. *)
+        for s = 1 to slots - 1 do
+          if t.workers.(s - 1).dead then raise (Worker_lost s)
+        done)
   end
 
-(* Job-level scheduling for the batch supervisor: [n] tasks drained by
-   [workers] slots pulling indices off a shared atomic counter. Unlike
-   [map] there is no task-per-slot bijection — any slot may run any task
-   — so callers must not rely on slot-indexed state; what stays
-   deterministic is the *result order* (index [i] of the returned array
-   is task [i]'s outcome, wherever it ran). Slot 0 is the caller, slot
-   [s >= 1] is worker [s - 1]; each task binds its slot's timeline lane. *)
+(* Growing the pool is a call whose every slot does nothing. *)
+let ensure t n = drive t ~slots:(n + 1) ignore
+
+let capture f = try Ok (f ()) with e -> Error e
+
+(* Task [i] always runs on slot [i], so its timeline lane is stable. *)
+let map t fns =
+  let results = Array.map (fun _ -> Error Not_found) fns in
+  drive t ~slots:(Array.length fns) (fun i -> results.(i) <- capture fns.(i));
+  results
+
+(* Slots pull task indices off a shared counter: any slot may run any
+   task, so only the result order is deterministic. *)
 let run_queue t ~workers fns =
   let n = Array.length fns in
-  let slots = max 1 (min workers n) in
-  if n = 0 then begin
-    if t.closed then raise Pool_closed;
-    [||]
-  end
-  else begin
-    (* Same serialisation/heal/grow preamble as [map]: the whole drain
-       holds [t.lock], so queue tasks must never re-enter the pool. *)
-    Mutex.lock t.lock;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      raise Pool_closed
-    end;
-    let have = Array.length t.workers in
-    if slots - 1 > have then
-      t.workers <-
-        Array.init (slots - 1) (fun i ->
-            if i < have then t.workers.(i) else spawn_worker ());
-    for i = 0 to slots - 2 do
-      if t.workers.(i).dead then begin
-        (match t.workers.(i).domain with
-        | Some d -> ( try Domain.join d with _ -> ())
-        | None -> ());
-        let ws = Array.copy t.workers in
-        ws.(i) <- spawn_worker ();
-        t.workers <- ws
-      end
-    done;
-    let results = Array.make n (Error Not_found) in
-    let next = Atomic.make 0 in
-    let rec drain slot () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <-
-          (try Ok (run_task slot (fun () -> fns.(i) ())) with e -> Error e);
-        drain slot ()
-      end
-    in
-    for s = 1 to slots - 1 do
-      submit t.workers.(s - 1) (drain s)
-    done;
-    drain 0 ();
-    for s = 1 to slots - 1 do
-      await t.workers.(s - 1)
-    done;
-    let lost = ref (-1) in
-    for i = slots - 2 downto 0 do
-      if t.workers.(i).dead then lost := i + 1
-    done;
-    Mutex.unlock t.lock;
-    if !lost >= 0 then raise (Worker_lost !lost);
-    results
-  end
+  let results = Array.map (fun _ -> Error Not_found) fns in
+  let next = Atomic.make 0 in
+  let rec drain () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- capture fns.(i);
+      drain ()
+    end
+  in
+  drive t ~slots:(min (max 1 workers) n) (fun _ -> drain ());
+  results
 
 let shutdown t =
   Mutex.lock t.lock;

@@ -234,23 +234,18 @@ let run ?(config = default_config) (entry : R.entry) =
   let schedules = max 1 config.schedules in
   let ops = R.clamp_ops entry config.ops in
   let jobs = min (max 1 config.jobs) schedules in
+  (* Contiguous index chunks, one per slot; concatenating in chunk order
+     restores schedule order, so the merged list is the same whatever
+     [jobs] is. One chunk runs inline: the sequential run. *)
+  let chunk k =
+    let lo = schedules * k / jobs and hi = schedules * (k + 1) / jobs in
+    fun () ->
+      List.init (hi - lo) (fun j -> run_schedule entry config ~ops (lo + j))
+  in
   let results =
-    if jobs = 1 then List.init schedules (run_schedule entry config ~ops)
-    else begin
-      (* Contiguous index chunks, one per worker; concatenating in chunk
-         order restores schedule order, so the merged list is identical
-         to the sequential one whatever [jobs] is. *)
-      let chunk k =
-        let lo = schedules * k / jobs and hi = schedules * (k + 1) / jobs in
-        fun () ->
-          List.init (hi - lo) (fun j -> run_schedule entry config ~ops (lo + j))
-      in
-      Hawkset.Domain_pool.map
-        (Hawkset.Domain_pool.global ())
-        (Array.init jobs chunk)
-      |> Array.to_list
-      |> List.concat_map (function Ok rows -> rows | Error e -> raise e)
-    end
+    Hawkset.Domain_pool.map (Hawkset.Domain_pool.global ()) (Array.init jobs chunk)
+    |> Array.to_list
+    |> List.concat_map (function Ok rows -> rows | Error e -> raise e)
   in
   let ok = List.filter (fun r -> r.s_error = None) results in
   let errors = List.length results - List.length ok in

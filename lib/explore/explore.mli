@@ -68,7 +68,10 @@ type config = {
   schedules : int;  (** Schedules to explore (default 64). *)
   policy : policy_kind;  (** Policy family (default [All]). *)
   depth : int;  (** PCT preemption depth (default 3). *)
-  jobs : int;  (** Worker domains (default 1). *)
+  jobs : int;
+      (** Domains exploring schedules at once (default 1). [run] raises
+          [Invalid_argument] when both [jobs] and [schedules] exceed
+          {!Hawkset.Domain_pool.max_slots}. *)
   seed : int;  (** Workload seed, fixed across schedules (default 42). *)
   ops : int;  (** Main-phase operations per schedule (default 400). *)
   dump_dir : string option;

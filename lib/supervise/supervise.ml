@@ -1,15 +1,17 @@
 (* Supervised batch execution. See the .mli for the contract.
 
-   Structure: [run] walks the declared job list in order, executing each
-   job under [process] — injected faults, budget guard, bounded retries
-   with deterministic backoff, circuit breaker — and records every step
-   in the (optional) journal as it happens. Resume is the same walk with
-   a prior-state table loaded from the journal: terminal jobs replay
-   their recorded status (including the exact report bytes), partial
-   jobs continue from their next attempt. Because the walk, the retry
-   policy and the jobs themselves are deterministic, the merged report
-   of a killed-and-resumed batch is byte-identical to an uninterrupted
-   one. *)
+   Structure: [run] splits the declared job list into per-app chains and
+   walks each chain in order, executing each job under [process] —
+   injected faults, budget guard, bounded retries with deterministic
+   backoff, circuit breaker — and records every step in the (optional)
+   journal as it happens. The chains are drained by the domain pool at
+   every width; width 1 drains them inline, one after another. Resume is
+   the same walk with a prior-state table loaded from the journal:
+   terminal jobs replay their recorded status (including the exact
+   report bytes), partial jobs continue from their next attempt. Because
+   the walk, the retry policy and the jobs themselves are deterministic,
+   the merged report of a killed-and-resumed batch is byte-identical to
+   an uninterrupted one, at any width. *)
 
 module S = Machine.Sched
 module R = Pmapps.Registry
@@ -402,11 +404,23 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
           (Hashtbl.create 0, Some w)
         end
   in
-  (* [process ~app_failures ~record job] is shared by both drivers; the
-     driver decides where records go (straight to the journal, or a
-     per-job buffer flushed at completion) and where the per-app
-     consecutive-failure count lives (a shared table, or chain-local). *)
-  let process ~app_failures ~record (job : job) =
+  (* Records go straight to the journal as they happen, so a killed
+     process keeps even a partial job's failed attempts. The mutex
+     orders the writes of concurrent chains; [restore] keys replay by
+     job id, so their interleaving is immaterial. *)
+  let journal_lock = Mutex.create () in
+  let record tag fields payload =
+    match writer with
+    | Some w ->
+        Mutex.lock journal_lock;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock journal_lock)
+          (fun () -> J.add w { J.tag; fields; payload })
+    | None -> ()
+  in
+  (* [app_failures] is the job's app's count of consecutive exhausted
+     jobs, which its chain owns. *)
+  let process ~app_failures (job : job) =
     Obs.Metric.incr obs_jobs;
     match Hashtbl.find_opt prior job.j_id with
     | Some { rs_terminal = Some st; _ } ->
@@ -417,7 +431,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
         let prior_fails =
           match prior_state with Some s -> s.rs_fails | None -> []
         in
-        if app_failures () >= config.breaker_threshold then begin
+        if app_failures >= config.breaker_threshold then begin
           Obs.Metric.incr obs_quarantined;
           Obs.Timeline.instant tl_quarantine ~arg:job.j_id;
           Obs.Logger.warn ~section:"supervise" (fun () ->
@@ -488,75 +502,27 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
           { jr_job = job; jr_status = st; jr_replayed = false }
         end
   in
-  (* One job at a time, declared order: records stream to the journal as
-     they happen, so a killed process keeps even a partial job's failed
-     attempts. *)
-  let run_sequential () =
-    let record tag fields payload =
-      match writer with
-      | Some w -> J.add w { J.tag; fields; payload }
-      | None -> ()
-    in
-    (* Consecutive exhausted jobs per app; reset by a success, never by a
-       quarantined job (once open, the breaker stays open). *)
-    let breaker : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let app_failures app =
-      Option.value (Hashtbl.find_opt breaker app) ~default:0
-    in
-    let results = ref [] in
-    let processed = ref 0 in
-    let interrupted = ref false in
-    List.iter
-      (fun job ->
-        if !interrupted then ()
-        else if
-          match config.stop_after with
-          | Some n -> !processed >= n
-          | None -> false
-        then interrupted := true
-        else begin
-          let res =
-            process ~app_failures:(fun () -> app_failures job.j_app) ~record job
-          in
-          incr processed;
-          (match res.jr_status with
-          | Gave_up _ ->
-              Hashtbl.replace breaker job.j_app (app_failures job.j_app + 1)
-          | Done _ -> Hashtbl.replace breaker job.j_app 0
-          | Quarantined -> ());
-          results := res :: !results
-        end)
-      jobs;
-    (List.rev !results, !interrupted)
-  in
-  (* Up to [job_workers] jobs in flight on the domain pool. The unit of
-     scheduling is the per-app *chain* (that app's jobs, declared order):
-     the breaker counts consecutive exhausted jobs of one app, so a chain
-     owns its count locally and every job's terminal status is exactly
-     what the sequential walk computes — which is what makes the merged
-     report byte-identical at any width. Journal records are buffered per
-     job and appended as one group at job completion (completion order
-     across jobs, declared order within one); [restore] keys replay by
-     job id, so the interleaving is immaterial. The price of buffering: a
-     kill loses in-flight jobs' partial attempts and resume re-runs them
-     from attempt 1 — deterministic, hence still byte-identical. *)
-  let run_concurrent () =
-    let jw = config.job_workers in
-    let pos = Hashtbl.create (List.length jobs) in
-    List.iteri (fun i j -> Hashtbl.replace pos j.j_id i) jobs;
+  (* The unit of scheduling is the per-app *chain*: that app's jobs in
+     declared order, chains in first-seen app order. The breaker counts
+     consecutive exhausted jobs of one app, so each chain owns its count
+     and every job's terminal status is independent of the width — which
+     is what makes the merged report byte-identical at any width. Up to
+     [job_workers] chains are in flight on the domain pool; at width 1
+     the pool drains them inline, in order, on this domain. *)
+  let run_chains () =
     let chains =
-      let tbl : (string, job list ref) Hashtbl.t = Hashtbl.create 8 in
+      let tbl : (string, (int * job) list ref) Hashtbl.t = Hashtbl.create 8 in
       let order = ref [] in
-      List.iter
-        (fun j ->
+      List.iteri
+        (fun i j ->
           match Hashtbl.find_opt tbl j.j_app with
-          | Some r -> r := j :: !r
+          | Some r -> r := (i, j) :: !r
           | None ->
-              let r = ref [ j ] in
+              let r = ref [ (i, j) ] in
               Hashtbl.add tbl j.j_app r;
-              order := j.j_app :: !order)
+              order := r :: !order)
         jobs;
-      List.rev_map (fun app -> List.rev !(Hashtbl.find tbl app)) !order
+      List.rev_map (fun r -> List.rev !r) !order
     in
     let results = Array.make (List.length jobs) None in
     let processed = Atomic.make 0 in
@@ -565,48 +531,42 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
     let limit =
       match config.stop_after with Some n -> n | None -> max_int
     in
-    let journal_lock = Mutex.create () in
     let chain_task chain () =
+      (* Reset by a success, never by a quarantined job (once open, the
+         breaker stays open). *)
       let fails = ref 0 in
-      List.iter
-        (fun (job : job) ->
-          if Atomic.get stop || Atomic.get processed >= limit then begin
-            (* [stop_after] is a chaos hook: the check is racy across
-               chains (a few extra jobs may finish), but any skipped job
-               marks the batch interrupted, and resume-is-replay makes
-               the merged report independent of where the cut landed. *)
-            Atomic.set interrupted true;
-            Atomic.set stop true
-          end
-          else begin
-            let buffered = ref [] in
-            let record tag fields payload =
-              buffered := { J.tag; fields; payload } :: !buffered
-            in
-            let res = process ~app_failures:(fun () -> !fails) ~record job in
-            (match writer with
-            | Some w when !buffered <> [] ->
-                Mutex.lock journal_lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock journal_lock)
-                  (fun () -> List.iter (J.add w) (List.rev !buffered))
-            | Some _ | None -> ());
-            Atomic.incr processed;
-            (match res.jr_status with
-            | Gave_up _ -> incr fails
-            | Done _ -> fails := 0
-            | Quarantined -> ());
-            results.(Hashtbl.find pos job.j_id) <- Some res
-          end)
-        chain
+      try
+        List.iter
+          (fun (i, job) ->
+            if Atomic.get stop || Atomic.get processed >= limit then begin
+              (* [stop_after] is a chaos hook: the check is racy across
+                 concurrent chains (a few extra jobs may finish), but any
+                 skipped job marks the batch interrupted, and
+                 resume-is-replay makes the merged report independent of
+                 where the cut landed. *)
+              Atomic.set interrupted true;
+              Atomic.set stop true
+            end
+            else begin
+              let res = process ~app_failures:!fails job in
+              Atomic.incr processed;
+              (match res.jr_status with
+              | Gave_up _ -> incr fails
+              | Done _ -> fails := 0
+              | Quarantined -> ());
+              results.(i) <- Some res
+            end)
+          chain
+      with e ->
+        (* Only journal I/O escapes [process]: start no further job. *)
+        Atomic.set stop true;
+        raise e
     in
-    let outcomes =
-      Hawkset.Domain_pool.run_queue
-        (Hawkset.Domain_pool.global ())
-        ~workers:jw
-        (Array.of_list (List.map (fun c -> chain_task c) chains))
-    in
-    Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
+    Hawkset.Domain_pool.run_queue
+      (Hawkset.Domain_pool.global ())
+      ~workers:config.job_workers
+      (Array.of_list (List.map chain_task chains))
+    |> Array.iter (function Error e -> raise e | Ok () -> ());
     ( Array.to_list results |> List.filter_map Fun.id,
       Atomic.get interrupted )
   in
@@ -614,9 +574,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
     Fun.protect
       ~finally:(fun () -> match writer with Some w -> J.close w | None -> ())
       (fun () ->
-        Obs.Registry.with_span "batch" (fun () ->
-            if config.job_workers > 1 then run_concurrent ()
-            else run_sequential ()))
+        Obs.Registry.with_span "batch" run_chains)
   in
   {
     b_fingerprint = fp;

@@ -94,11 +94,14 @@ type config = {
       (** Consecutive exhausted jobs of one app before quarantine
           (default 2). *)
   job_workers : int;
-      (** Jobs in flight at once (default 1). With [> 1], per-app job
-          chains run concurrently on the domain pool; the merged report
-          is byte-identical to the [job_workers = 1] run (see DESIGN), so
-          this knob trades only wall-clock time and is excluded from the
-          batch {!fingerprint}. *)
+      (** Per-app job chains in flight at once on the domain pool
+          (default 1, at most {!Hawkset.Domain_pool.max_slots} when the
+          batch has that many apps). Width 1 drains the chains inline on
+          the calling domain. The journal's contents, resume and the
+          merged report are the same at every width (see DESIGN): only
+          the interleaving of journal records and wall-clock time
+          change, so this knob is excluded from the batch
+          {!fingerprint}. *)
   faults : fault list;
   stop_after : int option;
       (** Chaos hook: stop the batch loop after this many jobs reach a
@@ -140,9 +143,10 @@ type batch = {
   b_config : config;
   b_jobs : job list;
   b_results : job_result list;
-      (** Declared job order; a prefix when [b_interrupted] (with
-          [job_workers > 1] an interrupted batch keeps whichever jobs
-          reached a terminal state, still in declared order). *)
+      (** Declared job order. When [b_interrupted], the jobs that reached
+          a terminal state, still in declared order — a prefix of the
+          declaration when it is grouped by app, as every {!jobs_of}
+          result is. *)
   b_interrupted : bool;  (** [stop_after] fired before the last job. *)
 }
 
@@ -166,25 +170,25 @@ val run :
   ?config:config ->
   job list ->
   batch
-(** Execute the batch under supervision — one job at a time by default,
-    up to [config.job_workers] per-app chains concurrently otherwise.
-    With [journal] set, every attempt is recorded durably (sequential
-    mode streams records as they happen; concurrent mode appends each
-    job's records as one group at job completion, so completion order
-    across jobs is nondeterministic while replay stays keyed by job id);
-    with [resume:true] as well, jobs already terminal in the journal are
-    replayed from their recorded bytes (partially-attempted jobs
-    continue from their next attempt in sequential mode; concurrent mode
-    re-runs them from attempt 1 — deterministic, so the merged report is
-    unchanged), and the journal is extended in place. A damaged journal
-    tail (mid-write kill) is salvaged: valid records are kept, the rest
-    re-executed. With [cache] set, an attempt whose workload trace
-    fingerprint (plus analysis-config fingerprint) is cached skips
-    stages 2–3 and embeds the recorded report bytes — byte-identical,
-    since the cached bytes came from an identical trace. Raises
-    {!Resume_mismatch} when the journal belongs to a different
-    declaration, [Invalid_argument] on an unknown app or policy in
-    [jobs]. *)
+(** Execute the batch under supervision. The jobs are split into per-app
+    chains (first-seen app order, declared order within a chain), and up
+    to [config.job_workers] chains run at once on the domain pool; at
+    width 1 they run one after another on the calling domain. With
+    [journal] set, every record is written to the journal as it happens
+    (concurrent chains interleave their records; replay is keyed by job
+    id), so a kill at any width keeps the attempts already made. With
+    [resume:true] as well, jobs already terminal in the journal are
+    replayed from their recorded bytes, partially-attempted jobs
+    continue from their next attempt, and the journal is extended in
+    place. A damaged journal tail (mid-write kill) is salvaged: valid
+    records are kept, the rest re-executed. With [cache] set, an attempt
+    whose workload trace fingerprint (plus analysis-config fingerprint)
+    is cached skips stages 2–3 and embeds the recorded report bytes —
+    byte-identical, since the cached bytes came from an identical trace.
+    If journal I/O raises, no further job starts and the exception
+    propagates. Raises {!Resume_mismatch} when the journal belongs to a
+    different declaration, [Invalid_argument] on an unknown app or
+    policy in [jobs] or a width the pool cannot serve. *)
 
 val merged_json : batch -> string
 (** The merged batch report (schema ["hawkset.batch_report/2"]): one

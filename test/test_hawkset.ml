@@ -1351,8 +1351,59 @@ module Pool_tests = struct
     Alcotest.check_raises "map after shutdown" Hawkset.Domain_pool.Pool_closed
       (fun () -> ignore (Hawkset.Domain_pool.map t [| (fun () -> ()) |]))
 
+  (* The width cap: a call wider than the pool's lanes raises before it
+     spawns anything, and leaves the pool usable (lock released). *)
+  let over_wide_refused () =
+    let module P = Hawkset.Domain_pool in
+    let t = P.create () in
+    Fun.protect ~finally:(fun () -> P.shutdown t) @@ fun () ->
+    map_works t 2;
+    let size = P.size t in
+    let raises name f =
+      Alcotest.(check bool) name true
+        (match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+    in
+    raises "ensure" (fun () -> P.ensure t P.max_slots);
+    raises "map" (fun () ->
+        ignore (P.map t (Array.make (P.max_slots + 1) (fun () -> ()))));
+    raises "run_queue" (fun () ->
+        ignore
+          (P.run_queue t ~workers:(P.max_slots + 1)
+             (Array.make (P.max_slots + 1) (fun () -> ()))));
+    Alcotest.(check int) "size unchanged" size (P.size t);
+    map_works t 2
+
+  (* One slot runs inline: the tasks record on the caller's lane and the
+     pool spawns nothing. *)
+  let one_slot_inline () =
+    let module P = Hawkset.Domain_pool in
+    let t = P.create () in
+    Fun.protect ~finally:(fun () -> P.shutdown t) @@ fun () ->
+    let h = Obs.Timeline.name "pool_inline_test" in
+    Obs.Timeline.set_enabled true;
+    Obs.Timeline.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Timeline.set_enabled false;
+        Obs.Timeline.reset ())
+      (fun () ->
+        Obs.Timeline.with_lane 3 (fun () ->
+            ignore
+              (P.run_queue t ~workers:1
+                 [| (fun () -> Obs.Timeline.instant h ~arg:1);
+                    (fun () -> Obs.Timeline.instant h ~arg:2) |]);
+            ignore (P.map t [| (fun () -> Obs.Timeline.instant h ~arg:3) |]));
+        Alcotest.(check (list int)) "lanes" [ 3 ] (Obs.Timeline.used_lanes ());
+        Alcotest.(check (list int)) "events in order" [ 1; 2; 3 ]
+          (List.map (fun e -> e.Obs.Timeline.ev_arg) (Obs.Timeline.events 3)));
+    Alcotest.(check int) "nothing spawned" 0 (P.size t)
+
   let tests =
     [
+      Alcotest.test_case "over-wide calls refused" `Quick over_wide_refused;
+      Alcotest.test_case "one slot runs inline" `Quick one_slot_inline;
       Alcotest.test_case "double shutdown is a no-op" `Quick double_shutdown;
       Alcotest.test_case "post-shutdown submit raises" `Quick
         post_shutdown_submit;

@@ -439,24 +439,36 @@ module Run_tests = struct
             ("supervise.failures.worker_lost", (config ()).Supervise.attempts);
           ])
 
+  (* Width is one more input of the durability contract: journals
+     written and resumed at width 1 and at width 4 behave alike. *)
+  let widths = [ 1; 4 ]
+
   let resume_of_complete_journal_is_pure_replay () =
     let js = chaos_jobs () in
-    with_tmp (fun journal ->
-        let golden =
-          Supervise.run ~journal ~config:(config ~faults:chaos_faults ()) js
-        in
-        let resumed =
-          Supervise.run ~journal ~resume:true
-            ~config:(config ~faults:chaos_faults ())
-            js
-        in
-        Alcotest.(check bool) "all replayed" true
-          (List.for_all
-             (fun jr -> jr.Supervise.jr_replayed)
-             resumed.Supervise.b_results);
-        Alcotest.(check string) "byte-identical"
-          (Supervise.merged_json golden)
-          (Supervise.merged_json resumed))
+    List.iter
+      (fun job_workers ->
+        with_tmp (fun journal ->
+            let golden =
+              Supervise.run ~journal
+                ~config:(config ~faults:chaos_faults ~job_workers ())
+                js
+            in
+            let resumed =
+              Supervise.run ~journal ~resume:true
+                ~config:(config ~faults:chaos_faults ~job_workers ())
+                js
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "all replayed (width %d)" job_workers)
+              true
+              (List.for_all
+                 (fun jr -> jr.Supervise.jr_replayed)
+                 resumed.Supervise.b_results);
+            Alcotest.(check string)
+              (Printf.sprintf "byte-identical (width %d)" job_workers)
+              (Supervise.merged_json golden)
+              (Supervise.merged_json resumed)))
+      widths
 
   let resume_survives_torn_tail () =
     (* Kill "mid-write": truncate the journal inside its final record.
@@ -464,23 +476,54 @@ module Run_tests = struct
        merged report is still byte-identical. *)
     let js = chaos_jobs () in
     let golden = Supervise.run ~config:(config ~faults:chaos_faults ()) js in
-    with_tmp (fun journal ->
-        ignore
-          (Supervise.run ~journal
-             ~config:(config ~faults:chaos_faults ~stop_after:3 ())
-             js);
-        let full = In_channel.with_open_bin journal In_channel.input_all in
-        Out_channel.with_open_bin journal (fun oc ->
-            Out_channel.output_string oc
-              (String.sub full 0 (String.length full - 7)));
-        let resumed =
-          Supervise.run ~journal ~resume:true
-            ~config:(config ~faults:chaos_faults ())
-            js
-        in
-        Alcotest.(check string) "byte-identical after torn tail"
-          (Supervise.merged_json golden)
-          (Supervise.merged_json resumed))
+    List.iter
+      (fun job_workers ->
+        with_tmp (fun journal ->
+            ignore
+              (Supervise.run ~journal
+                 ~config:
+                   (config ~faults:chaos_faults ~stop_after:3 ~job_workers ())
+                 js);
+            let full = In_channel.with_open_bin journal In_channel.input_all in
+            Out_channel.with_open_bin journal (fun oc ->
+                Out_channel.output_string oc
+                  (String.sub full 0 (String.length full - 7)));
+            let resumed =
+              Supervise.run ~journal ~resume:true
+                ~config:(config ~faults:chaos_faults ~job_workers ())
+                js
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "byte-identical after torn tail (width %d)"
+                 job_workers)
+              (Supervise.merged_json golden)
+              (Supervise.merged_json resumed)))
+      widths
+
+  (* Every width writes the same journal records; only their order across
+     chains may differ. *)
+  let journal_records_width_independent () =
+    let js = chaos_jobs () in
+    let records job_workers =
+      with_tmp (fun journal ->
+          ignore
+            (Supervise.run ~journal
+               ~config:(config ~faults:chaos_faults ~job_workers ())
+               js);
+          (Trace.Journal.load journal).Trace.Journal.l_records
+          |> List.map (fun (r : Trace.Journal.record) ->
+                 String.concat " " (r.Trace.Journal.tag :: r.Trace.Journal.fields)
+                 ^ Option.fold ~none:"" ~some:(fun p -> " " ^ p)
+                     r.Trace.Journal.payload)
+          |> List.sort compare)
+    in
+    let w1 = records 1 in
+    List.iter
+      (fun tag ->
+        Alcotest.(check bool) (tag ^ " recorded") true
+          (List.exists (fun r -> String.starts_with ~prefix:(tag ^ " ") r) w1))
+      [ "start"; "fail"; "done"; "gaveup" ];
+    Alcotest.(check (list string)) "same record multiset" w1 (records 4)
 
   let resume_mismatch_refused () =
     let js = chaos_jobs () in
@@ -533,7 +576,7 @@ module Run_tests = struct
 
   let concurrent_byte_identical () =
     (* Same declaration, every fault class injected: four concurrent
-       per-app chains must reproduce the sequential walk byte for byte —
+       per-app chains must reproduce the width-1 run byte for byte —
        statuses (retries, degradation, the breaker) included. *)
     let js = chaos_jobs () in
     let seq = Supervise.run ~config:(config ~faults:chaos_faults ()) js in
@@ -552,8 +595,8 @@ module Run_tests = struct
 
   let concurrent_breaker_quarantines () =
     (* The breaker is per-app state; a chain running concurrently with
-       other apps' chains must quarantine exactly like the sequential
-       walk. *)
+       other apps' chains must quarantine exactly like the width-1
+       run. *)
     let js = jobs ~seeds:[ 1; 2; 3 ] () in
     let faults =
       [ fault 0 Supervise.Pipeline_exn 99; fault 1 Supervise.Pipeline_exn 99 ]
@@ -565,9 +608,9 @@ module Run_tests = struct
 
   let concurrent_kill_resume () =
     (* A concurrent batch killed mid-flight and resumed concurrently
-       still reproduces the sequential golden report: completed jobs
-       replay from the journal by id, in-flight jobs re-run from
-       attempt 1. *)
+       still reproduces the width-1 golden report: completed jobs replay
+       from the journal by id, partial jobs continue from their next
+       attempt. *)
     let js = chaos_jobs () in
     let golden = Supervise.run ~config:(config ~faults:chaos_faults ()) js in
     with_tmp (fun journal ->
@@ -661,6 +704,8 @@ module Run_tests = struct
         resume_of_complete_journal_is_pure_replay;
       Alcotest.test_case "resume survives torn tail" `Quick
         resume_survives_torn_tail;
+      Alcotest.test_case "journal records width-independent" `Quick
+        journal_records_width_independent;
       Alcotest.test_case "resume mismatch refused" `Quick
         resume_mismatch_refused;
       Alcotest.test_case "previous journal layout refused" `Quick
