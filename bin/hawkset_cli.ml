@@ -671,14 +671,18 @@ let cache_arg cmd =
     & info [ "cache" ] ~docv:"FILE"
         ~doc:
           (Printf.sprintf
-             "Fingerprint-keyed result cache: within the run, a trace whose \
-              fingerprint was already analysed (same analysis config) skips \
-              stage 2+3 and reuses the recorded report; across runs the \
-              cache is persisted to $(docv) (checksummed journal format; a \
-              missing file starts empty, a damaged tail is salvaged). %s \
-              results are unchanged — caveat: a hit substitutes a complete \
-              result even where per-attempt deadlines would have truncated \
-              one."
+             "Result cache. Explore keys a schedule on its trace \
+              fingerprint, so a repeated trace skips stage 2+3; batch keys \
+              a job on its inputs (app, clamped ops, seed, policy), so a \
+              repeated job skips execution as well. Either key includes \
+              the analysis config, and a hit reuses the recorded report. \
+              Across runs the cache is persisted to $(docv) (schema \
+              hawkset.result_cache/3, checksummed journal format, stamped \
+              with a digest of this executable; a missing file, another \
+              schema or another build starts empty, a damaged tail is \
+              salvaged). %s results are unchanged — caveat: a hit \
+              substitutes a complete result even where per-attempt \
+              deadlines would have truncated one."
              cmd))
 
 (* Job-level width, shared by the sweeping tools: explore's schedule

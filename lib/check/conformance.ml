@@ -79,7 +79,8 @@ let divergences trace =
             let run () =
               fst
                 (Hawkset.Result_cache.run_cached ~cache
-                   ~config:Hawkset.Pipeline.default cut)
+                   ~config:Hawkset.Pipeline.default
+                   (Hawkset.Result_cache.Trace cut))
             in
             check_variant acc ~variant:"cache cold+warm" ~expected (fun () ->
                 ignore (run ());

@@ -1,22 +1,28 @@
-(* Fingerprint-keyed analysis result cache.
+(* Analysis result cache, keyed on a run's source.
 
    The paper's headline is efficiency: one execution per workload
-   suffices, so the expensive thing — stage 2+3 over a collected trace —
-   is a pure function of (trace bytes, analysis feature flags). Sweeps
-   exploit that purity: schedule exploration re-runs the pipeline on
-   fingerprint-identical traces, and crash sweeps re-analyse identical
-   crash prefixes. This cache memoises the canonical outputs under
-   [(Trace_io.fingerprint, config_fingerprint)] so a duplicate trace
-   costs one hash probe instead of a full analysis.
+   suffices. Every output here is a pure function of its inputs — a
+   trace's stage 2+3 result of (trace bytes, analysis feature flags), an
+   app job's result of (app, ops, seed, schedule, analysis flags) — and
+   sweeps and batches revisit the same inputs. This cache memoises the
+   canonical outputs under one key per source:
+
+   - [Trace tr]: "t:" ^ [Trace_io.fingerprint tr]. For callers that hold
+     an executed trace anyway (conformance checks, explore, crash sweeps).
+   - [Job {inputs; execute}]: "j:" ^ FNV of the caller's canonical
+     [inputs] string. A hit costs one hash of a short string: no
+     execution, no fingerprint; [execute] runs only on a miss.
+
+   Either key is joined with {!config_fingerprint}.
 
    Layout: rows live in a {!Trace.Vec} in insertion order (the order
-   [save] writes them); the index maps the full "trace_fp:config_fp" key
+   [save] writes them); the index maps the full "key:config_fp" string
    to the row. The cache is probed once per job, schedule or crash
    point, never on a hot path. All operations take [lock]: sweeps
    consult the cache from worker domains.
 
    Only *complete* results belong here — a truncated report is a
-   property of the run (its budgets), not of the trace. [run_cached]
+   property of the run (its budgets), not of the source. [run_cached]
    enforces that for every caller. Deadlines and the inert [jobs] field
    are likewise excluded from {!config_fingerprint}: deadlines only
    affect truncated (uncacheable) runs. *)
@@ -25,10 +31,14 @@ module J = Trace.Journal
 
 type entry = { e_races_json : string; e_canonical : (string * string) list }
 
+type source =
+  | Trace of Trace.Tracebuf.t
+  | Job of { inputs : string; execute : unit -> Trace.Tracebuf.t }
+
 type t = {
   lock : Mutex.t;
-  index : (string, int) Hashtbl.t; (* "trace_fp:config_fp" -> row *)
-  rows : (string * string * entry) Trace.Vec.t; (* trace_fp, config_fp *)
+  index : (string, int) Hashtbl.t; (* "key:config_fp" -> row *)
+  rows : (string * string * entry) Trace.Vec.t; (* key, config_fp *)
   mutable hits : int;
   mutable misses : int;
   mutable bytes : int; (* stored races_json bytes *)
@@ -51,7 +61,12 @@ let create () =
     bytes = 0;
   }
 
-let key_of ~trace_fp ~config_fp = trace_fp ^ ":" ^ config_fp
+(* The two prefixes keep trace and job keys disjoint. *)
+let source_key = function
+  | Trace tr -> "t:" ^ Trace.Trace_io.fingerprint tr
+  | Job { inputs; _ } -> "j:" ^ J.fnv_hex inputs
+
+let index_key ~key ~config_fp = key ^ ":" ^ config_fp
 
 let config_fingerprint (c : Pipeline.config) =
   J.fnv_hex
@@ -63,10 +78,9 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find t ~trace_fp ~config_fp =
-  let key = key_of ~trace_fp ~config_fp in
+let find t ~key ~config_fp =
   let r = locked t (fun () ->
-      match Hashtbl.find_opt t.index key with
+      match Hashtbl.find_opt t.index (index_key ~key ~config_fp) with
       | Some i ->
           t.hits <- t.hits + 1;
           let _, _, e = Trace.Vec.get t.rows i in
@@ -84,14 +98,14 @@ let find t ~trace_fp ~config_fp =
       Obs.Timeline.instant tl_miss);
   r
 
-let add t ~trace_fp ~config_fp entry =
-  let key = key_of ~trace_fp ~config_fp in
+let add t ~key ~config_fp entry =
+  let ikey = index_key ~key ~config_fp in
   let stored = locked t (fun () ->
-      if Hashtbl.mem t.index key then false
+      if Hashtbl.mem t.index ikey then false
         (* entries are deterministic: first wins *)
       else begin
-        Trace.Vec.push t.rows (trace_fp, config_fp, entry);
-        Hashtbl.replace t.index key (Trace.Vec.length t.rows - 1);
+        Trace.Vec.push t.rows (key, config_fp, entry);
+        Hashtbl.replace t.index ikey (Trace.Vec.length t.rows - 1);
         t.bytes <- t.bytes + String.length entry.e_races_json;
         true
       end)
@@ -101,23 +115,26 @@ let add t ~trace_fp ~config_fp entry =
     Obs.Timeline.instant tl_store
   end
 
-let run_cached ?cache ~config trace =
+let run_cached ?cache ?(guard = fun f -> f ()) ~config source =
   let analyse () =
-    let r = Pipeline.run ~config trace in
-    ( { e_races_json = Report.to_json r.Pipeline.races;
-        e_canonical = Report.canonical r.Pipeline.races },
-      List.length r.Pipeline.truncated )
+    guard (fun () ->
+        let trace =
+          match source with Trace tr -> tr | Job { execute; _ } -> execute ()
+        in
+        let r = Pipeline.run ~config trace in
+        ( { e_races_json = Report.to_json r.Pipeline.races;
+            e_canonical = Report.canonical r.Pipeline.races },
+          List.length r.Pipeline.truncated ))
   in
   match cache with
   | None -> analyse ()
   | Some t -> (
-      let trace_fp = Trace.Trace_io.fingerprint trace
-      and config_fp = config_fingerprint config in
-      match find t ~trace_fp ~config_fp with
+      let key = source_key source and config_fp = config_fingerprint config in
+      match find t ~key ~config_fp with
       | Some e -> (e, 0)
       | None ->
           let e, truncs = analyse () in
-          if truncs = 0 then add t ~trace_fp ~config_fp e;
+          if truncs = 0 then add t ~key ~config_fp e;
           (e, truncs))
 
 let length t = locked t (fun () -> Trace.Vec.length t.rows)
@@ -133,7 +150,16 @@ let stats t =
 
 (* --- persistence (Trace.Journal format) ------------------------------- *)
 
-let schema = "hawkset.result_cache/2"
+let schema = "hawkset.result_cache/3"
+
+(* The build identity in the header: a digest of the running executable,
+   so a rebuild (which may change the analysis) invalidates the file.
+   Forced only by [save]/[load]. [None] when the executable cannot be
+   read: such a process writes "-" and loads nothing. *)
+let build_id =
+  lazy
+    (try Some (Digest.to_hex (Digest.file Sys.executable_name))
+     with Sys_error _ -> None)
 
 (* Payload framing: the races JSON is length-prefixed (it contains
    newlines and arbitrary bytes); canonical pairs follow as one
@@ -184,32 +210,34 @@ let save t path =
   Fun.protect
     ~finally:(fun () -> J.close w)
     (fun () ->
-      J.add w { J.tag = "cache"; fields = [ schema ]; payload = None };
+      let build = Option.value (Lazy.force build_id) ~default:"-" in
+      J.add w { J.tag = "cache"; fields = [ schema; build ]; payload = None };
       locked t (fun () ->
           Trace.Vec.iter
-            (fun (trace_fp, config_fp, e) ->
+            (fun (key, config_fp, e) ->
               J.add w
                 {
                   J.tag = "entry";
-                  fields = [ trace_fp; config_fp ];
+                  fields = [ key; config_fp ];
                   payload = Some (frame e);
                 })
             t.rows))
 
-(* Tolerant, like every loader here: a missing file, another schema, a
-   damaged tail or a record whose payload does not unframe costs those
-   entries, never the load. *)
+(* Tolerant, like every loader here: a missing file, another schema or
+   build, a damaged tail or a record whose payload does not unframe costs
+   those entries, never the load. *)
 let load path =
   let t = create () in
   (if Sys.file_exists path then
      match (J.load path).J.l_records with
-     | { J.tag = "cache"; fields = s :: _; _ } :: records when s = schema ->
+     | { J.tag = "cache"; fields = [ s; build ]; _ } :: records
+       when s = schema && Some build = Lazy.force build_id ->
          List.iter
            (fun (r : J.record) ->
              match (r.J.tag, r.J.fields, r.J.payload) with
-             | "entry", [ trace_fp; config_fp ], Some payload -> (
+             | "entry", [ key; config_fp ], Some payload -> (
                  match unframe payload with
-                 | Some e -> add t ~trace_fp ~config_fp e
+                 | Some e -> add t ~key ~config_fp e
                  | None -> ())
              | _ -> ())
            records

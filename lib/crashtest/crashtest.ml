@@ -451,7 +451,7 @@ let attribute ?cache runner (report : S.report) =
   | bugs ->
       let e, _ =
         Hawkset.Result_cache.run_cached ?cache ~config:Hawkset.Pipeline.default
-          report.S.trace
+          (Hawkset.Result_cache.Trace report.S.trace)
       in
       ids_of_canonical bugs e.Hawkset.Result_cache.e_canonical
 

@@ -177,7 +177,8 @@ let run_schedule (entry : R.entry) config ~ops i =
          (first insert wins, entries are identical). *)
       let analysed, _ =
         Hawkset.Result_cache.run_cached ?cache:config.cache
-          ~config:Hawkset.Pipeline.default trace
+          ~config:Hawkset.Pipeline.default
+          (Hawkset.Result_cache.Trace trace)
       in
       {
         s_index = i;

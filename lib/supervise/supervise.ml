@@ -256,17 +256,26 @@ let tl_quarantine = Obs.Timeline.name "supervise.quarantine"
 
 (* --- one attempt ------------------------------------------------------ *)
 
-(* One attempt's product: the report JSON bytes and the truncation count
-   — all a terminal [Done] needs, whether the analysis ran or a cache
-   hit substituted the recorded bytes of an identical trace. *)
-let run_attempt ?cache config (job : job) ~attempt =
-  (match
-     List.find_opt
-       (fun f -> f.f_job = job.j_id && attempt <= f.f_times)
-       config.faults
-   with
-  | Some f -> raise (inject_exn f.f_class)
-  | None -> ());
+(* The canonical key text of a parsed policy, parameters included: two
+   spellings of one policy share a key, two parameterisations do not.
+   Exhaustive on purpose — a new policy must say how it is keyed. *)
+let policy_key = function
+  | S.Random_interleave -> "random"
+  | S.Round_robin -> "round-robin"
+  | S.Delay_injection { probability; duration } ->
+      Printf.sprintf "delay(p=%h,d=%d)" probability duration
+  | S.Targeted_delay { store_loc; duration } ->
+      Printf.sprintf "targeted-delay(loc=%S,d=%d)" store_loc duration
+  | S.Scripted choices ->
+      Printf.sprintf "scripted(%s)"
+        (String.concat "," (Array.to_list (Array.map string_of_int choices)))
+  | S.Pct { depth } -> Printf.sprintf "pct(depth=%d)" depth
+
+(* A job as a result-cache source: everything its trace is a function
+   of, and the thunk that executes it. The scheduler seed is the job
+   seed ([entry.run] gets no [sched_seed]); it is spelled out so the key
+   stays honest if that ever changes. *)
+let job_source (job : job) =
   let entry =
     match R.find job.j_app with
     | Some e -> e
@@ -278,23 +287,46 @@ let run_attempt ?cache config (job : job) ~attempt =
     | Error msg -> invalid_arg ("Supervise: " ^ msg)
   in
   let ops = R.clamp_ops entry job.j_ops in
-  Obs.Budget.with_guard ?wall_s:config.deadline_s ?heap_mb:config.max_heap_mb
-    (fun () ->
-      let report = entry.R.run ~seed:job.j_seed ~policy ~ops () in
-      (* The wall budget also feeds the pipeline's cooperative stage
-         deadlines: the stages yield at their polling points well before
-         the Gc-alarm guard has to fire. *)
-      let pcfg =
-        {
-          Hawkset.Pipeline.default with
-          collect_deadline_s = config.deadline_s;
-          analyse_deadline_s = config.deadline_s;
-        }
-      in
-      let e, truncs =
-        Hawkset.Result_cache.run_cached ?cache ~config:pcfg report.S.trace
-      in
-      (e.Hawkset.Result_cache.e_races_json, truncs))
+  Hawkset.Result_cache.Job
+    {
+      inputs =
+        Printf.sprintf "app=%s;ops=%d;seed=%d;sched_seed=%d;policy=%s"
+          entry.R.reg_name ops job.j_seed job.j_seed (policy_key policy);
+      execute =
+        (fun () -> (entry.R.run ~seed:job.j_seed ~policy ~ops ()).S.trace);
+    }
+
+(* One attempt's product: the report JSON bytes and the truncation count
+   — all a terminal [Done] needs, whether the analysis ran or a cache
+   hit substituted the recorded bytes of an identical job. A hit is
+   keyed on the job's inputs, so it neither executes the app nor
+   fingerprints a trace, and runs outside the budget guard. *)
+let run_attempt ?cache config (job : job) ~attempt =
+  (match
+     List.find_opt
+       (fun f -> f.f_job = job.j_id && attempt <= f.f_times)
+       config.faults
+   with
+  | Some f -> raise (inject_exn f.f_class)
+  | None -> ());
+  (* The wall budget also feeds the pipeline's cooperative stage
+     deadlines: the stages yield at their polling points well before
+     the Gc-alarm guard has to fire. *)
+  let pcfg =
+    {
+      Hawkset.Pipeline.default with
+      collect_deadline_s = config.deadline_s;
+      analyse_deadline_s = config.deadline_s;
+    }
+  in
+  let e, truncs =
+    Hawkset.Result_cache.run_cached ?cache
+      ~guard:
+        (Obs.Budget.with_guard ?wall_s:config.deadline_s
+           ?heap_mb:config.max_heap_mb)
+      ~config:pcfg (job_source job)
+  in
+  (e.Hawkset.Result_cache.e_races_json, truncs)
 
 (* --- journal records -------------------------------------------------- *)
 

@@ -61,6 +61,11 @@ type job = {
 
 val policy_of_string : string -> (Machine.Sched.policy, string) result
 
+val policy_key : Machine.Sched.policy -> string
+(** Canonical text of a policy, every parameter included (floats in
+    exact hex), so policies that differ in any parameter differ in
+    text. Part of a job's result-cache key. *)
+
 val jobs_of :
   apps:string list ->
   seeds:int list ->
@@ -70,6 +75,14 @@ val jobs_of :
 (** The cross product (apps outermost, then seeds, then policies) with
     ids assigned in enumeration order — the batch's declared job set.
     [Error] on an unknown application or policy name. *)
+
+val job_source : job -> Hawkset.Result_cache.source
+(** The job as a result-cache [Job] source. Its [inputs] name the
+    registry app, the clamped ops, the seed, the scheduler seed and the
+    {e parsed} policy with its parameters, so ["round_robin"] and
+    ["round-robin"] share a key and P-ART at 1000 and 5000 ops (capped
+    at 1000) do too. Its [execute] runs the app. Raises
+    [Invalid_argument] on an unknown app or policy. *)
 
 (** An injected fault (for chaos testing and the CI kill/resume smoke):
     the first [f_times] attempts of job [f_job] raise the real exception
@@ -181,10 +194,14 @@ val run :
     replayed from their recorded bytes, partially-attempted jobs
     continue from their next attempt, and the journal is extended in
     place. A damaged journal tail (mid-write kill) is salvaged: valid
-    records are kept, the rest re-executed. With [cache] set, an attempt
-    whose workload trace fingerprint (plus analysis-config fingerprint)
-    is cached skips stages 2–3 and embeds the recorded report bytes —
-    byte-identical, since the cached bytes came from an identical trace.
+    records are kept, the rest re-executed. With [cache] set, each
+    attempt (after its injected-fault check) probes the cache with the
+    job's {!job_source} key plus the analysis-config fingerprint. A hit
+    embeds the recorded report bytes with no execution, no budget guard
+    and no trace fingerprint — byte-identical, because a job's output is
+    a pure function of those inputs. A miss executes, analyses and
+    stores the complete result under that key. Batch jobs never use
+    trace-keyed entries.
     If journal I/O raises, no further job starts and the exception
     propagates. Raises {!Resume_mismatch} when the journal belongs to a
     different declaration, [Invalid_argument] on an unknown app or

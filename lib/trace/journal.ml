@@ -13,10 +13,12 @@ let fnv_prime = 0x100000001b3L
 
 let fnv_fold h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
 
 let fnv_hex s = Printf.sprintf "%016Lx" (fnv_fold fnv_offset s)

@@ -134,11 +134,16 @@ let event_of_line line = event_of_line_at 0 line
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* A [for] loop over a local accumulator, so the native compiler keeps
+   [h] unboxed; a closure over an [Int64 ref] would box once per byte. *)
 let fnv1a_string h s =
   let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   Int64.mul (Int64.logxor !h 0x0aL) fnv_prime (* the trailing '\n' *)
 
 (* The same hash the trailer records, computed in memory: a 16-hex-digit

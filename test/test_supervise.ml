@@ -665,6 +665,54 @@ module Run_tests = struct
       (Supervise.merged_json golden)
       (Supervise.merged_json b)
 
+  (* The purity audit behind job-keyed hits: every registry app under
+     every policy, cold with a cache, then warm. The warm run must hit
+     for every job without executing anything, and both merged reports
+     must equal an uncached run's. *)
+  let cache_purity_audit () =
+    let js =
+      match
+        Supervise.jobs_of
+          ~apps:(List.map (fun e -> e.Pmapps.Registry.reg_name) Pmapps.Registry.all)
+          ~seeds:[ 3 ]
+          ~policies:[ "round-robin"; "random"; "delay"; "pct" ]
+          ~ops:200
+      with
+      | Ok js -> js
+      | Error m -> Alcotest.fail m
+    in
+    Alcotest.(check int) "9 apps x 4 policies" 36 (List.length js);
+    let golden = Supervise.merged_json (Supervise.run ~config:(config ()) js) in
+    let cache = Hawkset.Result_cache.create () in
+    let stat name =
+      Option.value ~default:(-1)
+        (List.assoc_opt name (Hawkset.Result_cache.stats cache))
+    in
+    let cold = Supervise.run ~cache ~config:(config ~job_workers:2 ()) js in
+    Alcotest.(check string) "cold = uncached" golden (Supervise.merged_json cold);
+    Alcotest.(check int) "cold: every job missed" 36 (stat "cache.misses");
+    Alcotest.(check int) "cold: every job stored" 36 (stat "cache.entries");
+    let runs = Obs.Registry.counter "sched.machine_runs" in
+    let runs_before = Obs.Metric.value runs in
+    let warm = Supervise.run ~cache ~config:(config ()) js in
+    Alcotest.(check string) "warm = uncached" golden (Supervise.merged_json warm);
+    Alcotest.(check int) "warm: every job hit" 36 (stat "cache.hits");
+    Alcotest.(check int) "warm: no new miss" 36 (stat "cache.misses");
+    Alcotest.(check int) "warm: no app executed" runs_before
+      (Obs.Metric.value runs);
+    (* Persisted and reloaded in the same build, every entry survives
+       and still serves every job. *)
+    with_tmp (fun path ->
+        Hawkset.Result_cache.save cache path;
+        let loaded = Hawkset.Result_cache.load path in
+        Alcotest.(check int) "save/load keeps every entry" 36
+          (Hawkset.Result_cache.length loaded);
+        let reloaded = Supervise.run ~cache:loaded ~config:(config ()) js in
+        Alcotest.(check string) "reloaded = uncached" golden
+          (Supervise.merged_json reloaded);
+        Alcotest.(check (option int)) "reloaded: every job hit" (Some 36)
+          (List.assoc_opt "cache.hits" (Hawkset.Result_cache.stats loaded)))
+
   let merged_json_shape () =
     let b =
       Supervise.run
@@ -719,6 +767,7 @@ module Run_tests = struct
       Alcotest.test_case "cache preserves report" `Quick cache_preserves_report;
       Alcotest.test_case "concurrent cached run identical" `Quick
         cache_concurrent_identical;
+      Alcotest.test_case "cache purity audit" `Quick cache_purity_audit;
       Alcotest.test_case "merged json shape" `Quick merged_json_shape;
     ]
 end

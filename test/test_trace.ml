@@ -586,12 +586,39 @@ module Fuzz_tests = struct
             && t.Trace.Trace_io.checksum
                = (if j = n then `Verified else `Mismatch)))
 
+  (* The FNV-1a fold as first written (a closure over an [Int64 ref]):
+     fingerprints, trailers and journal checksums are pinned to it. *)
+  let old_fnv h s =
+    let h = ref h in
+    String.iter
+      (fun c ->
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
+            0x100000001b3L)
+      s;
+    !h
+
+  let fnv_matches_old_definition =
+    QCheck.Test.make ~name:"FNV fold equals its original definition"
+      ~count:300
+      QCheck.(make Gen.(pair gen_events (string_size (int_bound 300))))
+      (fun (evs, bytes) ->
+        let trace_hash =
+          List.fold_left
+            (fun h ev -> old_fnv h (Trace.Trace_io.event_to_line ev ^ "\n"))
+            0xcbf29ce484222325L evs
+        in
+        Trace.Trace_io.fingerprint (Trace.Tracebuf.of_list evs)
+        = Printf.sprintf "%016Lx" trace_hash
+        && Trace.Journal.fnv_hex bytes
+           = Printf.sprintf "%016Lx" (old_fnv 0xcbf29ce484222325L bytes))
+
   let tests =
     [
       QCheck_alcotest.to_alcotest roundtrip_with_trailer;
       QCheck_alcotest.to_alcotest truncate_salvages_prefix;
       QCheck_alcotest.to_alcotest flip_is_caught;
       QCheck_alcotest.to_alcotest inject_malformed_line;
+      QCheck_alcotest.to_alcotest fnv_matches_old_definition;
     ]
 end
 
