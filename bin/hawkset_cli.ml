@@ -21,11 +21,6 @@
 
 open Cmdliner
 
-(* A run manifest lists every registered counter. PMRace's counters are
-   registered when Baselines.Pmrace initialises, and no subcommand calls
-   it, so link it explicitly: every manifest keeps the same counter set. *)
-let () = ignore Baselines.Pmrace.observed
-
 (* A usage error: one diagnostic line on stderr, exit 1. *)
 let usage_error fmt =
   Format.kasprintf (fun msg -> Format.eprintf "%s@." msg; exit 1) fmt
@@ -271,23 +266,6 @@ let emit obs manifest =
       write_file ~what:"run manifest" file (fun f -> Obs.Manifest.save f manifest))
     obs.stats_json
 
-(* The memory gauges every detector run reports next to its counters. *)
-let live_gauges peak_mb =
-  [
-    ("peak_live_mb", peak_mb);
-    ("final_live_mb", Harness.Metrics.final_live_mb ());
-  ]
-
-(* One measured run: [f] on a freshly reset global registry under the
-   peak-heap sampler; the manifest snapshots the registry plus the
-   memory gauges. *)
-let measured ~labels f =
-  Obs.Registry.reset Obs.Registry.global;
-  let r, peak_mb = Harness.Metrics.with_live_mb f in
-  ( r,
-    Obs.Manifest.of_registry ~labels ~extra_gauges:(live_gauges peak_mb)
-      Obs.Registry.global )
-
 let run_cmd =
   let run () (entry, ops, seed) detector config json obs event_budget
       allow_truncated =
@@ -316,7 +294,7 @@ let run_cmd =
           (* Observation-based detection needs delay injection and the
              runtime monitor; reports are direct observations. *)
           let report, manifest =
-            measured ~labels:(labels "pmrace") (fun () ->
+            Harness.Stats.measured ~labels:(labels "pmrace") (fun () ->
                 Obs.Registry.with_span "run" (fun () ->
                     Obs.Registry.with_span "execute" (fun () ->
                         entry.Pmapps.Registry.run ~seed
@@ -343,7 +321,7 @@ let run_cmd =
           (r.Harness.Stats.manifest, pipeline.Hawkset.Pipeline.truncated)
       | `Eraser ->
           let (report, races), manifest =
-            measured ~labels:(labels "eraser") (fun () ->
+            Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
                 Obs.Registry.with_span "run" (fun () ->
                     let report =
                       Obs.Registry.with_span "execute" (fun () ->
@@ -441,25 +419,21 @@ let analyze_cmd =
     let races, manifest, truncated =
       if eraser then
         let races, manifest =
-          measured ~labels:(labels "eraser") (fun () ->
+          Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
               Obs.Registry.with_span "analyse" (fun () ->
                   Baselines.Eraser.analyse trace))
         in
         (races, manifest, [])
       else
         let config = { config with Hawkset.Pipeline.event_budget } in
-        let res, peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
-              Hawkset.Pipeline.run ~config trace)
+        let res, manifest =
+          Harness.Stats.measured ~labels:(labels "hawkset") (fun () ->
+              Harness.Stats.analyse ~config trace)
         in
         if obs.stats then
           Format.printf "collector: %a@.@." Hawkset.Collector.pp_stats
             res.Hawkset.Pipeline.collector_stats;
-        ( res.Hawkset.Pipeline.races,
-          Harness.Stats.manifest_of_pipeline ~labels:(labels "hawkset")
-            ~extra_gauges:(live_gauges peak_mb)
-            res,
-          res.Hawkset.Pipeline.truncated )
+        (res.Hawkset.Pipeline.races, manifest, res.Hawkset.Pipeline.truncated)
     in
     if json then print_endline (Hawkset.Report.to_json races)
     else begin
@@ -801,7 +775,6 @@ let batch_cmd =
     in
     let config =
       {
-        Supervise.default_config with
         Supervise.attempts;
         backoff_ms;
         breaker_threshold = breaker;
@@ -815,7 +788,6 @@ let batch_cmd =
     match Supervise.jobs_of ~apps ~seeds ~policies ~ops with
     | Error msg -> usage_error "batch: %s" msg
     | Ok declared -> (
-        Obs.Registry.reset Obs.Registry.global;
         let b =
           try
             with_result_cache cache_file (fun cache ->

@@ -27,17 +27,9 @@ let obs_ls_memo_hits = Obs.Registry.counter "analysis.lockset_memo_hits"
 let obs_ls_memo_misses = Obs.Registry.counter "analysis.lockset_memo_misses"
 let obs_vc_memo_hits = Obs.Registry.counter "analysis.vclock_memo_hits"
 let obs_vc_comparisons = Obs.Registry.counter "analysis.vclock_comparisons"
-
-(* These three are bumped through per-run {!Obs.Buffer} cells and reach
-   the registry at flush time; registering them here keeps their zero
-   values in snapshots taken before the first analysis. *)
-let () =
-  List.iter
-    (fun name -> ignore (Obs.Registry.counter name : Obs.Metric.counter))
-    [
-      "analysis.pairs_examined"; "analysis.pairs_pruned_hb";
-      "analysis.races_reported";
-    ]
+let obs_pairs = Obs.Registry.counter "analysis.pairs_examined"
+let obs_pruned_hb = Obs.Registry.counter "analysis.pairs_pruned_hb"
+let obs_races = Obs.Registry.counter "analysis.races_reported"
 
 (* Memo tables for the interned-id comparisons: a pair of ids becomes
    one int key ({!Trace.Packed_key.pair}) probed in an open-addressing
@@ -60,21 +52,13 @@ let make_memo () =
     vc_lookups = 0;
   }
 
+(* One run's pair counts, kept local and added to the registry once at
+   the end of {!run}, like the memo counts. *)
 type stats = {
-  buf : Obs.Buffer.t;
-  s_pairs : Obs.Buffer.cell;
-  s_pruned_hb : Obs.Buffer.cell;
-  s_races : Obs.Buffer.cell;
+  mutable s_pairs : int;
+  mutable s_pruned_hb : int;
+  mutable s_races : int;
 }
-
-let make_stats () =
-  let buf = Obs.Buffer.create () in
-  {
-    buf;
-    s_pairs = Obs.Buffer.cell buf "analysis.pairs_examined";
-    s_pruned_hb = Obs.Buffer.cell buf "analysis.pairs_pruned_hb";
-    s_races = Obs.Buffer.cell buf "analysis.races_reported";
-  }
 
 (* Fault injection points for [hawkset check --mutate]. The faulted
    value is what gets memoized, so a seeded fault stays self-consistent
@@ -154,16 +138,16 @@ let analyse_slot ~features ~memo ~stats (c : Collector.result) slot report =
           && Pmem.Layout.ranges_overlap w.Access.w_addr w.Access.w_size
                l.Access.l_addr l.Access.l_size
         then begin
-          Obs.Buffer.incr stats.s_pairs;
+          stats.s_pairs <- stats.s_pairs + 1;
           if not (may_overlap_window ~features ~tables ~memo w l) then
-            Obs.Buffer.incr stats.s_pruned_hb
+            stats.s_pruned_hb <- stats.s_pruned_hb + 1
           else
             let store_ls =
               if features.effective_lockset then w.Access.w_eff
               else w.Access.w_store_ls
             in
             if disjoint ~tables ~memo store_ls l.Access.l_ls then begin
-              Obs.Buffer.incr stats.s_races;
+              stats.s_races <- stats.s_races + 1;
               (* Forced only when this pair opens a new report, so the
                  interning-table resolution is off the per-occurrence
                  path. *)
@@ -201,7 +185,7 @@ let tl_seq = Obs.Timeline.name "analysis.sequential"
 
 let run ?(features = all_features) ?stop (c : Collector.result) =
   let memo = make_memo () in
-  let stats = make_stats () in
+  let stats = { s_pairs = 0; s_pruned_hb = 0; s_races = 0 } in
   let nslots = Array.length c.Collector.slots in
   let report = ref Report.empty in
   let analysed = ref 0 in
@@ -219,8 +203,10 @@ let run ?(features = all_features) ?stop (c : Collector.result) =
      done
    with Exit -> ());
   Obs.Timeline.end_ tl_seq ~arg:!analysed;
-  let pairs = Obs.Buffer.value stats.s_pairs in
-  Obs.Buffer.flush stats.buf;
+  let pairs = stats.s_pairs in
+  Obs.Metric.add obs_pairs pairs;
+  Obs.Metric.add obs_pruned_hb stats.s_pruned_hb;
+  Obs.Metric.add obs_races stats.s_races;
   (* Misses are the distinct keys probed. *)
   let ls_misses = Trace.Int_tbl.Map.length memo.p_disjoint
   and vc_misses = Trace.Int_tbl.Map.length memo.p_leq in

@@ -30,8 +30,6 @@ type result = {
   collector_stats : Collector.stats;
   pairs_examined : int;
   analysis_seconds : float;
-  stage_seconds : (string * float) list;
-  counters : (string * int) list;
   truncated : truncation list;
 }
 
@@ -41,18 +39,15 @@ let tl_pipeline = Obs.Timeline.name "pipeline"
 let tl_truncation = Obs.Timeline.name "pipeline.truncation"
 
 (* One stage: record into the global span aggregate (nested under the
-   enclosing span path), bracket the caller's timeline lane with a
-   duration event, and return this call's own wall-clock seconds. The
-   intern call is two per [run] — nowhere near a hot path. *)
+   enclosing span path) and bracket the caller's timeline lane with a
+   duration event. The intern call is two per [run] — nowhere near a hot
+   path. *)
 let staged name f =
   let h = Obs.Timeline.name ("pipeline." ^ name) in
   Obs.Timeline.begin_ h;
   Fun.protect
     ~finally:(fun () -> Obs.Timeline.end_ h)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r = Obs.Registry.with_span name f in
-      (r, Unix.gettimeofday () -. t0))
+    (fun () -> Obs.Registry.with_span name f)
 
 (* A [stop] predicate that trips once [deadline_s] wall-clock seconds have
    elapsed from its creation. [None] deadline never trips. *)
@@ -63,7 +58,6 @@ let deadline_stop = function
       Some (fun () -> Unix.gettimeofday () -. t0 > deadline_s)
 
 let run ?(config = default) trace =
-  let before = Obs.Registry.counters Obs.Registry.global in
   let t0 = Unix.gettimeofday () in
   let truncated = ref [] in
   let note t =
@@ -87,12 +81,12 @@ let run ?(config = default) trace =
     | Some _ | None -> trace
   in
   Obs.Timeline.begin_ tl_pipeline ~arg:(Trace.Tracebuf.length trace);
-  let (collected, outcome), (collect_s, analyse_s) =
+  let collected, outcome =
     Fun.protect
       ~finally:(fun () -> Obs.Timeline.end_ tl_pipeline)
     @@ fun () ->
     Obs.Registry.with_span "pipeline" (fun () ->
-        let collected, collect_s =
+        let collected =
           staged "collect" (fun () ->
               Collector.collect ~irh:config.irh ~timestamps:config.timestamps
                 ~eadr:config.eadr
@@ -112,7 +106,7 @@ let run ?(config = default) trace =
             vector_clocks = config.vector_clocks;
           }
         in
-        let outcome, analyse_s =
+        let outcome =
           staged "analyse" (fun () ->
               Analysis.run ~features
                 ?stop:(deadline_stop config.analyse_deadline_s)
@@ -124,17 +118,14 @@ let run ?(config = default) trace =
               trunc_reason = "deadline";
               trunc_done = outcome.Analysis.words_analysed;
               trunc_total = outcome.Analysis.words_total };
-        ((collected, outcome), (collect_s, analyse_s)))
+        (collected, outcome))
   in
   let t1 = Unix.gettimeofday () in
-  let after = Obs.Registry.counters Obs.Registry.global in
   {
     races = outcome.Analysis.report;
     collector_stats = collected.Collector.stats;
     pairs_examined = outcome.Analysis.pairs;
     analysis_seconds = t1 -. t0;
-    stage_seconds = [ ("collect", collect_s); ("analyse", analyse_s) ];
-    counters = Obs.Registry.delta ~before ~after;
     truncated = List.rev !truncated;
   }
 

@@ -99,16 +99,6 @@ type t = {
   x_seconds : float;
 }
 
-(* Coverage counters, registered at module initialization so worker-side
-   registry lookups never allocate a table entry. *)
-let obs_schedules = Obs.Registry.counter "explore.schedules"
-let obs_errors = Obs.Registry.counter "explore.schedule_errors"
-let obs_divergences = Obs.Registry.counter "explore.divergences"
-let obs_distinct = Obs.Registry.counter "explore.distinct_traces"
-let obs_report_sets = Obs.Registry.counter "explore.report_sets"
-let obs_pairs = Obs.Registry.counter "explore.racing_pairs"
-let obs_observed = Obs.Registry.counter "explore.observed_pairs"
-
 let delay_policy = S.Delay_injection { probability = 0.05; duration = 40 }
 
 (* Schedule [i]'s policy. [All] spends schedule 0 on the one
@@ -367,15 +357,6 @@ let run ?(config = default_config) (entry : R.entry) =
            compare a.Pmapps.Ground_truth.gt_id b.Pmapps.Ground_truth.gt_id)
          entry.R.bugs)
   in
-  (* Mirror the coverage into the global registry (coordinator-side, so
-     the bumps are as deterministic as the results themselves). *)
-  Obs.Metric.add obs_schedules (List.length results);
-  Obs.Metric.add obs_errors errors;
-  Obs.Metric.add obs_divergences (List.length divergences);
-  Obs.Metric.add obs_distinct distinct_traces;
-  Obs.Metric.add obs_report_sets report_sets;
-  Obs.Metric.add obs_pairs (List.length racing_pairs);
-  Obs.Metric.add obs_observed (List.length observed);
   {
     x_app = entry.R.reg_name;
     x_config = config;

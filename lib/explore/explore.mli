@@ -173,8 +173,9 @@ val counters : t list -> (string * int) list
     [explore.schedules], [explore.schedule_errors],
     [explore.divergences], [explore.distinct_traces],
     [explore.report_sets], [explore.racing_pairs],
-    [explore.observed_pairs]. Also bumped into the global registry by
-    {!run}. *)
+    [explore.observed_pairs], computed from the results. They are the
+    sweep's only source; {!Obs.Registry.global} holds no [explore.*]
+    counter. *)
 
 val manifest : t list -> Obs.Manifest.t
 (** Obs manifest for a sweep: labels (apps, policy, schedules, depth,

@@ -81,7 +81,9 @@ let details_string { cs_sweep = s; _ } =
   Buffer.contents buf
 
 let manifest_of_sweeps rows =
-  let counters = Obs.Registry.counters Obs.Registry.global in
+  let counters =
+    Obs.Manifest.active (Obs.Registry.counters Obs.Registry.global)
+  in
   let labels =
     ("harness", "crash-sweep")
     :: List.concat_map

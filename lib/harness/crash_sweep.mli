@@ -23,5 +23,6 @@ val details_string : row -> string
     operations, at-risk bytes, outcome, attributed bugs). *)
 
 val manifest_of_sweeps : row list -> Obs.Manifest.t
-(** Manifest carrying the global [crashtest.*] counters plus one
-    summary label per swept application. *)
+(** Manifest carrying the global registry's counters of every subsystem
+    that ran ({!Obs.Manifest.active}) plus one summary label per swept
+    application. *)

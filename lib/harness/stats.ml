@@ -1,14 +1,12 @@
-(* Shared observability plumbing for the CLI and the tests: one
-   instrumented execute+analyse run with the global registry reset at the
-   start, peak-heap sampling around the whole thing, and a run manifest
-   assembled at the end. Keeping this here (not in bin/) lets tests assert
+(* Shared observability plumbing for the CLI and the tests: one measured
+   run with the global registry reset at the start, peak-heap sampling
+   around the whole thing, and a run manifest snapshotted from the
+   registry at the end. Keeping this here (not in bin/) lets tests assert
    the exact artifact the CLI emits. *)
 
 type run = {
   sched_report : Machine.Sched.report;
   pipeline : Hawkset.Pipeline.result;
-  peak_mb : float;
-  final_live_mb : float;
   manifest : Obs.Manifest.t;
 }
 
@@ -25,12 +23,28 @@ let base_labels ~app ~detector ~seed ~ops =
     ("ops", string_of_int ops);
   ]
 
-let instrumented_run ?(config = Hawkset.Pipeline.default) ~entry ~seed ~ops ()
-    =
+let measured ~labels f =
   let reg = Obs.Registry.global in
   Obs.Registry.reset reg;
-  let (sched_report, pipeline), peak_mb =
-    Metrics.with_live_mb (fun () ->
+  let r, peak_mb = Metrics.with_live_mb f in
+  let gauges =
+    [ ("peak_live_mb", peak_mb); ("final_live_mb", Metrics.final_live_mb ()) ]
+  in
+  (r, Obs.Manifest.of_registry ~labels ~extra_gauges:gauges reg)
+
+let analyse ?config trace =
+  let res = Hawkset.Pipeline.run ?config trace in
+  Obs.Metric.add obs_distinct_races
+    (Hawkset.Report.count res.Hawkset.Pipeline.races);
+  res
+
+let instrumented_run ?config ~entry ~seed ~ops () =
+  let labels =
+    base_labels ~app:entry.Pmapps.Registry.reg_name ~detector:"hawkset" ~seed
+      ~ops
+  in
+  let (sched_report, pipeline), manifest =
+    measured ~labels (fun () ->
         Obs.Registry.with_span "run" (fun () ->
             Obs.Timeline.begin_ tl_run;
             Fun.protect ~finally:(fun () -> Obs.Timeline.end_ tl_run)
@@ -42,47 +56,9 @@ let instrumented_run ?(config = Hawkset.Pipeline.default) ~entry ~seed ~ops ()
                     ~finally:(fun () -> Obs.Timeline.end_ tl_execute)
                     (fun () -> entry.Pmapps.Registry.run ~seed ~ops ()))
             in
-            let pipeline =
-              Hawkset.Pipeline.run ~config sched_report.Machine.Sched.trace
-            in
-            (sched_report, pipeline)))
+            (sched_report, analyse ?config sched_report.Machine.Sched.trace)))
   in
-  Obs.Metric.add obs_distinct_races
-    (Hawkset.Report.count pipeline.Hawkset.Pipeline.races);
-  let final_live_mb = Metrics.final_live_mb () in
-  let manifest =
-    Obs.Manifest.of_registry
-      ~labels:
-        (base_labels ~app:entry.Pmapps.Registry.reg_name ~detector:"hawkset"
-           ~seed ~ops)
-      ~extra_gauges:
-        [ ("peak_live_mb", peak_mb); ("final_live_mb", final_live_mb) ]
-      reg
-  in
-  { sched_report; pipeline; peak_mb; final_live_mb; manifest }
-
-(* Offline traces carry no scheduler/cache counters: the manifest is built
-   from the pipeline result's own delta so `analyze` prints the same stats
-   block as a live run's pipeline section. *)
-let manifest_of_pipeline ?(labels = []) ?(extra_gauges = [])
-    (res : Hawkset.Pipeline.result) =
-  Obs.Manifest.make ~labels
-    ~counters:
-      (List.sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         (("report.distinct_races",
-           Hawkset.Report.count res.Hawkset.Pipeline.races)
-         :: res.Hawkset.Pipeline.counters))
-    ~stages:
-      (List.map
-         (fun (name, seconds) ->
-           {
-             Obs.Manifest.stage_name = "pipeline/" ^ name;
-             stage_count = 1;
-             stage_seconds = seconds;
-           })
-         res.Hawkset.Pipeline.stage_seconds)
-    ~gauges:extra_gauges ()
+  { sched_report; pipeline; manifest }
 
 (* --- human rendering -------------------------------------------------- *)
 

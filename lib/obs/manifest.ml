@@ -21,11 +21,35 @@ let make ?(labels = []) ?(counters = []) ?(histograms = []) ?(stages = [])
     ?(gauges = []) () =
   { labels; counters; histograms; stages; gauges }
 
+(* A subsystem is a metric name up to its first '.'. It ran when one of
+   its counters is non-zero or one of its histograms holds an
+   observation; only the subsystems that ran reach a manifest, so a
+   manifest never depends on which modules registered idle metrics. *)
+let subsystem name =
+  match String.index_opt name '.' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let ran counters histograms =
+  let nonzero cells = List.exists (fun (_, v) -> v <> 0) cells in
+  List.filter_map
+    (fun (k, v) -> if v <> 0 then Some (subsystem k) else None)
+    counters
+  @ List.filter_map
+      (fun (k, cells) -> if nonzero cells then Some (subsystem k) else None)
+      histograms
+
+let kept ran (name, _) = List.mem (subsystem name) ran
+let active counters = List.filter (kept (ran counters [])) counters
+
 let of_registry ?(labels = []) ?(extra_gauges = []) reg =
+  let counters = Registry.counters reg
+  and histograms = Registry.histograms reg in
+  let ran = ran counters histograms in
   {
     labels;
-    counters = Registry.counters reg;
-    histograms = Registry.histograms reg;
+    counters = List.filter (kept ran) counters;
+    histograms = List.filter (kept ran) histograms;
     stages =
       List.map
         (fun (path, (count, seconds)) ->

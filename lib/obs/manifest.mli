@@ -45,7 +45,15 @@ val of_registry :
   Registry.t ->
   t
 (** Snapshot a registry: counters/histograms/spans/gauges, plus
-    [extra_gauges] merged into the gauge section. *)
+    [extra_gauges] merged into the gauge section. Only the subsystems
+    that ran are kept: a subsystem (a metric name up to its first ['.'])
+    appears when one of its counters is non-zero or one of its
+    histograms holds an observation, and then with all of its counters
+    and histograms. *)
+
+val active : (string * int) list -> (string * int) list
+(** The same rule for a bare counter list: the counters of every
+    subsystem with at least one non-zero counter. *)
 
 val label : t -> string -> string option
 val counter : t -> string -> int option

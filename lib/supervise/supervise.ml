@@ -132,7 +132,6 @@ let inject_exn = function
 type config = {
   attempts : int;
   backoff_ms : int;
-  backoff_seed : int;
   deadline_s : float option;
   max_heap_mb : float option;
   breaker_threshold : int;
@@ -145,7 +144,6 @@ let default_config =
   {
     attempts = 3;
     backoff_ms = 50;
-    backoff_seed = 42;
     deadline_s = None;
     max_heap_mb = None;
     breaker_threshold = 2;
@@ -183,6 +181,10 @@ type batch = {
 
 exception Resume_mismatch of { expected : string; found : string option }
 
+(* The backoff jitter's PRNG seed. The fingerprint still spells it
+   [bseed=42], so journals from before it was fixed keep resuming. *)
+let backoff_seed = 42
+
 (* Everything that shapes a job's terminal state goes into the
    fingerprint — [stop_after] deliberately not: a killed batch and its
    uninterrupted twin are the same declaration. [job_workers] is also
@@ -199,8 +201,7 @@ let fingerprint config jobs =
     jobs;
   Buffer.add_string b
     (Printf.sprintf "attempts=%d;backoff=%d;bseed=%d;breaker=%d;"
-       config.attempts config.backoff_ms config.backoff_seed
-       config.breaker_threshold);
+       config.attempts config.backoff_ms backoff_seed config.breaker_threshold);
   (match config.deadline_s with
   | Some d -> Buffer.add_string b (Printf.sprintf "deadline=%g;" d)
   | None -> ());
@@ -223,31 +224,12 @@ let backoff_delay_ms config ~job ~attempt =
     let base = config.backoff_ms * (1 lsl exponent) in
     let prng =
       Machine.Prng.create
-        (config.backoff_seed lxor (job * 0x9e3779b9) lxor (attempt * 0x85ebca6))
+        (backoff_seed lxor (job * 0x9e3779b9) lxor (attempt * 0x85ebca6))
     in
     base + Machine.Prng.int prng config.backoff_ms
   end
 
 (* --- observability ---------------------------------------------------- *)
-
-let obs_jobs = Obs.Registry.counter "supervise.jobs"
-let obs_attempts = Obs.Registry.counter "supervise.attempts"
-let obs_retries = Obs.Registry.counter "supervise.retries"
-let obs_replayed = Obs.Registry.counter "supervise.replayed"
-let obs_quarantined = Obs.Registry.counter "supervise.quarantined"
-let obs_gave_up = Obs.Registry.counter "supervise.gave_up"
-let obs_fail_timeout = Obs.Registry.counter "supervise.failures.timeout"
-let obs_fail_oom = Obs.Registry.counter "supervise.failures.oom"
-let obs_fail_corrupt = Obs.Registry.counter "supervise.failures.corrupt_trace"
-let obs_fail_exn = Obs.Registry.counter "supervise.failures.pipeline_exn"
-let obs_fail_lost = Obs.Registry.counter "supervise.failures.worker_lost"
-
-let obs_failure = function
-  | Timeout -> obs_fail_timeout
-  | Oom -> obs_fail_oom
-  | Corrupt_trace -> obs_fail_corrupt
-  | Pipeline_exn -> obs_fail_exn
-  | Worker_lost -> obs_fail_lost
 
 let tl_attempt = Obs.Timeline.name "supervise.attempt"
 let tl_retry = Obs.Timeline.name "supervise.retry"
@@ -453,10 +435,8 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
   (* [app_failures] is the job's app's count of consecutive exhausted
      jobs, which its chain owns. *)
   let process ~app_failures (job : job) =
-    Obs.Metric.incr obs_jobs;
     match Hashtbl.find_opt prior job.j_id with
     | Some { rs_terminal = Some st; _ } ->
-        Obs.Metric.incr obs_replayed;
         Obs.Timeline.instant tl_replay ~arg:job.j_id;
         { jr_job = job; jr_status = st; jr_replayed = true }
     | prior_state ->
@@ -464,7 +444,6 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
           match prior_state with Some s -> s.rs_fails | None -> []
         in
         if app_failures >= config.breaker_threshold then begin
-          Obs.Metric.incr obs_quarantined;
           Obs.Timeline.instant tl_quarantine ~arg:job.j_id;
           Obs.Logger.warn ~section:"supervise" (fun () ->
               Printf.sprintf "job %d (%s): quarantined by circuit breaker"
@@ -477,12 +456,10 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
           let failures = ref prior_fails in
           let rec go attempt =
             if attempt > config.attempts then begin
-              Obs.Metric.incr obs_gave_up;
               record "gaveup" [ id; string_of_int config.attempts ] None;
               Gave_up { g_attempts = config.attempts; g_failures = !failures }
             end
             else begin
-              Obs.Metric.incr obs_attempts;
               record "start" [ id; string_of_int attempt ] None;
               Obs.Timeline.begin_ tl_attempt ~arg:job.j_id;
               let outcome =
@@ -510,7 +487,6 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
                     }
               | Error e ->
                   let cls = classify_exn e in
-                  Obs.Metric.incr (obs_failure cls);
                   failures := !failures @ [ cls ];
                   record "fail" [ id; string_of_int attempt; failure_to_string cls ]
                     None;
@@ -520,7 +496,6 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
                         (failure_to_string cls) (Printexc.to_string e));
                   if attempt >= config.attempts then go (attempt + 1)
                   else begin
-                    Obs.Metric.incr obs_retries;
                     Obs.Timeline.instant tl_retry ~arg:job.j_id;
                     let delay =
                       backoff_delay_ms config ~job:job.j_id ~attempt

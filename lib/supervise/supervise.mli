@@ -100,7 +100,6 @@ type config = {
       (** Base backoff; attempt [k] waits [backoff_ms * 2^(k-1)] plus
           seeded jitter in [\[0, backoff_ms)]. [0] disables sleeping
           (tests, CI). *)
-  backoff_seed : int;  (** Jitter seed (default 42). *)
   deadline_s : float option;  (** Per-attempt wall-clock budget. *)
   max_heap_mb : float option;  (** Per-attempt live-heap budget. *)
   breaker_threshold : int;
@@ -172,8 +171,8 @@ val fingerprint : config -> job list -> string
 val backoff_delay_ms : config -> job:int -> attempt:int -> int
 (** Delay before retrying [attempt] (the attempt that just failed) of
     [job]: [backoff_ms * 2^(attempt-1)] plus jitter drawn from a PRNG
-    seeded with (backoff_seed, job, attempt) — deterministic, so two
-    runs of the same batch back off identically. [0] when
+    seeded with (42, job, attempt) — deterministic, so two runs of the
+    same batch back off identically. [0] when
     [backoff_ms = 0]. *)
 
 val run :
@@ -221,10 +220,10 @@ val summary : batch -> (string * int) list
     attempts, retries, replayed. *)
 
 val counters : batch -> (string * int) list
-(** The [supervise.*] counters for this batch (also bumped into
-    {!Obs.Registry.global} while it runs): jobs, attempts, retries,
-    replayed, quarantined, gave_up, and one [supervise.failures.*] per
-    taxonomy class. *)
+(** The [supervise.*] counters for this batch, computed from its
+    results: jobs, attempts, retries, replayed, quarantined, gave_up, and
+    one [supervise.failures.*] per taxonomy class. They are this batch's
+    only source; {!Obs.Registry.global} holds no [supervise.*] counter. *)
 
 val manifest : batch -> Obs.Manifest.t
 (** Labels (apps, seeds, policies, attempts, job_workers, breaker),

@@ -7,7 +7,10 @@ let header = "# hawkset-journal 1"
 
 type record = { tag : string; fields : string list; payload : string option }
 
-(* FNV-1a 64, the Trace_io trailer's constants. *)
+(* FNV-1a 64: the one byte loop behind the journal's record sums, the
+   Trace_io trailer and trace fingerprints. A [for] loop over a local
+   accumulator, so the native compiler keeps [h] unboxed; a closure over
+   an [Int64 ref] would box once per byte. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 

@@ -25,6 +25,13 @@ type record = {
   payload : string option;  (** Arbitrary bytes, length-prefixed on disk. *)
 }
 
+val fnv_offset : int64
+(** The FNV-1a 64-bit offset basis: the hash of no bytes. *)
+
+val fnv_fold : int64 -> string -> int64
+(** [fnv_fold h s] continues an FNV-1a 64-bit hash [h] over the bytes
+    of [s]. *)
+
 val fnv_hex : string -> string
 (** FNV-1a 64-bit hash of a byte string as 16 hex digits — the
     {!Trace_io} trailer's hash, exposed for fingerprinting journal-level

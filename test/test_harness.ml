@@ -230,7 +230,8 @@ module Stats_tests = struct
     | None -> Alcotest.fail "peak_live_mb gauge missing");
     Alcotest.(check bool)
       "peak >= final" true
-      (r.Harness.Stats.peak_mb >= r.Harness.Stats.final_live_mb);
+      (Obs.Manifest.gauge m "peak_live_mb"
+      >= Obs.Manifest.gauge m "final_live_mb");
     (* Round-trip through a parser rather than grepping the serialization:
        the schema tag, a non-empty stage array and the peak-memory gauge
        must all survive emission. *)
@@ -273,6 +274,80 @@ module Stats_tests = struct
     Alcotest.(check bool) "roots have no parent share" true
       (contains ~needle:"-" s)
 
+  (* [run] and [analyze] build their manifests through the same helper,
+     so a saved trace analysed offline carries the live run's collector,
+     analysis, pipeline and report counters, and neither manifest names a
+     counter twice. Explore and Supervise count from their results and
+     leave no counter of their own in the registry. *)
+  let run_and_analyze_agree () =
+    let wipe =
+      match Pmapps.Registry.find "wipe" with
+      | Some e -> e
+      | None -> Alcotest.fail "wipe not registered"
+    in
+    let live = Harness.Stats.instrumented_run ~entry:wipe ~seed:42 ~ops:200 () in
+    let file = Filename.temp_file "hawkset_wipe" ".trace" in
+    let trace =
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Trace.Trace_io.save file
+            live.Harness.Stats.sched_report.Machine.Sched.trace;
+          Trace.Trace_io.load file)
+    in
+    let offline, offline_manifest =
+      Harness.Stats.measured ~labels:[] (fun () ->
+          Harness.Stats.analyse trace)
+    in
+    List.iter
+      (fun (what, (m : Obs.Manifest.t)) ->
+        let names = List.map fst m.Obs.Manifest.counters in
+        Alcotest.(check (list string))
+          (what ^ ": counter names unique")
+          (List.sort_uniq String.compare names)
+          names)
+      [ ("run", live.Harness.Stats.manifest); ("analyze", offline_manifest) ];
+    let layers (m : Obs.Manifest.t) =
+      List.filter
+        (fun (k, _) ->
+          List.exists
+            (fun prefix -> String.starts_with ~prefix k)
+            [ "collector."; "analysis."; "pipeline."; "report." ])
+        m.Obs.Manifest.counters
+    in
+    Alcotest.(check (list (pair string int)))
+      "offline counters = online counters"
+      (layers live.Harness.Stats.manifest)
+      (layers offline_manifest);
+    Alcotest.(check (option int))
+      "report.distinct_races"
+      (Some (Hawkset.Report.count offline.Hawkset.Pipeline.races))
+      (Obs.Manifest.counter offline_manifest "report.distinct_races");
+    ignore
+      (Explore.run
+         ~config:{ Explore.default_config with Explore.schedules = 2; ops = 50 }
+         wipe);
+    (match
+       Supervise.jobs_of ~apps:[ "wipe" ] ~seeds:[ 1 ]
+         ~policies:[ "round-robin" ] ~ops:50
+     with
+    | Ok jobs ->
+        ignore
+          (Supervise.run
+             ~config:{ Supervise.default_config with Supervise.backoff_ms = 0 }
+             jobs)
+    | Error msg -> Alcotest.fail msg);
+    Alcotest.(check (list string))
+      "no explore.* or supervise.* registry counter" []
+      (List.filter_map
+         (fun (k, _) ->
+           if
+             String.starts_with ~prefix:"explore." k
+             || String.starts_with ~prefix:"supervise." k
+           then Some k
+           else None)
+         (Obs.Registry.counters Obs.Registry.global))
+
   let tests =
     [
       Alcotest.test_case "same seed, same counters" `Slow deterministic_counters;
@@ -280,6 +355,8 @@ module Stats_tests = struct
       Alcotest.test_case "manifest shape" `Slow manifest_shape;
       Alcotest.test_case "stats render" `Slow render_has_sections;
       Alcotest.test_case "span tree render" `Slow render_span_tree;
+      Alcotest.test_case "run and analyze manifests agree" `Slow
+        run_and_analyze_agree;
     ]
 end
 

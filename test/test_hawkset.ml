@@ -1035,7 +1035,13 @@ module Pipeline_tests = struct
 
   (* Stage 3 of the pipeline is exactly [Analysis.run] over stage 1's
      records, whatever [jobs] says: the same report bytes, the same pair
-     count, and the same counter delta at every setting. *)
+     count, and the same registry counter delta at every setting. *)
+  let run_counted config trace =
+    let counters () = Obs.Registry.counters Obs.Registry.global in
+    let before = counters () in
+    let r = Hawkset.Pipeline.run ~config trace in
+    (r, Obs.Registry.delta ~before ~after:(counters ()))
+
   let stage3_is_analysis_run irh =
     QCheck.Test.make
       ~name:(Printf.sprintf "stage 3 == Analysis.run, any jobs (irh=%b)" irh)
@@ -1047,20 +1053,18 @@ module Pipeline_tests = struct
         let direct =
           Hawkset.Analysis.run (Hawkset.Collector.collect ~irh trace)
         in
-        let first = Hawkset.Pipeline.run ~config:base trace in
+        let first, first_delta = run_counted base trace in
         json first.Hawkset.Pipeline.races = json direct.Hawkset.Analysis.report
         && first.Hawkset.Pipeline.pairs_examined = direct.Hawkset.Analysis.pairs
         && List.for_all
              (fun jobs ->
-               let r =
-                 Hawkset.Pipeline.run
-                   ~config:{ base with Hawkset.Pipeline.jobs = jobs }
-                   trace
+               let r, delta =
+                 run_counted { base with Hawkset.Pipeline.jobs = jobs } trace
                in
                json r.Hawkset.Pipeline.races = json first.Hawkset.Pipeline.races
                && r.Hawkset.Pipeline.pairs_examined
                   = first.Hawkset.Pipeline.pairs_examined
-               && r.Hawkset.Pipeline.counters = first.Hawkset.Pipeline.counters)
+               && delta = first_delta)
              jobs_values)
 
   (* The config's ablation switches reach [Analysis.run] as its [features]. *)

@@ -127,50 +127,6 @@ module Registry_tests = struct
     ]
 end
 
-(* --- Buffer ----------------------------------------------------------- *)
-
-module Buffer_tests = struct
-  let accumulate_and_flush () =
-    let r = Obs.Registry.create () in
-    let b = Obs.Buffer.create ~registry:r () in
-    let x = Obs.Buffer.cell b "x" in
-    let y = Obs.Buffer.cell b "y" in
-    Obs.Buffer.incr x;
-    Obs.Buffer.add x 4;
-    Obs.Buffer.add y 2;
-    Alcotest.(check int) "buffered value" 5 (Obs.Buffer.value x);
-    Alcotest.(check (list (pair string int)))
-      "pending cells sorted" [ ("x", 5); ("y", 2) ]
-      (Obs.Buffer.cells b);
-    Alcotest.(check (list (pair string int)))
-      "registry untouched before flush" []
-      (Obs.Registry.counters r);
-    Obs.Buffer.flush b;
-    Alcotest.(check (list (pair string int)))
-      "flush publishes" [ ("x", 5); ("y", 2) ]
-      (Obs.Registry.counters r);
-    Alcotest.(check int) "cells zeroed" 0 (Obs.Buffer.value x);
-    (* Flushing adds: a second round accumulates on top, so flush order of
-       several buffers never changes the totals. *)
-    Obs.Buffer.incr x;
-    Obs.Buffer.flush b;
-    Alcotest.(check (list (pair string int)))
-      "second flush adds" [ ("x", 6); ("y", 2) ]
-      (Obs.Registry.counters r)
-
-  let same_name_same_cell () =
-    let b = Obs.Buffer.create ~registry:(Obs.Registry.create ()) () in
-    Obs.Buffer.incr (Obs.Buffer.cell b "x");
-    Obs.Buffer.incr (Obs.Buffer.cell b "x");
-    Alcotest.(check int) "one cell" 2 (Obs.Buffer.value (Obs.Buffer.cell b "x"))
-
-  let tests =
-    [
-      Alcotest.test_case "accumulate and flush" `Quick accumulate_and_flush;
-      Alcotest.test_case "same name, same cell" `Quick same_name_same_cell;
-    ]
-end
-
 (* --- Logger ----------------------------------------------------------- *)
 
 module Logger_tests = struct
@@ -293,12 +249,38 @@ module Manifest_tests = struct
     Alcotest.(check (option (float 0.0))) "gauge" (Some 1.0)
       (Obs.Manifest.gauge m "g")
 
+  (* A subsystem (the name up to its first '.') reaches the manifest only
+     when it ran: a non-zero counter or a histogram observation. *)
+  let of_registry_keeps_what_ran () =
+    let r = Obs.Registry.create () in
+    let counter name = Obs.Registry.counter ~registry:r name in
+    ignore (counter "a.idle" : Obs.Metric.counter);
+    Obs.Metric.incr (counter "a.busy");
+    ignore (counter "b.idle" : Obs.Metric.counter);
+    ignore (Obs.Registry.histogram ~registry:r "b.h" : Obs.Metric.histogram);
+    ignore (counter "c.idle" : Obs.Metric.counter);
+    Obs.Metric.observe (Obs.Registry.histogram ~registry:r "c.h") 1;
+    let m = Obs.Manifest.of_registry r in
+    Alcotest.(check (list (pair string int)))
+      "counters of subsystems that ran"
+      [ ("a.busy", 1); ("a.idle", 0); ("c.idle", 0) ]
+      m.Obs.Manifest.counters;
+    Alcotest.(check (list string))
+      "histograms of subsystems that ran" [ "c.h" ]
+      (List.map fst m.Obs.Manifest.histograms);
+    Alcotest.(check (list (pair string int)))
+      "active: counters alone"
+      [ ("a.busy", 1); ("a.idle", 0) ]
+      (Obs.Manifest.active (Obs.Registry.counters r))
+
   let tests =
     [
       Alcotest.test_case "json shape" `Quick json_shape;
       Alcotest.test_case "counters_json excludes measurements" `Quick
         counters_json_excludes_measurements;
       Alcotest.test_case "of_registry" `Quick of_registry;
+      Alcotest.test_case "of_registry keeps what ran" `Quick
+        of_registry_keeps_what_ran;
     ]
 end
 
@@ -308,7 +290,6 @@ let () =
       ("json", Json_tests.tests);
       ("metric", Metric_tests.tests);
       ("registry", Registry_tests.tests);
-      ("buffer", Buffer_tests.tests);
       ("logger", Logger_tests.tests);
       ("manifest", Manifest_tests.tests);
     ]

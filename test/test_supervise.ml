@@ -229,24 +229,44 @@ module Backoff_tests = struct
     Alcotest.(check int) "no sleep" 0
       (Supervise.backoff_delay_ms (config 0) ~job:1 ~attempt:3)
 
-  let seed_changes_jitter () =
-    let c1 = config 50 in
-    let c2 = { c1 with Supervise.backoff_seed = 43 } in
-    let differs =
-      List.exists
-        (fun job ->
-          Supervise.backoff_delay_ms c1 ~job ~attempt:1
-          <> Supervise.backoff_delay_ms c2 ~job ~attempt:1)
+  (* Jobs failing together must not retry in lockstep: the jitter is
+     drawn per job, so first-retry delays spread over [50, 100). *)
+  let jitter_spreads_jobs () =
+    let c = config 50 in
+    let delays =
+      List.map
+        (fun job -> Supervise.backoff_delay_ms c ~job ~attempt:1)
         [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     in
-    Alcotest.(check bool) "some jitter differs across seeds" true differs
+    List.iter
+      (fun d -> Alcotest.(check bool) "in [50, 100)" true (d >= 50 && d < 100))
+      delays;
+    Alcotest.(check bool)
+      "some jitter differs across jobs" true
+      (List.length (List.sort_uniq compare delays) > 1)
+
+  (* The jitter seed is fixed, so a delay depends on [backoff_ms], job
+     and attempt only: retry and breaker settings leave it alone. *)
+  let jitter_ignores_other_settings () =
+    let c1 = config 50 in
+    let c2 = { c1 with Supervise.attempts = 7; breaker_threshold = 1 } in
+    for job = 0 to 7 do
+      for attempt = 1 to 3 do
+        Alcotest.(check int)
+          (Printf.sprintf "job %d attempt %d" job attempt)
+          (Supervise.backoff_delay_ms c1 ~job ~attempt)
+          (Supervise.backoff_delay_ms c2 ~job ~attempt)
+      done
+    done
 
   let tests =
     [
       Alcotest.test_case "deterministic" `Quick deterministic;
       Alcotest.test_case "exponential envelope" `Quick exponential_envelope;
       Alcotest.test_case "zero disables" `Quick zero_disables;
-      Alcotest.test_case "seed changes jitter" `Quick seed_changes_jitter;
+      Alcotest.test_case "jitter spreads jobs" `Quick jitter_spreads_jobs;
+      Alcotest.test_case "jitter ignores other settings" `Quick
+        jitter_ignores_other_settings;
     ]
 end
 
@@ -552,8 +572,8 @@ module Run_tests = struct
              j.j_policy j.j_ops))
       js;
     Buffer.add_string b
-      (Printf.sprintf "attempts=%d;backoff=%d;bseed=%d;breaker=%d;pjobs=1;"
-         c.Supervise.attempts c.backoff_ms c.backoff_seed c.breaker_threshold);
+      (Printf.sprintf "attempts=%d;backoff=%d;bseed=42;breaker=%d;pjobs=1;"
+         c.Supervise.attempts c.backoff_ms c.breaker_threshold);
     let old_fp = Trace.Journal.fnv_hex (Buffer.contents b) in
     Alcotest.(check bool) "fingerprint changed" true
       (old_fp <> Supervise.fingerprint c js);
