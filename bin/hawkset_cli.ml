@@ -297,11 +297,12 @@ let run_cmd =
             Harness.Stats.measured ~labels:(labels "pmrace") (fun () ->
                 Obs.Registry.with_span "run" (fun () ->
                     Obs.Registry.with_span "execute" (fun () ->
-                        entry.Pmapps.Registry.run ~seed
-                          ~policy:
-                            (Machine.Sched.Delay_injection
-                               { probability = 0.05; duration = 40 })
-                          ~observe:true ~ops ())))
+                        Baselines.Pmrace.observe_once (fun () ->
+                            entry.Pmapps.Registry.run ~seed
+                              ~policy:
+                                (Machine.Sched.Delay_injection
+                                   { probability = 0.05; duration = 40 })
+                              ~observe:true ~ops ()))))
           in
           Format.printf "%d directly-observed inconsistencies:@."
             (List.length report.Machine.Sched.observations);
@@ -327,11 +328,7 @@ let run_cmd =
                       Obs.Registry.with_span "execute" (fun () ->
                           entry.Pmapps.Registry.run ~seed ~ops ())
                     in
-                    let races =
-                      Obs.Registry.with_span "analyse" (fun () ->
-                          Baselines.Eraser.analyse report.Machine.Sched.trace)
-                    in
-                    (report, races)))
+                    (report, Harness.Stats.eraser report.Machine.Sched.trace)))
           in
           print_races report races;
           (manifest, [])
@@ -420,8 +417,7 @@ let analyze_cmd =
       if eraser then
         let races, manifest =
           Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
-              Obs.Registry.with_span "analyse" (fun () ->
-                  Baselines.Eraser.analyse trace))
+              Harness.Stats.eraser trace)
         in
         (races, manifest, [])
       else
@@ -527,8 +523,8 @@ let bugs_cmd =
     Term.(const go $ const ())
 
 let crash_sweep_cmd =
-  let go () apps seed ops threads stride max_points no_fences no_attribute
-      verify_budget dump_traces details obs =
+  let go () apps seed ops threads stride max_points verify_budget dump_traces
+      details obs =
     let config =
       {
         Crashtest.c_seed = seed;
@@ -536,13 +532,11 @@ let crash_sweep_cmd =
         c_threads = threads;
         c_stride = stride;
         c_max_points = max_points;
-        c_fence_points = not no_fences;
-        c_attribute = not no_attribute;
         c_verify_budget = verify_budget;
         c_dump_dir = dump_traces;
       }
     in
-    let rows = Harness.Crash_sweep.run ~config ~apps () in
+    let rows, manifest = Harness.Crash_sweep.measured ~config ~apps () in
     if rows = [] then
       usage_error "no crash-sweep runner matched (try list-apps)";
     print_string (Harness.Crash_sweep.to_string rows);
@@ -550,7 +544,18 @@ let crash_sweep_cmd =
       List.iter
         (fun row -> print_string (Harness.Crash_sweep.details_string row))
         rows;
-    emit obs (Harness.Crash_sweep.manifest_of_sweeps rows)
+    emit obs manifest;
+    (* A damaged control is an oracle violation: the harness or the
+       simulator, not the application, is wrong. *)
+    match List.filter Harness.Crash_sweep.control_broken rows with
+    | [] -> ()
+    | broken ->
+        Format.eprintf "hawkset: crash-sweep: control damaged: %s@."
+          (String.concat ", "
+             (List.map
+                (fun r -> r.Harness.Crash_sweep.cs_sweep.Crashtest.sw_app)
+                broken));
+        exit 1
   in
   let apps =
     apps_arg
@@ -573,20 +578,6 @@ let crash_sweep_cmd =
       value & opt int Crashtest.default_config.Crashtest.c_max_points
       & info [ "max-points" ] ~docv:"N"
           ~doc:"Cap per crash-point family (fence points, stride points).")
-  in
-  let no_fences =
-    Arg.(
-      value & flag
-      & info [ "no-fence-points" ]
-          ~doc:"Skip the fence-boundary crash-point family.")
-  in
-  let no_attribute =
-    Arg.(
-      value & flag
-      & info [ "no-attribute" ]
-          ~doc:
-            "Skip running the detector on each damaged prefix (faster; the \
-             sweep then reports damage without ground-truth attribution).")
   in
   let verify_budget =
     Arg.(
@@ -618,7 +609,7 @@ let crash_sweep_cmd =
           event strides, recover the worst-case persistent image and check \
           what acknowledged work survived.")
     Term.(const go $ logging_term $ apps $ seed_arg $ ops_arg 400 $ threads
-          $ stride $ max_points $ no_fences $ no_attribute $ verify_budget
+          $ stride $ max_points $ verify_budget
           $ dump_traces $ details $ obs_term)
 
 (* Load-or-create the persistent result cache, hand it to [f], then save

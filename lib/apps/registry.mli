@@ -31,9 +31,11 @@ type entry = {
 val all : entry list
 (** In the order of Table 1. *)
 
+val canonical : string -> string
+(** A name as lookups compare it: lower case, [_] read as [-]. *)
+
 val find : string -> entry option
-(** Name lookup, case-insensitive and accepting [_] for [-]
-    ("fast_fair" finds "fast-fair"). *)
+(** Name lookup up to {!canonical} ("fast_fair" finds "fast-fair"). *)
 
 val clamp_ops : entry -> int -> int
 (** [clamp_ops e ops] applies the entry's workload cap. *)

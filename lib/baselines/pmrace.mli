@@ -42,6 +42,12 @@ val fuzz :
     with a different scheduler seed. [run] is the application driver
     (e.g. a closure over [Driver.run_kv]). *)
 
+val observe_once : (unit -> Machine.Sched.report) -> Machine.Sched.report
+(** One observed execution outside a campaign ([hawkset run -d pmrace]):
+    runs the thunk and counts it like a {!fuzz} execution, in
+    [pmrace.executions] and [pmrace.observation_hits] (its distinct
+    store/load location pairs). *)
+
 val observed :
   report -> store_locs:string list -> load_locs:string list -> bool
 (** Did the campaign directly observe an inconsistency matching the given

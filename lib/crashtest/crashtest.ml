@@ -5,16 +5,6 @@
 
 module S = Machine.Sched
 
-(* Sweep observability. All counts are exact functions of (app, config):
-   the machine is deterministic and verification walks acked keys in
-   sorted order. *)
-let obs_points = Obs.Registry.counter "crashtest.points"
-let obs_completed = Obs.Registry.counter "crashtest.points_completed"
-let obs_clean = Obs.Registry.counter "crashtest.clean_recoveries"
-let obs_damaged = Obs.Registry.counter "crashtest.damaged_recoveries"
-let obs_raised = Obs.Registry.counter "crashtest.recovery_failures"
-let obs_manifested = Obs.Registry.counter "crashtest.bugs_manifested"
-
 type outcome =
   | Clean
   | Damaged of string list
@@ -39,34 +29,54 @@ type runner = {
 let heap_size = 16 * 1024 * 1024
 let value_of key = Int64.of_int ((key * 1000) + 7)
 
-let split_crash = function
-  | `No -> (None, None)
-  | `After_events n -> (Some n, None)
-  | `After_fences n -> (None, Some n)
+(* What the runner needs of an application: the subset of
+   {!Pmapps.App_intf.KV} it drives, so adapters need not stub the rest. *)
+module type STORE = sig
+  val name : string
 
-(* ---- generic KV runner ----
+  type t
 
-   Workload: [threads] workers insert disjoint ascending keys
-   (key = 1 + i*threads + ti, so every round interleaves all workers in
+  val create : S.ctx -> t
+  val insert : t -> S.ctx -> key:int -> value:int64 -> unit
+  val get : t -> S.ctx -> key:int -> int64 option
+  val bugs : Pmapps.Ground_truth.bug list
+  val sync_config : Machine.Sync_config.t
+end
+
+(* ---- the runner ----
+
+   Workload: [threads] workers insert disjoint ascending logical keys
+   (lk = 1 + i*threads + ti, so every round interleaves all workers in
    the key space) and acknowledge each insert the moment it returns —
-   the point at which a store would answer the client. Every 4th
-   operation also issues a lock-free [get] of a peer thread's key, the
-   cross-thread read the lockset analysis pairs against the stores.
+   the point at which a store would answer the client. The value is a
+   function of the logical key, i.e. of the op index, so two writes that
+   [key_map] sends to one key differ. Every 4th operation also issues a
+   lock-free [get] of a peer thread's key, the cross-thread read the
+   lockset analysis pairs against the stores.
 
    Verification recovers the crash image and re-[get]s every
    acknowledged key, in sorted order (the ack table is a hash table; the
-   sort keeps damage lists deterministic). [consistency] lets an app add
-   structural checks (TurboHash's bitmap-vs-entry scan). [key_map]
-   renames the workload's logical keys (injectively) so an app can be
-   driven into the regime its bug needs — see [turbo_key] below. *)
-let kv_exec (type a) (module App : Pmapps.App_intf.KV with type t = a)
+   sort keeps damage lists deterministic). A key must read back its last
+   acknowledged value, or the value of the one insert still in flight on
+   it at the cut: that insert may already have persisted before it
+   returned. [consistency] lets an app add structural checks
+   (TurboHash's bitmap-vs-entry scan). [key_map] renames the logical
+   keys so an app can be driven into the regime its bug needs (see
+   [turbo_key] below) or onto a small key space (MadFS's blocks). *)
+let kv_exec (type a) (module App : STORE with type t = a)
     ~(anchor : a -> int) ~(reopen : S.ctx -> int -> a)
     ?(consistency : (a -> S.ctx -> string list) option)
     ?(key_map : int -> int = Fun.id) () ~seed ~ops ~threads ~crash =
-  let crash_after_events, crash_after_fences = split_crash crash in
+  let crash_after_events, crash_after_fences =
+    match crash with
+    | `No -> (None, None)
+    | `After_events n -> (Some n, None)
+    | `After_fences n -> (None, Some n)
+  in
   let heap = Pmem.Heap.create ~size:heap_size () in
   let anchor_addr = ref 0 in
   let acked : (int, int64) Hashtbl.t = Hashtbl.create 256 in
+  let in_flight : (int, int64) Hashtbl.t = Hashtbl.create 8 in
   let per_thread = max 1 (ops / max 1 threads) in
   let report =
     S.run ~seed ?crash_after_events ?crash_after_fences
@@ -76,9 +86,12 @@ let kv_exec (type a) (module App : Pmapps.App_intf.KV with type t = a)
         let worker ti =
           S.spawn ctx (fun ctx ->
               for i = 0 to per_thread - 1 do
-                let key = key_map (1 + (i * threads) + ti) in
-                let value = value_of key in
+                let lk = 1 + (i * threads) + ti in
+                let key = key_map lk in
+                let value = value_of lk in
+                Hashtbl.replace in_flight key value;
                 App.insert t ctx ~key ~value;
+                Hashtbl.remove in_flight key;
                 Hashtbl.replace acked key value;
                 if i land 3 = 3 then
                   ignore
@@ -109,6 +122,7 @@ let kv_exec (type a) (module App : Pmapps.App_intf.KV with type t = a)
             (fun (k, v) ->
               match App.get t ctx ~key:k with
               | Some v' when Int64.equal v v' -> ()
+              | Some v' when Hashtbl.find_opt in_flight k = Some v' -> ()
               | Some v' ->
                   damage :=
                     Printf.sprintf
@@ -160,205 +174,74 @@ let turbo_key lk =
   let keys = Lazy.force turbo_keys in
   if lk >= 0 && lk < Array.length keys then keys.(lk) else lk
 
-(* Memcached-pmem exposes set/get rather than the KV signature; adapt the
-   subset the sweep uses. *)
+(* Memcached-pmem exposes set/get rather than the KV signature. *)
 module Mc_kv = struct
-  let name = Pmapps.Memcached.name
+  include Pmapps.Memcached
 
-  type t = Pmapps.Memcached.t
-
-  let create = Pmapps.Memcached.create
-
-  let insert t ctx ~key ~value = Pmapps.Memcached.set t ctx ~key ~value
-  let update = insert
-  let get = Pmapps.Memcached.get
-  let delete = Pmapps.Memcached.delete
-  let bugs = Pmapps.Memcached.bugs
-  let benign = Pmapps.Memcached.benign
-  let sync_config = Pmapps.Memcached.sync_config
+  let insert t ctx ~key ~value = set t ctx ~key ~value
 end
 
-(* ---- MadFS runner ----
+(* MadFS as a store: key = block, insert = [write] + [fsync] (a write is
+   acknowledged only once [fsync] returns, MadFS's contract), get = [read]
+   (a hole reads as zeros, i.e. absent). *)
+let madfs_blocks = 64
 
-   Block writes instead of KV pairs; a write is acknowledged only after
-   [fsync] returns — MadFS's contract makes no promise before that.
-   Verification replays the log and re-reads every acknowledged block. *)
-let madfs_exec ~seed ~ops ~threads ~crash =
-  let crash_after_events, crash_after_fences = split_crash crash in
-  let heap = Pmem.Heap.create ~size:heap_size () in
-  let blocks = 64 in
-  let base = ref 0 in
-  let acked : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let per_thread = max 1 (ops / max 1 threads) in
-  let block_of i ti = (1 + (i * threads) + ti) mod blocks in
-  let pattern b i = Bytes.make 8 (Char.chr (((b * 31) + i) land 0xff)) in
-  let report =
-    S.run ~seed ?crash_after_events ?crash_after_fences ~heap (fun ctx ->
-        let f = Pmapps.Madfs.create ctx ~blocks in
-        base := Pmapps.Madfs.base_addr f;
-        let worker ti =
-          S.spawn ctx (fun ctx ->
-              for i = 0 to per_thread - 1 do
-                let b = block_of i ti in
-                Pmapps.Madfs.write f ctx
-                  ~offset:(b * Pmapps.Madfs.block_size)
-                  ~data:(pattern b i);
-                Pmapps.Madfs.fsync f ctx;
-                Hashtbl.replace acked b ((b * 31) + i)
-              done)
-        in
-        let workers = List.init threads worker in
-        List.iter (S.join ctx) workers)
-  in
-  let at_risk = Pmem.Heap.unpersisted_bytes heap in
-  let image = Pmem.Heap.crash_image heap in
-  let base = !base in
-  let acked_sorted =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) acked [])
-  in
-  let verify ~budget =
-    let post = Pmem.Heap.of_image image in
-    let damage = ref [] in
-    match
-      S.run ~crash_after_events:budget ~heap:post (fun ctx ->
-          let f = Pmapps.Madfs.recover ctx ~base ~blocks in
-          List.iter
-            (fun (b, tag) ->
-              let data =
-                Pmapps.Madfs.read f ctx ~offset:(b * Pmapps.Madfs.block_size)
-              in
-              let expect = Char.chr (tag land 0xff) in
-              if Bytes.length data < 8 || Bytes.get data 0 <> expect then
-                damage :=
-                  Printf.sprintf "block %d: fsync'd write lost" b :: !damage)
-            acked_sorted)
-    with
-    | r ->
-        if r.S.outcome = S.Crashed then
-          Recovery_raised
-            (Printf.sprintf "recovery exceeded its %d-event budget" budget)
-        else if !damage = [] then Clean
-        else Damaged (List.rev !damage)
-    | exception e -> Recovery_raised (Printexc.to_string e)
-  in
+module Madfs_kv = struct
+  include Pmapps.Madfs
+
+  let create ctx = create ctx ~blocks:madfs_blocks
+
+  let insert t ctx ~key ~value =
+    let data = Bytes.create 8 in
+    Bytes.set_int64_le data 0 value;
+    write t ctx ~offset:(key * block_size) ~data;
+    fsync t ctx
+
+  let get t ctx ~key =
+    match Bytes.get_int64_le (read t ctx ~offset:(key * block_size)) 0 with
+    | 0L -> None
+    | v -> Some v
+end
+
+let runner (type a) ?(expect_clean = false) ?consistency ?key_map
+    (module App : STORE with type t = a) ~anchor ~reopen =
   {
-    ex_report = report;
-    ex_acked = List.length acked_sorted;
-    ex_at_risk_bytes = at_risk;
-    ex_verify = verify;
+    r_name = App.name;
+    r_bugs = App.bugs;
+    r_expect_clean = expect_clean;
+    r_exec = kv_exec (module App) ~anchor ~reopen ?consistency ?key_map ();
   }
 
 (* Acked writes can survive a crash only through what the app persisted:
    the sweep needs a recovery entry point, which every app except Apex
    has. Apex is therefore analysed (run/analyze) but not swept. *)
 let runners =
+  let open Pmapps in
   [
-    {
-      r_name = "fast-fair";
-      r_bugs = Pmapps.Fast_fair.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.Fast_fair)
-            ~anchor:Pmapps.Fast_fair.meta_addr
-            ~reopen:(fun ctx a -> Pmapps.Fast_fair.recover ctx ~meta_addr:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "turbo-hash";
-      r_bugs = Pmapps.Turbo_hash.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.Turbo_hash)
-            ~anchor:Pmapps.Turbo_hash.table_addr
-            ~reopen:(fun ctx a -> Pmapps.Turbo_hash.recover ctx ~table_addr:a)
-            ~consistency:Pmapps.Turbo_hash.check_consistency
-            ~key_map:turbo_key () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "p-clht";
-      r_bugs = Pmapps.P_clht.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.P_clht)
-            ~anchor:Pmapps.P_clht.header_addr
-            ~reopen:(fun ctx a -> Pmapps.P_clht.recover ctx ~header_addr:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "p-masstree";
-      r_bugs = Pmapps.P_masstree.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.P_masstree)
-            ~anchor:Pmapps.P_masstree.meta_addr
-            ~reopen:(fun ctx a -> Pmapps.P_masstree.recover ctx ~meta_addr:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "p-art";
-      r_bugs = Pmapps.P_art.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.P_art)
-            ~anchor:Pmapps.P_art.meta_addr
-            ~reopen:(fun ctx a -> Pmapps.P_art.recover_at ctx ~meta_addr:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "wipe";
-      r_bugs = Pmapps.Wipe.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.Wipe)
-            ~anchor:Pmapps.Wipe.root_addr
-            ~reopen:(fun ctx a -> Pmapps.Wipe.recover ctx ~root_addr:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    {
-      r_name = "memcached-pmem";
-      r_bugs = Pmapps.Memcached.bugs;
-      r_expect_clean = false;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Mc_kv)
-            ~anchor:Pmapps.Memcached.base_addr
-            ~reopen:(fun ctx a -> Pmapps.Memcached.recover ctx ~base:a)
-            () ~seed ~ops ~threads ~crash);
-    };
-    { r_name = "madfs"; r_bugs = []; r_expect_clean = true;
-      r_exec = madfs_exec };
-    {
-      r_name = "pmlog";
-      r_bugs = Pmapps.Pmlog.bugs;
-      r_expect_clean = true;
-      r_exec =
-        (fun ~seed ~ops ~threads ~crash ->
-          kv_exec
-            (module Pmapps.Pmlog)
-            ~anchor:Pmapps.Pmlog.base_addr
-            ~reopen:(fun ctx a -> Pmapps.Pmlog.recover ctx ~base:a)
-            () ~seed ~ops ~threads ~crash);
-    };
+    runner (module Fast_fair) ~anchor:Fast_fair.meta_addr
+      ~reopen:(fun ctx a -> Fast_fair.recover ctx ~meta_addr:a);
+    runner (module Turbo_hash) ~anchor:Turbo_hash.table_addr
+      ~reopen:(fun ctx a -> Turbo_hash.recover ctx ~table_addr:a)
+      ~consistency:Turbo_hash.check_consistency ~key_map:turbo_key;
+    runner (module P_clht) ~anchor:P_clht.header_addr
+      ~reopen:(fun ctx a -> P_clht.recover ctx ~header_addr:a);
+    runner (module P_masstree) ~anchor:P_masstree.meta_addr
+      ~reopen:(fun ctx a -> P_masstree.recover ctx ~meta_addr:a);
+    runner (module P_art) ~anchor:P_art.meta_addr
+      ~reopen:(fun ctx a -> P_art.recover_at ctx ~meta_addr:a);
+    runner (module Wipe) ~anchor:Wipe.root_addr
+      ~reopen:(fun ctx a -> Wipe.recover ctx ~root_addr:a);
+    runner (module Mc_kv) ~anchor:Memcached.base_addr
+      ~reopen:(fun ctx a -> Memcached.recover ctx ~base:a);
+    runner ~expect_clean:true (module Madfs_kv) ~anchor:Madfs.base_addr
+      ~reopen:(fun ctx base -> Madfs.recover ctx ~base ~blocks:madfs_blocks)
+      ~key_map:(fun lk -> lk mod madfs_blocks);
+    runner ~expect_clean:true (module Pmlog) ~anchor:Pmlog.base_addr
+      ~reopen:(fun ctx a -> Pmlog.recover ctx ~base:a);
   ]
 
-let canonical name =
-  String.lowercase_ascii (String.map (fun c -> if c = '_' then '-' else c) name)
-
 let runner_for name =
-  let name = canonical name in
+  let name = Pmapps.Registry.canonical name in
   List.find_opt (fun r -> r.r_name = name) runners
 
 (* ---- the sweep ---- *)
@@ -369,8 +252,6 @@ type config = {
   c_threads : int;
   c_stride : int;
   c_max_points : int;
-  c_fence_points : bool;
-  c_attribute : bool;
   c_verify_budget : int;
   c_dump_dir : string option;
 }
@@ -382,8 +263,6 @@ let default_config =
     c_threads = 4;
     c_stride = 500;
     c_max_points = 40;
-    c_fence_points = true;
-    c_attribute = true;
     c_verify_budget = 200_000;
     c_dump_dir = None;
   }
@@ -473,9 +352,7 @@ let run_sweep ?(config = default_config) runner =
   let full_events = pilot.ex_report.S.event_count in
   let stats = Trace.Tracebuf.stats pilot.ex_report.S.trace in
   let fence_specs =
-    if config.c_fence_points then
-      List.init stats.Trace.Tracebuf.fences (fun i -> `After_fences (i + 1))
-    else []
+    List.init stats.Trace.Tracebuf.fences (fun i -> `After_fences (i + 1))
   in
   let stride = max 1 config.c_stride in
   let stride_specs =
@@ -486,7 +363,6 @@ let run_sweep ?(config = default_config) runner =
     subsample config.c_max_points fence_specs
     @ subsample config.c_max_points stride_specs
   in
-  let manifested = Hashtbl.create 8 in
   (* Per-sweep result cache for attribution: fence points and stride
      points frequently cut the trace at the same prefix, and the sweep is
      sequential, so identical-fingerprint prefixes analyse once. *)
@@ -521,59 +397,29 @@ let run_sweep ?(config = default_config) runner =
     List.mapi
       (fun point_idx spec ->
         Obs.Timeline.instant tl_point ~arg:point_idx;
-        Obs.Metric.incr obs_points;
         let ex = exec spec in
-        if ex.ex_report.S.outcome = S.Completed then begin
-          (* The run finished before the crash point (e.g. a fence count
-             reached only transiently): nothing to verify. *)
-          Obs.Metric.incr obs_completed;
-          {
-            pt_crash = spec;
-            pt_events = ex.ex_report.S.event_count;
-            pt_acked = ex.ex_acked;
-            pt_at_risk = ex.ex_at_risk_bytes;
-            pt_outcome = None;
-            pt_bugs = [];
-            pt_fixture = None;
-          }
-        end
-        else begin
-          let outcome = ex.ex_verify ~budget:config.c_verify_budget in
-          let fixture =
-            match outcome with
-            | Damaged _ | Recovery_raised _ -> dump_point spec ex.ex_report
-            | Clean -> None
-          in
-          let bugs =
-            match outcome with
-            | Clean ->
-                Obs.Metric.incr obs_clean;
-                []
-            | Damaged _ | Recovery_raised _ ->
-                (match outcome with
-                | Damaged _ -> Obs.Metric.incr obs_damaged
-                | _ -> Obs.Metric.incr obs_raised);
-                if config.c_attribute then
-                  attribute ~cache:attr_cache runner ex.ex_report
-                else []
-          in
-          List.iter
-            (fun id ->
-              if not (Hashtbl.mem manifested id) then begin
-                Hashtbl.add manifested id ();
-                Obs.Metric.incr obs_manifested
-              end)
-            bugs;
-          {
-            pt_crash = spec;
-            pt_events = ex.ex_report.S.event_count;
-            pt_acked = ex.ex_acked;
-            pt_at_risk = ex.ex_at_risk_bytes;
-            pt_outcome = Some outcome;
-            pt_bugs = bugs;
-            pt_fixture = fixture;
-          }
-        end)
+        (* A run that finished before its crash point (e.g. a fence count
+           reached only transiently) has nothing to verify. *)
+        let outcome =
+          if ex.ex_report.S.outcome = S.Completed then None
+          else Some (ex.ex_verify ~budget:config.c_verify_budget)
+        in
+        let bugs, fixture =
+          match outcome with
+          | Some (Damaged _ | Recovery_raised _) ->
+              let fixture = dump_point spec ex.ex_report in
+              (attribute ~cache:attr_cache runner ex.ex_report, fixture)
+          | Some Clean | None -> ([], None)
+        in
+        {
+          pt_crash = spec;
+          pt_events = ex.ex_report.S.event_count;
+          pt_acked = ex.ex_acked;
+          pt_at_risk = ex.ex_at_risk_bytes;
+          pt_outcome = outcome;
+          pt_bugs = bugs;
+          pt_fixture = fixture;
+        })
       specs
   in
   Obs.Timeline.end_ tl_sweep ~arg:(List.length specs);
@@ -595,7 +441,7 @@ let run_sweep ?(config = default_config) runner =
             | Some (Recovery_raised _) -> true
             | _ -> false);
       sw_manifested =
-        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) manifested []);
+        List.sort_uniq compare (List.concat_map (fun p -> p.pt_bugs) points);
     }
   in
   Obs.Logger.info ~section:"crashtest" (fun () ->
@@ -606,3 +452,14 @@ let run_sweep ?(config = default_config) runner =
         sweep.sw_raised sweep.sw_completed
         (String.concat ";" (List.map string_of_int sweep.sw_manifested)));
   sweep
+
+let counters sweeps =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 sweeps in
+  [
+    ("crashtest.bugs_manifested", sum (fun s -> List.length s.sw_manifested));
+    ("crashtest.clean_recoveries", sum (fun s -> s.sw_clean));
+    ("crashtest.damaged_recoveries", sum (fun s -> s.sw_damaged));
+    ("crashtest.points", sum (fun s -> List.length s.sw_points));
+    ("crashtest.points_completed", sum (fun s -> s.sw_completed));
+    ("crashtest.recovery_failures", sum (fun s -> s.sw_raised));
+  ]

@@ -11,8 +11,9 @@
 
     - {b clean recovery}: every operation acknowledged before the crash
       survived;
-    - {b durable damage}: recovery succeeded but acknowledged data is
-      missing or wrong;
+    - {b durable damage}: recovery succeeded but an acknowledged key is
+      missing or reads back neither its last acknowledged value nor the
+      value of the write in flight on it;
     - {b recovery raised}: recovery crashed, deadlocked, or exceeded its
       event budget on the corrupted image.
 
@@ -24,8 +25,12 @@
     agree on the same execution.
 
     Every application of the registry has a runner except Apex, which
-    exposes no recovery entry point and is analysed but not swept.
-    Sweeps publish [crashtest.*] counters to {!Obs.Registry.global}. *)
+    exposes no recovery entry point and is analysed but not swept; the
+    pmlog control has one too. All runners share one workload and one
+    verification rule: each acknowledged key must read back its last
+    acknowledged value, or the value of the one write still in flight on
+    that key at the cut (MadFS persists a write's log entry before
+    [fsync] acknowledges it). *)
 
 (** Classification of one recovered crash image. *)
 type outcome =
@@ -52,7 +57,7 @@ type execution = {
 }
 
 type runner = {
-  r_name : string;  (** Canonical registry name. *)
+  r_name : string;  (** The application module's [name]. *)
   r_bugs : Pmapps.Ground_truth.bug list;
   r_expect_clean : bool;
       (** Control applications (pmlog, MadFS under its fsync contract):
@@ -64,7 +69,7 @@ val runners : runner list
 (** Registry order; Apex excluded (no recovery API). *)
 
 val runner_for : string -> runner option
-(** Case-insensitive, [_] accepted for [-]. *)
+(** Lookup up to {!Pmapps.Registry.canonical}. *)
 
 type config = {
   c_seed : int;
@@ -74,13 +79,6 @@ type config = {
   c_max_points : int;
       (** Cap per point family (fence points and stride points are each
           evenly subsampled to this many). *)
-  c_fence_points : bool;  (** Crash after every fence/persist boundary. *)
-  c_attribute : bool;
-      (** Analyse damaged prefixes with the pipeline and cross-reference
-          {!Pmapps.Ground_truth} (the manifested-bug column). Damaged
-          points whose crashed prefix has the same trace fingerprint
-          (fence and stride points often cut at the same boundary) share
-          one analysis through a per-sweep {!Hawkset.Result_cache}. *)
   c_verify_budget : int;  (** Event budget for each recovery run. *)
   c_dump_dir : string option;
       (** Dump the crashed prefix trace of damaged/failed points (capped
@@ -91,7 +89,7 @@ type config = {
 
 val default_config : config
 (** seed 42, 400 ops on 4 threads, stride 500, 40 points per family,
-    fence points and attribution on, 200k-event recovery budget. *)
+    200k-event recovery budget. *)
 
 type point = {
   pt_crash : crash_spec;
@@ -121,6 +119,16 @@ type sweep = {
 val run_sweep : ?config:config -> runner -> sweep
 (** Pilot-runs the workload uncut to fix the coordinate system (total
     events, fence count), then executes and classifies every enumerated
-    crash point. Deterministic for a fixed (runner, config). *)
+    crash point: one after each fence and one every [c_stride] events.
+    Damaged and failed prefixes are analysed with the pipeline and
+    cross-referenced with {!Pmapps.Ground_truth} (the manifested-bug
+    column); prefixes with the same trace fingerprint share one analysis
+    through a per-sweep {!Hawkset.Result_cache}. Deterministic for a
+    fixed (runner, config). *)
+
+val counters : sweep list -> (string * int) list
+(** The [crashtest.*] counters of these sweeps, computed from them:
+    points, completed, clean, damaged, recovery failures and manifested
+    bugs, each summed over the sweeps. *)
 
 val pp_crash : Format.formatter -> crash_spec -> unit

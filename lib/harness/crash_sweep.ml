@@ -26,6 +26,10 @@ let manifested_string = function
   | [] -> "-"
   | ids -> String.concat "," (List.map (fun i -> "#" ^ string_of_int i) ids)
 
+let control_broken { cs_runner; cs_sweep = s } =
+  cs_runner.Crashtest.r_expect_clean
+  && (s.Crashtest.sw_damaged > 0 || s.Crashtest.sw_raised > 0)
+
 let to_string rows =
   let header = Tables.section "Crash sweep (fence + stride fault injection)" in
   let body =
@@ -35,7 +39,7 @@ let to_string rows =
           "Completed"; "Manifested bugs"; "Control" ]
       ~rows:
         (List.map
-           (fun { cs_runner; cs_sweep = s } ->
+           (fun ({ cs_runner; cs_sweep = s } as row) ->
              [
                s.Crashtest.sw_app;
                string_of_int (List.length s.Crashtest.sw_points);
@@ -44,11 +48,9 @@ let to_string rows =
                string_of_int s.Crashtest.sw_raised;
                string_of_int s.Crashtest.sw_completed;
                manifested_string s.Crashtest.sw_manifested;
-               (if cs_runner.Crashtest.r_expect_clean then
-                  if s.Crashtest.sw_damaged = 0 && s.Crashtest.sw_raised = 0
-                  then "clean (as expected)"
-                  else "DAMAGED (unexpected!)"
-                else "-");
+               (if not cs_runner.Crashtest.r_expect_clean then "-"
+                else if control_broken row then "DAMAGED (unexpected!)"
+                else "clean (as expected)");
              ])
            rows)
   in
@@ -80,22 +82,25 @@ let details_string { cs_sweep = s; _ } =
             s.Crashtest.sw_points));
   Buffer.contents buf
 
-let manifest_of_sweeps rows =
-  let counters =
-    Obs.Manifest.active (Obs.Registry.counters Obs.Registry.global)
+let measured ?config ?apps () =
+  let rows, m =
+    Stats.measured ~labels:[ ("harness", "crash-sweep") ] (fun () ->
+        run ?config ?apps ())
   in
   let labels =
-    ("harness", "crash-sweep")
-    :: List.concat_map
-         (fun { cs_sweep = s; _ } ->
-           [
-             ( "sweep." ^ s.Crashtest.sw_app,
-               Printf.sprintf "points=%d clean=%d damaged=%d raised=%d \
-                               manifested=%s"
-                 (List.length s.Crashtest.sw_points) s.Crashtest.sw_clean
-                 s.Crashtest.sw_damaged s.Crashtest.sw_raised
-                 (manifested_string s.Crashtest.sw_manifested) );
-           ])
-         rows
+    List.map
+      (fun { cs_sweep = s; _ } ->
+        ( "sweep." ^ s.Crashtest.sw_app,
+          Printf.sprintf "points=%d clean=%d damaged=%d raised=%d manifested=%s"
+            (List.length s.Crashtest.sw_points) s.Crashtest.sw_clean
+            s.Crashtest.sw_damaged s.Crashtest.sw_raised
+            (manifested_string s.Crashtest.sw_manifested) ))
+      rows
   in
-  Obs.Manifest.make ~labels ~counters ()
+  let counters = Crashtest.counters (List.map (fun r -> r.cs_sweep) rows) in
+  ( rows,
+    {
+      m with
+      Obs.Manifest.labels = m.Obs.Manifest.labels @ labels;
+      counters = List.sort compare (m.Obs.Manifest.counters @ counters);
+    } )

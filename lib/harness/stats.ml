@@ -32,11 +32,20 @@ let measured ~labels f =
   in
   (r, Obs.Manifest.of_registry ~labels ~extra_gauges:gauges reg)
 
+let count_races races =
+  Obs.Metric.add obs_distinct_races (Hawkset.Report.count races)
+
 let analyse ?config trace =
   let res = Hawkset.Pipeline.run ?config trace in
-  Obs.Metric.add obs_distinct_races
-    (Hawkset.Report.count res.Hawkset.Pipeline.races);
+  count_races res.Hawkset.Pipeline.races;
   res
+
+let eraser trace =
+  let races =
+    Obs.Registry.with_span "analyse" (fun () -> Baselines.Eraser.analyse trace)
+  in
+  count_races races;
+  races
 
 let instrumented_run ?config ~entry ~seed ~ops () =
   let labels =

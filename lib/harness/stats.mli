@@ -24,6 +24,11 @@ val analyse :
 (** {!Hawkset.Pipeline.run}, then [report.distinct_races] is bumped by
     the report's size: the analysis step of [run] and [analyze]. *)
 
+val eraser : Trace.Tracebuf.t -> Hawkset.Report.t
+(** {!Baselines.Eraser.analyse} under an [analyse] span, with the same
+    [report.distinct_races] bump as {!analyse}: the analysis step of
+    [run -d eraser] and [analyze --eraser]. *)
+
 type run = {
   sched_report : Machine.Sched.report;
   pipeline : Hawkset.Pipeline.result;

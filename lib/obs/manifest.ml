@@ -40,7 +40,6 @@ let ran counters histograms =
       histograms
 
 let kept ran (name, _) = List.mem (subsystem name) ran
-let active counters = List.filter (kept (ran counters [])) counters
 
 let of_registry ?(labels = []) ?(extra_gauges = []) reg =
   let counters = Registry.counters reg

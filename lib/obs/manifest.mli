@@ -51,10 +51,6 @@ val of_registry :
     histograms holds an observation, and then with all of its counters
     and histograms. *)
 
-val active : (string * int) list -> (string * int) list
-(** The same rule for a bare counter list: the counters of every
-    subsystem with at least one non-zero counter. *)
-
 val label : t -> string -> string option
 val counter : t -> string -> int option
 val gauge : t -> string -> float option

@@ -1,10 +1,13 @@
 (* Per-line cache state. [writers.(i)] is 1 + tid of the thread whose store
    last dirtied byte [i] of the line, or 0 when the byte is clean. [version]
    counts stores to the line so that a fence can tell whether the flushed
-   snapshot still covers the latest data. *)
+   snapshot still covers the latest data; [committed] is the version of the
+   newest snapshot already written back, so an older one cannot roll the
+   persistent line back. *)
 type line_state = {
   writers : int array;
   mutable version : int;
+  mutable committed : int;
   mutable pending : pending_flush list;
 }
 
@@ -170,7 +173,12 @@ let line_state t line_idx =
   | Some s -> s
   | None ->
       let s =
-        { writers = Array.make Layout.line_size 0; version = 0; pending = [] }
+        {
+          writers = Array.make Layout.line_size 0;
+          version = 0;
+          committed = 0;
+          pending = [];
+        }
       in
       Hashtbl.add t.lines line_idx s;
       s
@@ -256,14 +264,20 @@ let flush t ~tid ~line =
       in
       s.pending <- p :: s.pending
 
+(* Write-backs of one line never go back in time: a snapshot older than
+   the last one committed (another thread flushed and fenced newer data
+   in between) is dropped. *)
 let commit_line t line_idx s p =
-  let line_base = line_idx * Layout.line_size in
-  Bytes.blit p.snapshot 0
-    (writable t.persistent (line_base lsr chunk_bits))
-    (line_base land chunk_mask) Layout.line_size;
-  if p.flushed_version = s.version then
-    (* No store hit the line after the flush: it is now fully clean. *)
-    Array.fill s.writers 0 Layout.line_size 0
+  if p.flushed_version >= s.committed then begin
+    s.committed <- p.flushed_version;
+    let line_base = line_idx * Layout.line_size in
+    Bytes.blit p.snapshot 0
+      (writable t.persistent (line_base lsr chunk_bits))
+      (line_base land chunk_mask) Layout.line_size;
+    if p.flushed_version = s.version then
+      (* No store hit the line after the flush: it is now fully clean. *)
+      Array.fill s.writers 0 Layout.line_size 0
+  end
 
 let fence t ~tid =
   Obs.Metric.incr obs_fences;

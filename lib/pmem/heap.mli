@@ -93,7 +93,8 @@ val flush : t -> tid:Trace.Tid.t -> line:int -> unit
 
 val fence : t -> tid:Trace.Tid.t -> unit
 (** Completes all pending flushes and non-temporal stores issued by
-    [tid]. *)
+    [tid]. A flushed snapshot older than one already committed for its
+    line is dropped: write-backs of a line never go back in time. *)
 
 val persisted_range : t -> addr:int -> size:int -> bool
 (** [true] when no byte of the range is dirty, i.e. the volatile and

@@ -119,6 +119,28 @@ module Sweep_tests = struct
     Alcotest.(check int) "no recovery failures" 0 s.Crashtest.sw_raised;
     Alcotest.(check (list int)) "nothing manifested" [] s.Crashtest.sw_manifested
 
+  (* MadFS persists a write's log entry before [fsync] acknowledges it,
+     and a fenced log entry must never be rolled back by another thread's
+     older flush: under both rules every cut of the default sweep
+     recovers every fsync'd block, across the seed hunt. *)
+  let madfs_control_is_clean () =
+    List.iter
+      (fun seed ->
+        let s =
+          Crashtest.run_sweep
+            ~config:{ Crashtest.default_config with Crashtest.c_seed = seed }
+            (runner "madfs")
+        in
+        Alcotest.(check bool) "swept some points" true
+          (s.Crashtest.sw_points <> []);
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: no damage" seed)
+          0 s.Crashtest.sw_damaged;
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: no recovery failures" seed)
+          0 s.Crashtest.sw_raised)
+      [ 42; 7; 1; 13; 99 ]
+
   let outcome_counts_partition () =
     let s = Crashtest.run_sweep ~config:small (runner "fast-fair") in
     Alcotest.(check int) "classes partition the points"
@@ -160,10 +182,41 @@ module Sweep_tests = struct
     Alcotest.(check int) "control: no recovery failures" 0
       control.Crashtest.sw_raised
 
+  (* The manifest's [crashtest.*] counters are the printed table's
+     numbers, and no counter name appears twice. *)
+  let manifest_counts_the_table () =
+    let rows, m =
+      Harness.Crash_sweep.measured ~config:small ~apps:[ "fast-fair"; "pmlog" ]
+        ()
+    in
+    let names = List.map fst m.Obs.Manifest.counters in
+    Alcotest.(check int) "each counter once" (List.length names)
+      (List.length (List.sort_uniq compare names));
+    let sum f =
+      List.fold_left (fun acc r -> acc + f r.Harness.Crash_sweep.cs_sweep) 0 rows
+    in
+    List.iter
+      (fun (name, want) ->
+        Alcotest.(check (option int)) name (Some want)
+          (Obs.Manifest.counter m name))
+      [
+        ("crashtest.points", sum (fun s -> List.length s.Crashtest.sw_points));
+        ("crashtest.clean_recoveries", sum (fun s -> s.Crashtest.sw_clean));
+        ("crashtest.damaged_recoveries", sum (fun s -> s.Crashtest.sw_damaged));
+        ("crashtest.recovery_failures", sum (fun s -> s.Crashtest.sw_raised));
+        ("crashtest.points_completed", sum (fun s -> s.Crashtest.sw_completed));
+        ( "crashtest.bugs_manifested",
+          sum (fun s -> List.length s.Crashtest.sw_manifested) );
+      ]
+
   let tests =
     [
+      Alcotest.test_case "manifest counts the table" `Quick
+        manifest_counts_the_table;
       Alcotest.test_case "pmlog control survives every cut" `Quick
         control_is_clean;
+      Alcotest.test_case "madfs control survives every cut" `Slow
+        madfs_control_is_clean;
       Alcotest.test_case "outcome classes partition" `Quick
         outcome_counts_partition;
       Alcotest.test_case "harness driver and summary" `Quick harness_rows;

@@ -267,11 +267,7 @@ module Manifest_tests = struct
       m.Obs.Manifest.counters;
     Alcotest.(check (list string))
       "histograms of subsystems that ran" [ "c.h" ]
-      (List.map fst m.Obs.Manifest.histograms);
-    Alcotest.(check (list (pair string int)))
-      "active: counters alone"
-      [ ("a.busy", 1); ("a.idle", 0) ]
-      (Obs.Manifest.active (Obs.Registry.counters r))
+      (List.map fst m.Obs.Manifest.histograms)
 
   let tests =
     [

@@ -202,6 +202,23 @@ module Persistence_tests = struct
     Alcotest.(check bool) "line still dirty" false
       (Pmem.Heap.persisted_range h ~addr:136 ~size:8)
 
+  (* T1 flushes an old snapshot of the line; T0 then stores, flushes and
+     fences newer data; T1's late fence must not roll the durable line
+     back to its stale snapshot. *)
+  let stale_snapshot_never_overwrites () =
+    let h = mk () in
+    store h ~tid:t1 128 1L;
+    Pmem.Heap.flush h ~tid:t1 ~line:128;
+    store h ~tid:t0 136 2L;
+    persist h ~tid:t0 136;
+    Pmem.Heap.fence h ~tid:t1;
+    let img = Pmem.Heap.crash_image h in
+    Alcotest.(check int64) "T1's store persisted" 1L (Bytes.get_int64_le img 128);
+    Alcotest.(check int64) "T0's fenced store survives" 2L
+      (Bytes.get_int64_le img 136);
+    Alcotest.(check bool) "line clean" true
+      (Pmem.Heap.persisted_range h ~addr:128 ~size:64)
+
   let flush_clean_line_noop () =
     let h = mk () in
     Pmem.Heap.flush h ~tid:t0 ~line:0;
@@ -301,6 +318,8 @@ module Persistence_tests = struct
         fence_by_other_thread_does_not_complete;
       Alcotest.test_case "store after flush re-dirties" `Quick
         store_after_flush_redirties;
+      Alcotest.test_case "stale snapshot never overwrites" `Quick
+        stale_snapshot_never_overwrites;
       Alcotest.test_case "flush of clean line" `Quick flush_clean_line_noop;
       Alcotest.test_case "unaligned flush rejected" `Quick
         unaligned_flush_rejected;
@@ -327,6 +346,7 @@ module Chunk_tests = struct
   module Model = struct
     type line = {
       mutable version : int;
+      mutable committed : int; (* version of the newest written-back snapshot *)
       mutable pending : (int * bytes * int) list; (* newest first *)
     }
 
@@ -383,7 +403,9 @@ module Chunk_tests = struct
           (fun base ->
             match Hashtbl.find_opt m.lines base with
             | Some l -> l.version <- l.version + 1
-            | None -> Hashtbl.add m.lines base { version = 1; pending = [] })
+            | None ->
+                Hashtbl.add m.lines base
+                  { version = 1; committed = 0; pending = [] })
           (Pmem.Layout.lines_of_range addr size)
       end
 
@@ -414,8 +436,11 @@ module Chunk_tests = struct
             l.pending <- rest;
             List.iter
               (fun (_, snap, v) ->
-                Bytes.blit snap 0 m.per base 64;
-                if v = l.version then clear_line m base)
+                if v >= l.committed then begin
+                  l.committed <- v;
+                  Bytes.blit snap 0 m.per base 64;
+                  if v = l.version then clear_line m base
+                end)
               (List.rev mine);
             drop_if_clean m base
           end)
