@@ -385,7 +385,7 @@ let trace_cmd =
 let analyze_cmd =
   let go () file tolerant config eraser json obs event_budget
       allow_truncated =
-    let trace =
+    let load () =
       if not tolerant then
         (* Trace files come from outside the process; a truncated or
            corrupted one is a one-line diagnostic naming the file and
@@ -409,27 +409,35 @@ let analyze_cmd =
         t.Trace.Trace_io.salvaged
       end
     in
-    let labels detector =
-      [ ("trace", file); ("detector", detector);
-        ("events", string_of_int (Trace.Tracebuf.length trace)) ]
+    (* The load runs inside the measured run, under its own span, so the
+       manifest accounts for it. The event count is known only after it,
+       so the labels are set afterwards. *)
+    let measured detector analyse =
+      let (trace, r), manifest =
+        Harness.Stats.measured ~labels:[] (fun () ->
+            let trace = Obs.Registry.with_span "load" load in
+            (trace, analyse trace))
+      in
+      let labels =
+        [ ("trace", file); ("detector", detector);
+          ("events", string_of_int (Trace.Tracebuf.length trace)) ]
+      in
+      (trace, r, { manifest with Obs.Manifest.labels })
     in
-    let races, manifest, truncated =
+    let trace, races, manifest, truncated =
       if eraser then
-        let races, manifest =
-          Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
-              Harness.Stats.eraser trace)
-        in
-        (races, manifest, [])
+        let trace, races, manifest = measured "eraser" Harness.Stats.eraser in
+        (trace, races, manifest, [])
       else
         let config = { config with Hawkset.Pipeline.event_budget } in
-        let res, manifest =
-          Harness.Stats.measured ~labels:(labels "hawkset") (fun () ->
-              Harness.Stats.analyse ~config trace)
+        let trace, res, manifest =
+          measured "hawkset" (Harness.Stats.analyse ~config)
         in
         if obs.stats then
           Format.printf "collector: %a@.@." Hawkset.Collector.pp_stats
             res.Hawkset.Pipeline.collector_stats;
-        (res.Hawkset.Pipeline.races, manifest, res.Hawkset.Pipeline.truncated)
+        (trace, res.Hawkset.Pipeline.races, manifest,
+         res.Hawkset.Pipeline.truncated)
     in
     if json then print_endline (Hawkset.Report.to_json races)
     else begin

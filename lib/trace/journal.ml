@@ -14,15 +14,21 @@ type record = { tag : string; fields : string list; payload : string option }
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_fold h s =
+let fnv_fold_bytes h b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Journal.fnv_fold_bytes";
   let h = ref h in
-  for i = 0 to String.length s - 1 do
+  for i = off to off + len - 1 do
     h :=
       Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
         fnv_prime
   done;
   !h
+
+(* The fold only reads the bytes, so the string is never mutated. *)
+let fnv_fold h s =
+  fnv_fold_bytes h (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let fnv_hex s = Printf.sprintf "%016Lx" (fnv_fold fnv_offset s)
 

@@ -32,6 +32,11 @@ val fnv_fold : int64 -> string -> int64
 (** [fnv_fold h s] continues an FNV-1a 64-bit hash [h] over the bytes
     of [s]. *)
 
+val fnv_fold_bytes : int64 -> bytes -> int -> int -> int64
+(** [fnv_fold_bytes h b off len] continues [h] over the [len] bytes of
+    [b] from [off], without copying them out. Raises [Invalid_argument]
+    when the range does not lie within [b]. *)
+
 val fnv_hex : string -> string
 (** FNV-1a 64-bit hash of a byte string as 16 hex digits — the
     {!Trace_io} trailer's hash, exposed for fingerprinting journal-level

@@ -22,7 +22,17 @@
     64-bit hash of the canonical serialization of every event. Strict
     readers verify it when present; {!load_tolerant} downgrades any
     corruption to a report and salvages the valid prefix. Traces written
-    before the trailer existed (no trailer line) still load. *)
+    before the trailer existed (no trailer line) still load.
+
+    Fields are separated by runs of spaces, and integers may be spelled
+    any way [int_of_string] accepts ("007", "+5", "0x10", "1_000"); the
+    canonical line, which [write] emits, uses single spaces and plain
+    decimals. Reading scans each line in place in the read buffer.
+    Loaded events share one [Site.t] per distinct site text, so a trace
+    holds each site once, however many events carry it. [read] verifies the trailer without
+    re-serialising: a line already in canonical spelling is hashed as it
+    stands, and any other spelling through the encoder. [write],
+    [fingerprint] and [event_to_line] share one Printf-free encoder. *)
 
 exception Parse_error of int * string
 (** Line number and message. *)

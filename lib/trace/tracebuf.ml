@@ -66,25 +66,19 @@ type stats = {
 }
 
 let stats t =
-  let s =
-    ref { stores = 0; loads = 0; flushes = 0; fences = 0; lock_ops = 0;
-          thread_ops = 0 }
-  in
-  iter
-    (fun ev ->
-      let c = !s in
-      s :=
-        (match ev with
-        | Event.Store _ -> { c with stores = c.stores + 1 }
-        | Event.Load _ -> { c with loads = c.loads + 1 }
-        | Event.Flush _ -> { c with flushes = c.flushes + 1 }
-        | Event.Fence _ -> { c with fences = c.fences + 1 }
-        | Event.Lock_acquire _ | Event.Lock_release _ ->
-            { c with lock_ops = c.lock_ops + 1 }
-        | Event.Thread_create _ | Event.Thread_join _ ->
-            { c with thread_ops = c.thread_ops + 1 }))
-    t;
-  !s
+  let stores = ref 0 and loads = ref 0 and flushes = ref 0 and fences = ref 0
+  and lock_ops = ref 0 and thread_ops = ref 0 in
+  for i = 0 to t.len - 1 do
+    match t.events.(i) with
+    | Event.Store _ -> incr stores
+    | Event.Load _ -> incr loads
+    | Event.Flush _ -> incr flushes
+    | Event.Fence _ -> incr fences
+    | Event.Lock_acquire _ | Event.Lock_release _ -> incr lock_ops
+    | Event.Thread_create _ | Event.Thread_join _ -> incr thread_ops
+  done;
+  { stores = !stores; loads = !loads; flushes = !flushes; fences = !fences;
+    lock_ops = !lock_ops; thread_ops = !thread_ops }
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -302,6 +302,129 @@ M 0 x.ml:1
     bad "S 0 1 8 0 nodolon";
     bad "F 0 64 notakind a.ml:1"
 
+  (* A thread event with the wrong number of fields names its field
+     count (it used to be reported as an unknown tag), at its own line. *)
+  let thread_event_field_count () =
+    let msg line =
+      match Trace.Trace_io.event_of_line line with
+      | _ -> Alcotest.failf "expected parse error for %S" line
+      | exception Trace.Trace_io.Parse_error (_, m) -> m
+    in
+    Alcotest.(check string) "C, three fields" "\"C\" expects 2 fields, got 3"
+      (msg "C 1 2 3");
+    Alcotest.(check string) "C, one field" "\"C\" expects 2 fields, got 1"
+      (msg "C 1");
+    Alcotest.(check string) "J, none" "\"J\" expects 2 fields, got 0"
+      (msg "J");
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        output_string oc "# hawkset-trace 1\nM 0 x.ml:1\n\nJ 0 1 2\n";
+        close_out oc;
+        match Trace.Trace_io.load path with
+        | _ -> Alcotest.fail "expected parse error"
+        | exception Trace.Trace_io.Parse_error (line, m) ->
+            Alcotest.(check (pair int string)) "located"
+              (4, "\"J\" expects 2 fields, got 3") (line, m))
+
+  let read_file path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+
+  (* Every committed fixture survives load + save byte for byte; the two
+     written before the trailer existed gain exactly the trailer line. *)
+  let fixtures_roundtrip_bytes () =
+    let pre_trailer =
+      [ "overlap_aggregate.trace"; "publish_unpersisted.trace" ]
+    in
+    let fixtures =
+      Sys.readdir "fixtures" |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".trace")
+      |> List.sort String.compare
+    in
+    Alcotest.(check int) "fixture count" 10 (List.length fixtures);
+    List.iter
+      (fun f ->
+        let path = Filename.concat "fixtures" f in
+        let original = read_file path in
+        let out = Filename.temp_file "hawkset_fixture" ".trace" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove out)
+          (fun () ->
+            let t = Trace.Trace_io.load path in
+            Trace.Trace_io.save out t;
+            let saved = read_file out in
+            if List.mem f pre_trailer then begin
+              let n = String.length original in
+              Alcotest.(check bool) (f ^ ": original is a prefix") true
+                (String.length saved > n && String.sub saved 0 n = original);
+              Alcotest.(check string) (f ^ ": plus the trailer")
+                (Printf.sprintf "# trailer events=%d fnv1a=%s\n"
+                   (Trace.Tracebuf.length t) (Trace.Trace_io.fingerprint t))
+                (String.sub saved n (String.length saved - n))
+            end
+            else Alcotest.(check string) (f ^ ": bytes") original saved))
+      fixtures
+
+  (* The reader takes the file in chunks: a line longer than a chunk and
+     a last line without its newline still load. *)
+  let long_and_unterminated_lines () =
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let long =
+          Trace.Site.v ~frames:[ String.make 200_000 'f'; "g" ] "a.ml" 3
+        in
+        let evs =
+          List.concat_map
+            (fun tid ->
+              [ Trace.Event.Fence { tid; site = long };
+                Trace.Event.Fence { tid; site = Trace.Site.v "b.ml" 4 } ])
+            [ t0; t1; t0 ]
+        in
+        Trace.Trace_io.save path (Trace.Tracebuf.of_list evs);
+        Alcotest.(check bool) "long lines round-trip" true
+          (Trace.Tracebuf.to_list (Trace.Trace_io.load path) = evs);
+        let oc = open_out path in
+        output_string oc "# hawkset-trace 1\nM 0 a.ml:1\nM 1 b.ml:2";
+        close_out oc;
+        Alcotest.(check int) "unterminated last line" 2
+          (Trace.Tracebuf.length (Trace.Trace_io.load path)))
+
+  (* Loaded events share one [Site.t] per distinct site text. *)
+  let loaded_sites_shared () =
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Trace.Trace_io.save path
+          (Trace.Tracebuf.of_list (sample_events @ sample_events));
+        let sites =
+          List.filter_map
+            (function
+              | Trace.Event.Thread_create _ | Trace.Event.Thread_join _ ->
+                  None
+              | Trace.Event.Store { site; _ } | Trace.Event.Load { site; _ }
+              | Trace.Event.Flush { site; _ } | Trace.Event.Fence { site; _ }
+              | Trace.Event.Lock_acquire { site; _ }
+              | Trace.Event.Lock_release { site; _ } -> Some site)
+            (Trace.Tracebuf.to_list (Trace.Trace_io.load path))
+        in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if Trace.Site.equal a b then
+                  Alcotest.(check bool) "equal sites are one value" true
+                    (a == b))
+              sites)
+          sites)
+
   let analysis_survives_roundtrip () =
     (* Serialize a racy trace; the analysis result must be identical. *)
     let evs =
@@ -362,6 +485,13 @@ M 0 x.ml:1
       Alcotest.test_case "file roundtrip" `Quick file_roundtrip;
       Alcotest.test_case "comments and blanks" `Quick comments_and_blanks_skipped;
       Alcotest.test_case "parse errors" `Quick parse_errors;
+      Alcotest.test_case "thread event field count" `Quick
+        thread_event_field_count;
+      Alcotest.test_case "fixtures round-trip byte for byte" `Quick
+        fixtures_roundtrip_bytes;
+      Alcotest.test_case "loaded sites are shared" `Quick loaded_sites_shared;
+      Alcotest.test_case "long and unterminated lines" `Quick
+        long_and_unterminated_lines;
       Alcotest.test_case "analysis survives roundtrip" `Quick
         analysis_survives_roundtrip;
       Alcotest.test_case "tolerant on zero-length file" `Quick
@@ -622,6 +752,244 @@ module Fuzz_tests = struct
     ]
 end
 
+module Codec_diff_tests = struct
+  (* The scanner codec against the split/Printf reference
+     ([Trace_io_ref]): the same decoded events, fingerprints, strict
+     results or errors, and tolerant reports, over generated traces
+     written canonically and respelled. *)
+  module Io = Trace.Trace_io
+  module Ref = Trace_io_ref
+
+  (* Any exception becomes a comparable value. *)
+  let outcome f =
+    match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+  let same_line_outcome line =
+    outcome (fun () -> Io.event_of_line line)
+    = outcome (fun () -> Ref.event_of_line line)
+
+  let junk_lines_agree =
+    QCheck.Test.make ~name:"malformed lines: same event or same error"
+      ~count:500
+      QCheck.(string_of_size (QCheck.Gen.int_bound 40))
+      same_line_outcome
+
+  (* Lines assembled from fragments both codecs treat specially, so that
+     lines with several faults show which one is reported. *)
+  let gen_token_line =
+    QCheck.Gen.(
+      map (String.concat " ")
+        (list_size (int_bound 8)
+           (oneofl
+              [ "S"; "L"; "F"; "M"; "A"; "R"; "C"; "J"; "X"; "SS"; "0"; "1";
+                "-1"; "+5"; "007"; "0x10"; "1_000"; "99999999999999999999";
+                "x"; "clwb"; "clflushopt"; "clflush"; "a.ml:1"; "a:b.ml:2";
+                "a.ml:x"; "nocolon"; ":3"; "f;g"; ";"; "\t"; "" ])))
+
+  let token_lines_agree =
+    QCheck.Test.make ~name:"token soup: same event or same error" ~count:1000
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_token_line)
+      same_line_outcome
+
+  (* Events the fuzz generators do not produce: file names with ':',
+     frames with ';', non-temporal stores, every flush kind, negative
+     addresses. *)
+  let gen_odd_event =
+    QCheck.Gen.(
+      let tid = map Trace.Tid.of_int (int_bound 3) in
+      let site =
+        map3
+          (fun file line frames -> Trace.Site.v ~frames file line)
+          (oneofl [ "a.ml"; "dir:odd.ml"; "c:"; "<none>" ])
+          (int_bound 2000)
+          (oneofl [ []; [ "a;b" ]; [ "x"; "y;z" ]; [ "" ]; [ "f:1" ] ])
+      in
+      oneof
+        [
+          map3
+            (fun tid (addr, non_temporal) site ->
+              Trace.Event.Store { tid; addr; size = 8; site; non_temporal })
+            tid
+            (pair (int_range (-100) 100000) bool)
+            site;
+          map3
+            (fun tid kind site ->
+              Trace.Event.Flush { tid; line = 4096; kind; site })
+            tid
+            (oneofl Trace.Event.[ Clwb; Clflushopt; Clflush ])
+            site;
+          map2
+            (fun parent child -> Trace.Event.Thread_create { parent; child })
+            tid tid;
+        ])
+
+  let gen_trace =
+    QCheck.Gen.(
+      oneof
+        [
+          Check.Gen.gen ~max_events:40;
+          map Trace.Tracebuf.of_list Fuzz_tests.gen_events;
+          map Trace.Tracebuf.of_list (list_size (int_range 1 20) gen_odd_event);
+        ])
+
+  let respell_int rs n =
+    let s = string_of_int n in
+    match Random.State.int rs 6 with
+    | 0 when n >= 0 -> "+" ^ s
+    | 1 when n >= 0 -> "00" ^ s
+    | 2 when n >= 0 -> Printf.sprintf "0x%x" n
+    | 3 when n >= 10 ->
+        String.sub s 0 1 ^ "_" ^ String.sub s 1 (String.length s - 1)
+    | _ -> s
+
+  (* The same line spelled differently: runs of spaces, blanks at the
+     ends, integers (a site's line number too) as "+5", "007", "0x10" or
+     "1_000", or a store's nt as 2. A line gets one of these, all of
+     them, or none, so that each alone decides whether it is canonical. *)
+  let respell rs line =
+    let int_token tok =
+      match int_of_string_opt tok with
+      | Some n when string_of_int n = tok -> Some n
+      | _ -> None
+    in
+    let respell_token tok =
+      match int_token tok with
+      | Some n -> respell_int rs n
+      | None -> (
+          match String.rindex_opt tok ':' with
+          | Some c -> (
+              let num = String.sub tok (c + 1) (String.length tok - c - 1) in
+              match int_token num with
+              | Some n -> String.sub tok 0 (c + 1) ^ respell_int rs n
+              | None -> tok)
+          | None -> tok)
+    in
+    let tokens = String.split_on_char ' ' line in
+    let mode = Random.State.int rs 6 in
+    let all = mode = 5 in
+    let tokens =
+      if all || mode = 3 then
+        let k = 1 + Random.State.int rs (List.length tokens - 1) in
+        List.mapi
+          (fun i t -> if i > 0 && (all || i = k) then respell_token t else t)
+          tokens
+      else tokens
+    in
+    let tokens =
+      if (all || mode = 4) && line.[0] = 'S' then
+        List.mapi (fun i t -> if i = 4 && t = "1" then "2" else t) tokens
+      else tokens
+    in
+    let sep () =
+      if all || mode = 1 then String.make (1 + Random.State.int rs 3) ' '
+      else " "
+    in
+    let blank () =
+      if all || mode = 2 then
+        List.nth [ ""; " "; "\t"; " \t " ] (Random.State.int rs 4)
+      else ""
+    in
+    blank ()
+    ^ List.fold_left
+        (fun acc t -> if acc = "" then t else acc ^ sep () ^ t)
+        "" tokens
+    ^ blank ()
+
+  (* A trace file: the header, every event line (respelled or not), at
+     times a junk line or a comment among them, and a trailer that is
+     right, absent, off by one event or malformed. *)
+  let gen_file =
+    QCheck.Gen.(
+      map2
+        (fun t rs ->
+          let evs = Trace.Tracebuf.to_list t in
+          let respelled = Random.State.bool rs in
+          let lines =
+            List.map
+              (fun ev ->
+                let l = Ref.event_to_line ev in
+                if respelled then respell rs l else l)
+              evs
+          in
+          let lines =
+            match Random.State.int rs 4 with
+            | 0 ->
+                let k = Random.State.int rs (List.length lines + 1) in
+                let junk =
+                  (if Random.State.bool rs then gen_token_line rs
+                   else
+                     String.map
+                       (fun c -> if c = '\n' then ' ' else c)
+                       (QCheck.Gen.(string_size (int_bound 30)) rs))
+                in
+                List.filteri (fun i _ -> i < k) lines
+                @ (junk :: List.filteri (fun i _ -> i >= k) lines)
+            | 1 -> "" :: "# a comment" :: lines
+            | _ -> lines
+          in
+          let n = List.length evs in
+          let trailer events =
+            [ Printf.sprintf "# trailer events=%d fnv1a=%s" events
+                (Ref.fingerprint t) ]
+          in
+          let trailer =
+            match Random.State.int rs 5 with
+            | 0 -> []
+            | 1 -> trailer (n + 1)
+            | 2 -> [ "# trailer events=x" ]
+            | _ -> trailer n
+          in
+          String.concat "\n" (("# hawkset-trace 1" :: lines) @ trailer) ^ "\n")
+        gen_trace
+        (fun rs -> Random.State.copy rs))
+
+  let read_with read path =
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+
+  let files_agree =
+    QCheck.Test.make
+      ~name:"respelled files: same events, errors, fingerprints and salvage"
+      ~count:300
+      (QCheck.make ~print:(fun s -> s) gen_file)
+      (fun file ->
+        Fuzz_tests.with_string file (fun path ->
+            let strict read =
+              outcome (fun () ->
+                  let t = read_with read path in
+                  ( Trace.Tracebuf.to_list t,
+                    Io.fingerprint t,
+                    Ref.fingerprint t ))
+            in
+            let tolerant read =
+              outcome (fun () ->
+                  let t = read_with read path in
+                  ( Trace.Tracebuf.to_list t.Io.salvaged,
+                    t.Io.salvaged_events, t.Io.dropped_lines, t.Io.first_error,
+                    t.Io.checksum ))
+            in
+            let fingerprints_agree =
+              match strict Io.read with
+              | Ok (_, a, b) -> a = b
+              | Error _ -> true
+            in
+            strict Io.read = strict Ref.read
+            && fingerprints_agree
+            && tolerant Io.read_tolerant = tolerant Ref.read_tolerant))
+
+  let encoders_agree =
+    QCheck.Test.make ~name:"event_to_line and fingerprint equal the reference"
+      ~count:300 (QCheck.make gen_trace) (fun t ->
+        Io.fingerprint t = Ref.fingerprint t
+        && List.for_all
+             (fun ev -> Io.event_to_line ev = Ref.event_to_line ev)
+             (Trace.Tracebuf.to_list t))
+
+  let tests =
+    List.map QCheck_alcotest.to_alcotest
+      [ junk_lines_agree; token_lines_agree; files_agree; encoders_agree ]
+end
+
 module Int_tbl_tests = struct
   module S = Trace.Int_tbl.Set
   module M = Trace.Int_tbl.Map
@@ -766,4 +1134,5 @@ let () =
       ("int_tbl", Int_tbl_tests.tests);
       ("vec", Vec_tests.tests);
       ("fuzz", Fuzz_tests.tests);
+      ("codec_diff", Codec_diff_tests.tests);
     ]
