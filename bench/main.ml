@@ -1,4 +1,4 @@
-(* The paper's evaluation, its micro-benchmarks and two timing gates.
+(* The paper's evaluation, its micro-benchmarks and three CI gates.
 
      dune exec bench/main.exe              -- every artifact, scaled down
      dune exec bench/main.exe -- table2    -- one artifact (table1|table2|
@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- full      -- paper-scale workloads (slow)
      dune exec bench/main.exe -- perf-smoke   -- timeline overhead gate
      dune exec bench/main.exe -- batch-par    -- job_workers=4 gate
+     dune exec bench/main.exe -- alloc-smoke  -- execute allocation gate
 
    Every table and figure of the paper's evaluation has (i) a harness
    that prints the same rows/series (lib/harness) and (ii) a Bechamel
@@ -251,14 +252,43 @@ let batch_par ~full =
     exit 1
   end
 
+(* ---- execute allocation gate (the `alloc-smoke` target) ----
+   Minor-heap words the execute layer allocates per trace event, on the
+   4000-op fast-fair workload. The count is a deterministic function of
+   the binary and the workload, so the gate needs no repetitions: it
+   fails when the words per event exceed the value measured when the
+   per-event costs were removed (22.72; 76.54 before) plus 10%. *)
+
+let alloc_bound = 25.0
+
+let alloc_smoke ~full:_ =
+  ignore (fast_fair_trace 200 42);
+  let before = Gc.minor_words () in
+  let trace = fast_fair_trace 4_000 42 in
+  let words = Gc.minor_words () -. before in
+  let events = Trace.Tracebuf.length trace in
+  let per_event = words /. float_of_int events in
+  print_string (Harness.Tables.section "Alloc smoke (execute words/event)");
+  Printf.printf
+    "fast-fair/4000: %d events, %.0f minor words, %.2f words/event \
+     (bound %.1f)\n"
+    events words per_event alloc_bound;
+  if per_event > alloc_bound then begin
+    Printf.eprintf
+      "alloc-smoke FAIL: execute allocates %.2f words/event > %.1f\n"
+      per_event alloc_bound;
+    exit 1
+  end
+
 let targets =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("figure6", figure6); ("ablation", ablation);
     ("perf-smoke", perf_smoke); ("batch-par", batch_par);
+    ("alloc-smoke", alloc_smoke);
     ("micro", fun ~full:_ -> micro ()) ]
 
 (* The paper's artifacts and [micro] run when no target is named;
-   `perf-smoke` and `batch-par` are opt-in CI gates. *)
+   `perf-smoke`, `batch-par` and `alloc-smoke` are opt-in CI gates. *)
 let default_targets =
   [ "table1"; "table2"; "table3"; "table4"; "figure6"; "ablation"; "micro" ]
 

@@ -101,6 +101,11 @@ type cell = {
 
 let pub_published = -2
 
+let site_cache_mask = 255
+
+(* Fills empty cache slots; no caller can hold this value. *)
+let no_site = { Trace.Site.file = ""; line = -1; frames = [] }
+
 module Site_table = Trace.Interner.Make (struct
   type t = Trace.Site.t
 
@@ -114,6 +119,12 @@ type state = {
   eadr : bool;
   tables : Access.tables;
   sites : Site_table.t;
+  (* Direct-mapped by line in front of [sites]: slot [line land
+     site_cache_mask] holds the last site interned there and its id. A hit
+     is physical equality, so the machine's and the trace loader's shared
+     sites skip the hash; anything else takes the full intern. *)
+  site_cache : Trace.Site.t array;
+  site_cache_id : int array;
   mutable threads : thread_state array;
   mutable nthreads : int;
   cell_idx : Trace.Int_tbl.Map.t; (* word -> index into cell_list *)
@@ -226,6 +237,16 @@ let get_cell st word ~tid =
 
 let is_published c = c.cl_pub = pub_published
 
+let site_id st site =
+  let slot = site.Trace.Site.line land site_cache_mask in
+  if st.site_cache.(slot) == site then st.site_cache_id.(slot)
+  else begin
+    let id = Site_table.intern st.sites site in
+    st.site_cache.(slot) <- site;
+    st.site_cache_id.(slot) <- id;
+    id
+  end
+
 let end_kind_tag = function
   | Access.Persisted_same_thread -> 0
   | Access.Persisted_other_thread -> 1
@@ -315,7 +336,7 @@ let on_store st ~tid ~addr ~size ~site =
         ignore (get_cell st word ~tid:itid : cell))
   else begin
     let vec_id = th_vec_id st th in
-    let site_id = Site_table.intern st.sites site in
+    let site_id = site_id st site in
     let ls_id = th_ls_id st th in
     let m =
       { m_tid = itid; m_addr = addr; m_size = size; m_site_id = site_id;
@@ -393,7 +414,7 @@ let on_load st ~tid ~addr ~size ~site =
   let keep = (not st.irh) || !any_pub in
   if not keep then st.irh_loads <- st.irh_loads + 1
   else begin
-    let site_id = Site_table.intern st.sites site in
+    let site_id = site_id st site in
     let ls_id = th_ls_id st th in
     let vec_id = th_vec_id st th in
     (* The record is built at most once, shared by every word that keeps
@@ -575,6 +596,8 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
       eadr;
       tables = Access.create_tables ();
       sites = Site_table.create ();
+      site_cache = Array.make (site_cache_mask + 1) no_site;
+      site_cache_id = Array.make (site_cache_mask + 1) (-1);
       threads = Array.init 8 (fun _ -> fresh_thread ());
       nthreads = 0;
       cell_idx = Trace.Int_tbl.Map.create ~size:4096 ();

@@ -43,18 +43,30 @@ let obs_pct_changes = Obs.Registry.counter "sched.pct_priority_changes"
 let obs_runnable =
   Obs.Registry.histogram ~bounds:[| 1; 2; 4; 8; 16; 32 |] "sched.runnable"
 
+(* What a thread that is not running resumes with; [Idle] while it runs
+   and once it has finished. *)
 type resume =
+  | Idle
   | Start of (unit -> unit)
   | Resume of (unit, unit) Effect.Deep.continuation
 
+(* An interned call stack: one node per distinct path of [with_frame]
+   names, so equal stacks share one list and one id. *)
+type frame = {
+  f_id : int;
+  f_name : string;
+  f_frames : string list; (* innermost first, [f_name] at the head *)
+  mutable f_children : frame list;
+}
+
 type thread = {
   t_tid : int;
-  mutable cont : resume option;
+  mutable cont : resume;
   mutable runnable : bool;
   mutable finished : bool;
   mutable delay : int;
   mutable joiners : int list;
-  mutable frames : string list;
+  mutable frame : frame;
   mutable priority : int; (* PCT priority; drawn at spawn under [Pct] *)
   mutable held_locks : Trace.Lock_id.t list;
       (* instrumented locks currently held; mirrors what the lockset
@@ -71,6 +83,15 @@ type t = {
   prng : Prng.t;
   mutable threads : thread array;
   mutable nthreads : int;
+  (* The unfinished threads, in tid order: [live.(0 .. nlive - 1)]. *)
+  mutable live : thread array;
+  mutable nlive : int;
+  (* Scratch for one decision, as long as [threads]: the tids of the
+     eligible threads in order, and of those of them not delayed. Ints,
+     so filling them needs no write barrier. *)
+  mutable cands : int array;
+  mutable ready : int array;
+  delays : bool; (* the policy delays threads *)
   mutable last_scheduled : int;
   mutable events : int;
   mutable fences : int; (* fences retired, for crash_after_fences *)
@@ -84,6 +105,17 @@ type t = {
      priority, so a demotion is permanent until the run ends. *)
   mutable pct_changes_left : int;
   mutable pct_low : int;
+  target : (string * int) option;
+      (* [Targeted_delay]'s store_loc as (file, line); [None] when no
+         site prints as it *)
+  root_frame : frame;
+  mutable next_frame_id : int;
+  (* One shared site per distinct (file, line, frames): [site_idx] maps a
+     packed (frame id, line) to its index in [site_vec]; another file at
+     the same key, or a line that does not pack, goes to [site_spill]. *)
+  site_idx : Trace.Int_tbl.Map.t;
+  site_vec : Trace.Site.t Trace.Vec.t;
+  site_spill : (string * int * int, Trace.Site.t) Hashtbl.t;
   observe : bool;
   last_store : (int, Trace.Tid.t * Trace.Site.t * Trace.Lock_id.t list) Hashtbl.t;
   (* word index -> last writer, its site, and its lockset at store time *)
@@ -95,7 +127,7 @@ type ctx = { m : t; self : thread }
 type pos = string * int * int * int
 
 type _ Effect.t +=
-  | Switch : unit Effect.t
+  | Switch_to : thread -> unit Effect.t
   | Park_self : unit Effect.t
   | Crash_stop : unit Effect.t
 
@@ -105,12 +137,12 @@ let add_thread m thunk =
   let th =
     {
       t_tid = m.nthreads;
-      cont = Some (Start thunk);
+      cont = Start thunk;
       runnable = true;
       finished = false;
       delay = 0;
       joiners = [];
-      frames = [];
+      frame = m.root_frame;
       (* Under PCT every thread draws a random (high, positive) initial
          priority at spawn; other policies never read the field. *)
       priority =
@@ -121,86 +153,124 @@ let add_thread m thunk =
     }
   in
   if m.nthreads = Array.length m.threads then begin
-    let bigger = Array.make (2 * max 1 m.nthreads) th in
+    let cap = 2 * max 1 m.nthreads in
+    let bigger = Array.make cap th in
     Array.blit m.threads 0 bigger 0 m.nthreads;
-    m.threads <- bigger
+    m.threads <- bigger;
+    let live = Array.make cap th in
+    Array.blit m.live 0 live 0 m.nlive;
+    m.live <- live;
+    m.cands <- Array.make cap 0;
+    m.ready <- Array.make cap 0
   end;
   m.threads.(m.nthreads) <- th;
   m.nthreads <- m.nthreads + 1;
+  (* Tids grow, so appending keeps [live] in tid order. *)
+  m.live.(m.nlive) <- th;
+  m.nlive <- m.nlive + 1;
   Obs.Metric.incr obs_spawned;
   th
 
-let eligible m =
-  let out = ref [] in
-  for i = m.nthreads - 1 downto 0 do
-    let th = m.threads.(i) in
-    if th.runnable && (not th.finished) && th.cont <> None then
-      out := th :: !out
+(* [th] has finished: mark it and drop it from [live]. *)
+let retire m th =
+  th.finished <- true;
+  th.cont <- Idle;
+  let rec find i = if m.live.(i) == th then i else find (i + 1) in
+  let i = find 0 in
+  Array.blit m.live (i + 1) m.live i (m.nlive - i - 1);
+  m.nlive <- m.nlive - 1
+
+(* Fill [m.cands] with the threads a decision chooses among, in tid
+   order: the runnable, unfinished ones that hold a continuation, and
+   [self], the running thread, whose continuation is not captured yet
+   ([-1] when no thread is running). *)
+let candidates m ~self =
+  let n = ref 0 in
+  for i = 0 to m.nlive - 1 do
+    let th = m.live.(i) in
+    if
+      th.t_tid = self
+      || th.runnable
+         && match th.cont with Idle -> false | Start _ | Resume _ -> true
+    then begin
+      m.cands.(!n) <- th.t_tid;
+      incr n
+    end
   done;
-  !out
+  !n
 
 (* Highest PCT priority wins; ties (only possible after an improbable
    equal draw) go to the lowest tid, keeping the pick deterministic. *)
-let pct_top pool =
-  List.fold_left
-    (fun best th ->
-      if
-        th.priority > best.priority
-        || (th.priority = best.priority && th.t_tid < best.t_tid)
-      then th
-      else best)
-    (List.hd pool) (List.tl pool)
+let pct_top m pool n =
+  let best = ref m.threads.(pool.(0)) in
+  for i = 1 to n - 1 do
+    let th = m.threads.(pool.(i)) in
+    if
+      th.priority > !best.priority
+      || (th.priority = !best.priority && th.t_tid < !best.t_tid)
+    then best := th
+  done;
+  !best
 
-let pick_next m =
-  match eligible m with
-  | [] -> None
-  | candidates -> (
-      (* Delay injection: delayed threads step their counter each round and
-         are skipped while other work exists. *)
-      let ready = List.filter (fun th -> th.delay = 0) candidates in
-      List.iter
-        (fun th -> if th.delay > 0 then th.delay <- th.delay - 1)
-        candidates;
-      let pool = if ready = [] then candidates else ready in
-      Obs.Metric.observe obs_runnable (List.length pool);
-      match m.policy with
-      | Round_robin -> (
-          (* Next runnable thread after the last scheduled, wrapping. *)
-          match List.filter (fun th -> th.t_tid > m.last_scheduled) pool with
-          | th :: _ -> Some th
-          | [] -> ( match pool with th :: _ -> Some th | [] -> None))
-      | Scripted choices ->
-          let i = m.decisions in
-          m.decisions <- i + 1;
-          let pick =
-            if i < Array.length choices then
-              choices.(i) mod List.length pool
-            else 0
-          in
-          Some (List.nth pool (abs pick))
-      | Pct _ ->
-          (* PCT (Burckhardt et al.): run the highest-priority runnable
-             thread; at up to [depth - 1] randomly placed change points,
-             permanently demote the current top below everyone else. Two
-             deviations from strict PCT keep the cooperative machine
-             live: the change points are geometric (one chance in 64 per
-             decision while budget remains) rather than pre-drawn event
-             indices, and one decision in 16 picks uniformly instead of
-             by priority — without that escape hatch a top-priority
-             thread spinning on a yield-loop lock held by a demoted
-             thread would spin forever. *)
-          if m.pct_changes_left > 0 && Prng.int m.prng 64 = 0 then begin
-            m.pct_changes_left <- m.pct_changes_left - 1;
-            let top = pct_top pool in
-            top.priority <- m.pct_low;
-            m.pct_low <- m.pct_low - 1;
-            Obs.Metric.incr obs_pct_changes
-          end;
-          if Prng.int m.prng 16 = 0 then
-            Some (List.nth pool (Prng.int m.prng (List.length pool)))
-          else Some (pct_top pool)
-      | Random_interleave | Delay_injection _ | Targeted_delay _ ->
-          Some (List.nth pool (Prng.int m.prng (List.length pool))))
+(* Next runnable thread after the last scheduled, wrapping. *)
+let rec round_robin pool n last i =
+  if i = n then pool.(0)
+  else if pool.(i) > last then pool.(i)
+  else round_robin pool n last (i + 1)
+
+(* One scheduling decision: the tid of the thread to run next, or -1
+   when no thread can run. *)
+let pick m ~self =
+  let nc = candidates m ~self in
+  if nc = 0 then -1
+  else begin
+    (* Delay injection: delayed threads step their counter each round and
+       are skipped while other work exists. Under the other policies no
+       thread is ever delayed, so every candidate is ready. *)
+    let cands = m.cands and ready = m.ready in
+    let nr = ref 0 in
+    if m.delays then
+      for i = 0 to nc - 1 do
+        let th = m.threads.(cands.(i)) in
+        if th.delay = 0 then begin
+          ready.(!nr) <- th.t_tid;
+          incr nr
+        end
+        else th.delay <- th.delay - 1
+      done;
+    let pool = if !nr = 0 then cands else ready in
+    let n = if !nr = 0 then nc else !nr in
+    Obs.Metric.observe obs_runnable n;
+    match m.policy with
+    | Round_robin -> round_robin pool n m.last_scheduled 0
+    | Scripted choices ->
+        let i = m.decisions in
+        m.decisions <- i + 1;
+        let pick = if i < Array.length choices then choices.(i) mod n else 0 in
+        pool.(abs pick)
+    | Pct _ ->
+        (* PCT (Burckhardt et al.): run the highest-priority runnable
+           thread; at up to [depth - 1] randomly placed change points,
+           permanently demote the current top below everyone else. Two
+           deviations from strict PCT keep the cooperative machine
+           live: the change points are geometric (one chance in 64 per
+           decision while budget remains) rather than pre-drawn event
+           indices, and one decision in 16 picks uniformly instead of
+           by priority — without that escape hatch a top-priority
+           thread spinning on a yield-loop lock held by a demoted
+           thread would spin forever. *)
+        if m.pct_changes_left > 0 && Prng.int m.prng 64 = 0 then begin
+          m.pct_changes_left <- m.pct_changes_left - 1;
+          let top = pct_top m pool n in
+          top.priority <- m.pct_low;
+          m.pct_low <- m.pct_low - 1;
+          Obs.Metric.incr obs_pct_changes
+        end;
+        if Prng.int m.prng 16 = 0 then pool.(Prng.int m.prng n)
+        else (pct_top m pool n).t_tid
+    | Random_interleave | Delay_injection _ | Targeted_delay _ ->
+        pool.(Prng.int m.prng n)
+  end
 
 let rec schedule m =
   if m.crashed || m.failure <> None then begin
@@ -208,24 +278,27 @@ let rec schedule m =
        stops the machine; unresumed continuations are simply abandoned. *)
     for i = 0 to m.nthreads - 1 do
       let th = m.threads.(i) in
-      th.cont <- None;
+      th.cont <- Idle;
       th.finished <- true
-    done
+    done;
+    m.nlive <- 0
   end
   else
-    match pick_next m with
-    | None -> ()
-    | Some th -> (
-        if th.t_tid <> m.last_scheduled then Obs.Metric.incr obs_switches;
-        m.last_scheduled <- th.t_tid;
-        match th.cont with
-        | None -> assert false
-        | Some (Start thunk) ->
-            th.cont <- None;
-            exec_fiber m th thunk
-        | Some (Resume k) ->
-            th.cont <- None;
-            Effect.Deep.continue k ())
+    let next = pick m ~self:(-1) in
+    if next >= 0 then dispatch m m.threads.(next)
+
+(* Run [th], the winner of a decision. *)
+and dispatch m th =
+  if th.t_tid <> m.last_scheduled then Obs.Metric.incr obs_switches;
+  m.last_scheduled <- th.t_tid;
+  match th.cont with
+  | Idle -> assert false
+  | Start thunk ->
+      th.cont <- Idle;
+      exec_fiber m th thunk
+  | Resume k ->
+      th.cont <- Idle;
+      Effect.Deep.continue k ()
 
 and exec_fiber m th thunk =
   let open Effect.Deep in
@@ -233,8 +306,7 @@ and exec_fiber m th thunk =
     {
       retc =
         (fun () ->
-          th.finished <- true;
-          th.cont <- None;
+          retire m th;
           List.iter
             (fun j ->
               let waiter = m.threads.(j) in
@@ -245,39 +317,43 @@ and exec_fiber m th thunk =
       exnc =
         (fun e ->
           if m.failure = None then m.failure <- Some e;
-          th.finished <- true;
-          th.cont <- None;
+          retire m th;
           schedule m);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Switch ->
+          | Switch_to next ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.cont <- Some (Resume k);
-                  th.runnable <- true;
-                  schedule m)
+                  th.cont <- Resume k;
+                  dispatch m next)
           | Park_self ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.cont <- Some (Resume k);
+                  th.cont <- Resume k;
                   th.runnable <- false;
                   schedule m)
           | Crash_stop ->
               Some
                 (fun (_k : (a, unit) continuation) ->
                   m.crashed <- true;
-                  th.finished <- true;
-                  th.cont <- None;
+                  retire m th;
                   schedule m)
           | _ -> None);
     }
 
 (* --- instrumentation ------------------------------------------------ *)
 
-let sched_point _ctx =
+(* The decision runs inline, the running thread counted as eligible, so
+   a point that keeps the same thread running costs no effect. The
+   running thread is never crashed, failed, parked or finished here, and
+   the last scheduled, so the pick, the PRNG draws and the counters are
+   exactly those of a decision taken after suspending it. *)
+let sched_point ctx =
   Obs.Metric.incr obs_sched_points;
-  Effect.perform Switch
+  let me = ctx.self.t_tid in
+  let next = pick ctx.m ~self:me in
+  if next <> me then Effect.perform (Switch_to ctx.m.threads.(next))
 
 let check_crash m =
   (match m.crash_after with
@@ -291,8 +367,36 @@ let emit ctx ev =
   Trace.Tracebuf.push ctx.m.trace ev;
   ctx.m.events <- ctx.m.events + 1
 
+let site_line_bits = 24
+
+let spill_site m file line fr =
+  let key = (file, line, fr.f_id) in
+  match Hashtbl.find m.site_spill key with
+  | st -> st
+  | exception Not_found ->
+      let st = { Trace.Site.file; line; frames = fr.f_frames } in
+      Hashtbl.add m.site_spill key st;
+      st
+
+(* The one shared site of this position under the thread's call stack:
+   an event's site is allocated once per distinct site, not per event. *)
 let site ctx ((file, line, _, _) : pos) =
-  Trace.Site.v ~frames:ctx.self.frames file line
+  let m = ctx.m and fr = ctx.self.frame in
+  if line < 0 || line lsr site_line_bits <> 0 then spill_site m file line fr
+  else
+    let key = (fr.f_id lsl site_line_bits) lor line in
+    let i = Trace.Int_tbl.Map.find m.site_idx key in
+    if i < 0 then begin
+      let st = { Trace.Site.file; line; frames = fr.f_frames } in
+      Trace.Int_tbl.Map.set m.site_idx key (Trace.Vec.length m.site_vec);
+      Trace.Vec.push m.site_vec st;
+      st
+    end
+    else
+      let st = Trace.Vec.get m.site_vec i in
+      if st.Trace.Site.file == file || String.equal st.Trace.Site.file file
+      then st
+      else spill_site m file line fr
 
 let tid ctx = Trace.Tid.of_int ctx.self.t_tid
 let heap ctx = ctx.m.heap
@@ -339,8 +443,14 @@ let maybe_delay ctx st =
         Obs.Metric.incr obs_delays;
         ctx.self.delay <- duration
       end
-  | Targeted_delay { store_loc; duration } ->
-      if String.equal (Trace.Site.location st) store_loc then begin
+  | Targeted_delay { duration; _ } ->
+      let hit =
+        match ctx.m.target with
+        | Some (file, line) ->
+            st.Trace.Site.line = line && String.equal st.Trace.Site.file file
+        | None -> false
+      in
+      if hit then begin
         Obs.Metric.incr obs_delays;
         ctx.self.delay <- duration
       end
@@ -399,12 +509,12 @@ let check_observation ?(rmw = false) ctx ~addr ~size ~site:load_site =
             end
         | Some _ | None -> ())
 
-let do_store ctx p addr size ~non_temporal write =
-  check_crash ctx.m;
-  write ctx.m.heap;
+(* The instrumentation after an access to the heap: accesses outside
+   the registered PM regions are ordinary volatile memory the analysis
+   never sees (§4). Each accessor writes or reads the heap itself, so no
+   closure is built per access. *)
+let after_store ctx p addr size ~non_temporal =
   if Pmem.Region.is_pm ctx.m.pm addr then begin
-    (* Only accesses inside registered PM regions are instrumented; the
-       rest is ordinary volatile memory the analysis never sees (§4). *)
     let st = site ctx p in
     Pmem.Heap.note_store ctx.m.heap ~tid:(tid ctx) ~addr ~size ~non_temporal;
     record_store_words ctx ~addr ~size ~site:st;
@@ -414,41 +524,51 @@ let do_store ctx p addr size ~non_temporal write =
   end;
   sched_point ctx
 
-let do_load ctx p addr size read =
-  check_crash ctx.m;
-  let v = read ctx.m.heap in
+let after_load ctx p addr size =
   if Pmem.Region.is_pm ctx.m.pm addr then begin
     let st = site ctx p in
     check_observation ctx ~addr ~size ~site:st;
     emit ctx (Trace.Event.Load { tid = tid ctx; addr; size; site = st })
   end;
-  sched_point ctx;
-  v
+  sched_point ctx
 
 let store_i64 ctx p addr v =
-  do_store ctx p addr 8 ~non_temporal:false (fun h ->
-      Pmem.Heap.write_i64 h addr v)
+  check_crash ctx.m;
+  Pmem.Heap.write_i64 ctx.m.heap addr v;
+  after_store ctx p addr 8 ~non_temporal:false
 
 let store_i64_nt ctx p addr v =
-  do_store ctx p addr 8 ~non_temporal:true (fun h ->
-      Pmem.Heap.write_i64 h addr v)
+  check_crash ctx.m;
+  Pmem.Heap.write_i64 ctx.m.heap addr v;
+  after_store ctx p addr 8 ~non_temporal:true
 
 let load_i64 ctx p addr =
-  do_load ctx p addr 8 (fun h -> Pmem.Heap.read_i64 h addr)
+  check_crash ctx.m;
+  let v = Pmem.Heap.read_i64 ctx.m.heap addr in
+  after_load ctx p addr 8;
+  v
 
 let store_u8 ctx p addr v =
-  do_store ctx p addr 1 ~non_temporal:false (fun h ->
-      Pmem.Heap.write_u8 h addr v)
+  check_crash ctx.m;
+  Pmem.Heap.write_u8 ctx.m.heap addr v;
+  after_store ctx p addr 1 ~non_temporal:false
 
 let load_u8 ctx p addr =
-  do_load ctx p addr 1 (fun h -> Pmem.Heap.read_u8 h addr)
+  check_crash ctx.m;
+  let v = Pmem.Heap.read_u8 ctx.m.heap addr in
+  after_load ctx p addr 1;
+  v
 
 let store_bytes ctx p addr b =
-  do_store ctx p addr (Bytes.length b) ~non_temporal:false (fun h ->
-      Pmem.Heap.write_bytes h addr b)
+  check_crash ctx.m;
+  Pmem.Heap.write_bytes ctx.m.heap addr b;
+  after_store ctx p addr (Bytes.length b) ~non_temporal:false
 
 let load_bytes ctx p addr len =
-  do_load ctx p addr len (fun h -> Pmem.Heap.read_bytes h addr len)
+  check_crash ctx.m;
+  let v = Pmem.Heap.read_bytes ctx.m.heap addr len in
+  after_load ctx p addr len;
+  v
 
 let cas_i64 ctx p addr ~expected ~desired =
   check_crash ctx.m;
@@ -482,9 +602,11 @@ let flush_line ctx p addr =
   sched_point ctx
 
 let flush_range ctx p addr size =
-  List.iter
-    (fun line -> flush_line ctx p line)
-    (Pmem.Layout.lines_of_range addr size)
+  if size > 0 then
+    for i = addr / Pmem.Layout.line_size
+        to (addr + size - 1) / Pmem.Layout.line_size do
+      flush_line ctx p (i * Pmem.Layout.line_size)
+    done
 
 let fence ctx p =
   check_crash ctx.m;
@@ -500,14 +622,39 @@ let persist ctx p addr size =
 let alloc ctx ?align n = Pmem.Heap.alloc ?align ctx.m.heap n
 let free ctx ~addr ~size = Pmem.Heap.free ctx.m.heap ~addr ~size
 
+(* The child of [parent] named [name], created on first use. *)
+let child_frame m parent name =
+  let rec find = function
+    | c :: rest ->
+        if c.f_name == name || String.equal c.f_name name then c
+        else find rest
+    | [] ->
+        let c =
+          {
+            f_id = m.next_frame_id;
+            f_name = name;
+            f_frames = name :: parent.f_frames;
+            f_children = [];
+          }
+        in
+        m.next_frame_id <- m.next_frame_id + 1;
+        parent.f_children <- c :: parent.f_children;
+        c
+  in
+  find parent.f_children
+
 let with_frame ctx name f =
-  ctx.self.frames <- name :: ctx.self.frames;
-  Fun.protect
-    ~finally:(fun () ->
-      match ctx.self.frames with
-      | _ :: rest -> ctx.self.frames <- rest
-      | [] -> ())
-    f
+  let th = ctx.self in
+  let parent = th.frame in
+  th.frame <- child_frame ctx.m parent name;
+  match f () with
+  | v ->
+      th.frame <- parent;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      th.frame <- parent;
+      Printexc.raise_with_backtrace e bt
 
 let fresh_lock_id ctx =
   let id = ctx.m.next_lock_id in
@@ -555,6 +702,19 @@ let unpark ctx target =
 
 (* --- entry point ----------------------------------------------------- *)
 
+(* A site's location is ["file:line"] with [line] in decimal, and the
+   decimal has no ':', so it splits at the last ':'. A suffix that no
+   [int] prints as matches no site. *)
+let target_of_loc loc =
+  match String.rindex_opt loc ':' with
+  | None -> None
+  | Some i -> (
+      let digits = String.sub loc (i + 1) (String.length loc - i - 1) in
+      match int_of_string_opt digits with
+      | Some line when String.equal (string_of_int line) digits ->
+          Some (String.sub loc 0 i, line)
+      | Some _ | None -> None)
+
 let run ?(seed = 0) ?(policy = Random_interleave)
     ?(sync_config = Sync_config.builtin) ?crash_after_events
     ?crash_after_fences ?(observe = false) ?pm_regions ~heap main =
@@ -574,6 +734,14 @@ let run ?(seed = 0) ?(policy = Random_interleave)
       prng = Prng.create seed;
       threads = [||];
       nthreads = 0;
+      live = [||];
+      nlive = 0;
+      cands = [||];
+      ready = [||];
+      delays =
+        (match policy with
+        | Delay_injection _ | Targeted_delay _ -> true
+        | Random_interleave | Round_robin | Scripted _ | Pct _ -> false);
       last_scheduled = -1;
       events = 0;
       fences = 0;
@@ -585,6 +753,15 @@ let run ?(seed = 0) ?(policy = Random_interleave)
       pct_changes_left =
         (match policy with Pct { depth } -> max 0 (depth - 1) | _ -> 0);
       pct_low = -1;
+      target =
+        (match policy with
+        | Targeted_delay { store_loc; _ } -> target_of_loc store_loc
+        | _ -> None);
+      root_frame = { f_id = 0; f_name = ""; f_frames = []; f_children = [] };
+      next_frame_id = 1;
+      site_idx = Trace.Int_tbl.Map.create ~size:256 ();
+      site_vec = Trace.Vec.create ();
+      site_spill = Hashtbl.create 8;
       observe;
       last_store = Hashtbl.create (if observe then 4096 else 1);
       obs_seen = Hashtbl.create 64;

@@ -37,13 +37,16 @@ let histogram ?(bounds = default_bounds) name =
     h_max = 0;
   }
 
+(* Top level, not a closure over [h] and [v]: [observe] runs once per
+   scheduling decision and allocates nothing. *)
+let rec bucket bounds v i =
+  if i >= Array.length bounds then i
+  else if v <= bounds.(i) then i
+  else bucket bounds v (i + 1)
+
 let observe h v =
-  let rec bucket i =
-    if i >= Array.length h.h_bounds then i
-    else if v <= h.h_bounds.(i) then i
-    else bucket (i + 1)
-  in
-  h.h_counts.(bucket 0) <- h.h_counts.(bucket 0) + 1;
+  let b = bucket h.h_bounds v 0 in
+  h.h_counts.(b) <- h.h_counts.(b) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v

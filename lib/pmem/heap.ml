@@ -37,6 +37,9 @@ type t = {
   persistent : bytes array;
   lines : (int, line_state) Hashtbl.t;
   nt_pending : (int, nt_range list) Hashtbl.t; (* keyed by tid *)
+  mutable flushed : int list array;
+      (* tid -> lines it flushed since its last fence, newest first; a
+         line may repeat. A fence visits only these. *)
   mutable bump : int;
   free_lists : (int, int list) Hashtbl.t; (* size -> freed addrs, LIFO *)
 }
@@ -60,6 +63,7 @@ let create ?(name = "/mnt/pmem/pool") ?(eadr = false) ~size () =
     persistent = Array.make chunks zero_chunk;
     lines = Hashtbl.create 1024;
     nt_pending = Hashtbl.create 16;
+    flushed = [||];
     bump = Layout.line_size (* keep address 0 unused as a null pointer *);
     free_lists = Hashtbl.create 16;
   }
@@ -262,7 +266,14 @@ let flush t ~tid ~line =
           flushed_version = s.version;
         }
       in
-      s.pending <- p :: s.pending
+      s.pending <- p :: s.pending;
+      let me = p.flusher in
+      if me >= Array.length t.flushed then begin
+        let bigger = Array.make (max 8 (2 * me)) [] in
+        Array.blit t.flushed 0 bigger 0 (Array.length t.flushed);
+        t.flushed <- bigger
+      end;
+      t.flushed.(me) <- line_idx :: t.flushed.(me)
 
 (* Write-backs of one line never go back in time: a snapshot older than
    the last one committed (another thread flushed and fenced newer data
@@ -279,22 +290,32 @@ let commit_line t line_idx s p =
       Array.fill s.writers 0 Layout.line_size 0
   end
 
-let fence t ~tid =
-  Obs.Metric.incr obs_fences;
-  let me = Trace.Tid.to_int tid in
-  let completed = ref [] in
-  Hashtbl.iter
-    (fun line_idx s ->
+(* Retire [me]'s pending flushes of one line. A line holding a pending
+   flush is never removed from [t.lines], so every line on [me]'s flushed
+   list is still there; a repeat visit finds nothing of [me]'s left.
+   Lines are independent, so the visiting order cannot change the
+   result. *)
+let fence_line t me line_idx =
+  match Hashtbl.find t.lines line_idx with
+  | exception Not_found -> ()
+  | s ->
       let mine, rest = List.partition (fun p -> p.flusher = me) s.pending in
       if mine <> [] then begin
         s.pending <- rest;
         (* Commit oldest first so the newest flushed snapshot wins. *)
         List.iter (commit_line t line_idx s) (List.rev mine);
         if Array.for_all (fun w -> w = 0) s.writers && rest = [] then
-          completed := line_idx :: !completed
-      end)
-    t.lines;
-  List.iter (Hashtbl.remove t.lines) !completed;
+          Hashtbl.remove t.lines line_idx
+      end
+
+let fence t ~tid =
+  Obs.Metric.incr obs_fences;
+  let me = Trace.Tid.to_int tid in
+  if me < Array.length t.flushed then begin
+    let lines = t.flushed.(me) in
+    t.flushed.(me) <- [];
+    List.iter (fence_line t me) lines
+  end;
   (match Hashtbl.find_opt t.nt_pending me with
   | None -> ()
   | Some ranges ->

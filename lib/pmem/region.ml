@@ -26,7 +26,13 @@ let find t addr =
   in
   go t.sorted
 
-let is_pm t addr = find t addr <> None
+let is_pm t addr =
+  let rec go = function
+    | [] -> false
+    | r :: rest ->
+        addr >= r.r_addr && (addr < r.r_addr + r.r_size || go rest)
+  in
+  go t.sorted
 
 let regions t = List.map (fun r -> (r.r_name, r.r_addr, r.r_size)) t.sorted
 

@@ -224,7 +224,17 @@ let int_field d ~lineno s k =
     | None -> fail lineno (Printf.sprintf "expected integer, got %S" tok)
   end
 
-let tid_field d ~lineno s k = Tid.of_int (int_field d ~lineno s k)
+(* Ids are checked here, so a negative one is a parse error at its line
+   rather than [Tid.of_int]'s [Invalid_argument]. *)
+let id_field what d ~lineno s k =
+  let v = int_field d ~lineno s k in
+  if v < 0 then fail lineno (Printf.sprintf "negative %s %d" what v);
+  v
+
+let tid_field d ~lineno s k = Tid.of_int (id_field "thread id" d ~lineno s k)
+
+let lock_field d ~lineno s k =
+  Lock_id.of_int (id_field "lock id" d ~lineno s k)
 
 let flush_kind_field d ~lineno s k =
   let a = d.bounds.(2 * k) and b = d.bounds.((2 * k) + 1) in
@@ -289,6 +299,16 @@ let unknown_tag lineno s t0 t1 =
   fail lineno
     (Printf.sprintf "unknown event tag %S" (Bytes.sub_string s t0 (t1 - t0)))
 
+(* A known tag with the wrong number of fields: [n] expected, [got]
+   present (a [C] or [J] line may also have too many). *)
+let field_count_error lineno tag n got =
+  fail lineno
+    (if tag = 'C' || tag = 'J' then
+       Printf.sprintf "%S expects %d fields, got %d" (String.make 1 tag) n got
+     else
+       Printf.sprintf "%S expects %d field%s and a site, got %d"
+         (String.make 1 tag) n (if n = 1 then "" else "s") got)
+
 let decode d ~lineno s lo hi =
   d.canonical <- true;
   let t0 = skip_spaces s lo hi in
@@ -301,17 +321,13 @@ let decode d ~lineno s lo hi =
   match tag with
   | 'C' | 'J' ->
       if got < n || d.rest < hi then
-        fail lineno
-          (Printf.sprintf "%S expects 2 fields, got %d" (String.make 1 tag)
-             (count_fields s t1 hi 0));
+        field_count_error lineno tag n (count_fields s t1 hi 0);
       let b = tid_field d ~lineno s 1 in
       let a = tid_field d ~lineno s 0 in
       if tag = 'C' then Event.Thread_create { parent = a; child = b }
       else Event.Thread_join { waiter = a; joined = b }
   | _ -> (
-      (* Too few fields before the site: reported as the tag, as the
-         pre-scanner codec did. *)
-      if got < n then unknown_tag lineno s t0 t1;
+      if got < n then field_count_error lineno tag n got;
       let nt = if tag = 'S' then int_field d ~lineno s 3 else 0 in
       let site = site_field d ~lineno s hi in
       match tag with
@@ -334,7 +350,7 @@ let decode d ~lineno s lo hi =
           Event.Flush { tid; line; kind; site }
       | 'M' -> Event.Fence { tid = tid_field d ~lineno s 0; site }
       | _ ->
-          let lock = Lock_id.of_int (int_field d ~lineno s 1) in
+          let lock = lock_field d ~lineno s 1 in
           let tid = tid_field d ~lineno s 0 in
           if tag = 'A' then Event.Lock_acquire { tid; lock; site }
           else Event.Lock_release { tid; lock; site })

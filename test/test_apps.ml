@@ -1273,24 +1273,56 @@ end
 module Fingerprint_tests = struct
   let fixture = "fixtures/app-fingerprints.txt"
 
-  let policies =
+  (* A script with negative choices and values past every pool size, so
+     both the [mod] and the [abs] of a scripted pick are exercised. It
+     outlasts every run: once a script is exhausted the first runnable
+     thread always wins, and a thread spinning on a lock would never
+     yield to its holder. *)
+  let script =
+    Array.init 1_000_000 (fun i -> (((i * 0x9E3779B1) lsr 13) land 63) - 32)
+
+  (* The targeted store: the app's first injected bug's first store site,
+     else the site of the first store its random-policy run records. *)
+  let target_loc (e : Pmapps.Registry.entry) random_trace =
+    match e.bugs with
+    | { Pmapps.Ground_truth.gt_store_locs = loc :: _; _ } :: _ -> loc
+    | _ ->
+        let first = ref None in
+        Trace.Tracebuf.iter
+          (fun ev ->
+            match (ev, !first) with
+            | Trace.Event.Store { site; _ }, None ->
+                first := Some (Trace.Site.location site)
+            | _ -> ())
+          random_trace;
+        Option.value ~default:"" !first
+
+  let policies e random_trace =
     [
       ("random", S.Random_interleave);
       ("round-robin", S.Round_robin);
       ("pct", S.Pct { depth = 3 });
       ( "delay-injection",
         S.Delay_injection { probability = 0.05; duration = 40 } );
+      ("scripted", S.Scripted script);
+      ( "targeted-delay",
+        S.Targeted_delay
+          { store_loc = target_loc e random_trace; duration = 40 } );
     ]
 
   let table () =
     List.concat_map
       (fun (e : Pmapps.Registry.entry) ->
+        let run policy = (e.run ~seed:7 ~policy ~ops:200 ()).S.trace in
+        let random_trace = run S.Random_interleave in
         List.map
           (fun (pname, policy) ->
-            let r = e.run ~seed:7 ~policy ~ops:200 () in
+            let trace =
+              if pname = "random" then random_trace else run policy
+            in
             Printf.sprintf "%s %s %s" e.reg_name pname
-              (Trace.Trace_io.fingerprint r.S.trace))
-          policies)
+              (Trace.Trace_io.fingerprint trace))
+          (policies e random_trace))
       Pmapps.Registry.all
 
   let matches_fixture () =
@@ -1299,7 +1331,7 @@ module Fingerprint_tests = struct
       |> String.split_on_char '\n'
       |> List.filter (fun l -> l <> "")
     in
-    Alcotest.(check (list string)) "9 apps x 4 policies" expected (table ())
+    Alcotest.(check (list string)) "9 apps x 6 policies" expected (table ())
 
   let tests =
     [

@@ -1415,6 +1415,94 @@ module Pool_tests = struct
     ]
 end
 
+(* The collector's site cache hits on physical equality only. Number a
+   trace's distinct sites 0, 1, ... and rename site [i] two ways: to line
+   [i + 1] of file [s<i>.ml], each in its own cache slot (the reference),
+   or to line 1 or 257 of the same file, all in one slot and half of them
+   on one line, with one shared site per distinct site or a fresh copy
+   in every event. All three must give the same report bytes, up to the
+   line numbers. *)
+module Site_sharing_tests = struct
+  let with_site ev (f : Trace.Site.t -> Trace.Site.t) =
+    match ev with
+    | Trace.Event.Store r -> Trace.Event.Store { r with site = f r.site }
+    | Trace.Event.Load r -> Trace.Event.Load { r with site = f r.site }
+    | Trace.Event.Flush r -> Trace.Event.Flush { r with site = f r.site }
+    | Trace.Event.Fence r -> Trace.Event.Fence { r with site = f r.site }
+    | Trace.Event.Lock_acquire r ->
+        Trace.Event.Lock_acquire { r with site = f r.site }
+    | Trace.Event.Lock_release r ->
+        Trace.Event.Lock_release { r with site = f r.site }
+    | (Trace.Event.Thread_create _ | Trace.Event.Thread_join _) as ev -> ev
+
+  (* [rename trace line ~share]: site [i] becomes [s<i>.ml:(line i)]. *)
+  let rename trace line ~share =
+    let index = Hashtbl.create 64 and shared = Hashtbl.create 64 in
+    let site i = Trace.Site.v (Printf.sprintf "s%d.ml" i) (line i) in
+    let f st =
+      let i =
+        match Hashtbl.find_opt index st with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length index in
+            Hashtbl.add index st i;
+            i
+      in
+      if not share then site i
+      else
+        match Hashtbl.find_opt shared i with
+        | Some v -> v
+        | None ->
+            let v = site i in
+            Hashtbl.add shared i v;
+            v
+    in
+    let t =
+      Trace.Tracebuf.of_list
+        (List.map (fun ev -> with_site ev f) (Trace.Tracebuf.to_list trace))
+    in
+    (t, Hashtbl.length index)
+
+  let report_json trace =
+    Hawkset.Report.to_json (Hawkset.Pipeline.run trace).Hawkset.Pipeline.races
+
+  (* Collided line numbers back to the reference's. *)
+  let unfold json =
+    Str.global_substitute
+      (Str.regexp {|"file":"s\([0-9]+\)\.ml","line":[0-9]+|})
+      (fun j ->
+        let i = int_of_string (Str.matched_group 1 j) in
+        Printf.sprintf {|"file":"s%d.ml","line":%d|} i (i + 1))
+      json
+
+  (* The reference, and the collided runs shared and copied. *)
+  let three trace =
+    let reference, n = rename trace (fun i -> i + 1) ~share:true in
+    if n >= 255 then Alcotest.failf "%d distinct sites overflow the cache" n;
+    let collided share =
+      unfold (report_json (fst (rename trace (fun i -> 1 + (256 * (i land 1))) ~share)))
+    in
+    (report_json reference, collided true, collided false)
+
+  let collisions_and_copies_match =
+    QCheck.Test.make ~name:"colliding and copied sites == reference"
+      ~count:200 Reference_tests.arb_trace (fun trace ->
+        let reference, shared, copied = three trace in
+        reference = shared && reference = copied)
+
+  let app_trace () =
+    let reference, shared, copied = three (Truncation_tests.app_trace 600) in
+    Alcotest.(check bool) "the trace reports races" true (reference <> "[]");
+    Alcotest.(check string) "colliding shared sites" reference shared;
+    Alcotest.(check string) "colliding copied sites" reference copied
+
+  let tests =
+    [
+      QCheck_alcotest.to_alcotest collisions_and_copies_match;
+      Alcotest.test_case "app trace" `Quick app_trace;
+    ]
+end
+
 let () =
   Alcotest.run "hawkset"
     [
@@ -1430,4 +1518,5 @@ let () =
       ("apps", App_tests.tests);
       ("golden", Golden_tests.tests);
       ("pool", Pool_tests.tests);
+      ("site_sharing", Site_sharing_tests.tests);
     ]

@@ -632,6 +632,89 @@ module Chunk_tests = struct
     ]
 end
 
+(* A fence visits only the lines its thread flushed since its previous
+   fence. The reference is [Chunk_tests.Model], whose fence walks every
+   line state, as the heap's did: dense flush/fence/store interleavings
+   of several threads over a few lines must leave the same persistent
+   image, dirty-line count and unpersisted bytes after every step. *)
+module Fence_tests = struct
+  module Model = Chunk_tests.Model
+
+  let heap_size = 4096
+  let nlines = 8
+  let nthreads = 6
+
+  type op =
+    | Store of int * int * int * bool (* tid, addr, size, non-temporal *)
+    | Flush of int * int (* tid, line *)
+    | Fence of int
+
+  let show = function
+    | Store (t, a, n, nt) -> Printf.sprintf "store t%d %d %d nt=%b" t a n nt
+    | Flush (t, l) -> Printf.sprintf "flush t%d %d" t l
+    | Fence t -> Printf.sprintf "fence t%d" t
+
+  let op_gen =
+    QCheck.Gen.(
+      let tid = int_bound (nthreads - 1) in
+      frequency
+        [
+          ( 4,
+            map3
+              (fun (t, nt) a n -> Store (t, a, n, nt))
+              (pair tid (frequency [ (4, return false); (1, return true) ]))
+              (int_bound ((nlines * 64) - 1))
+              (int_range 1 72) );
+          (4, map2 (fun t l -> Flush (t, 64 * l)) tid (int_bound (nlines - 1)));
+          (3, map (fun t -> Fence t) tid);
+        ])
+
+  let dirty_lines m =
+    let n = ref 0 in
+    for l = 0 to (heap_size / 64) - 1 do
+      if not (Model.line_clean m (64 * l)) then incr n
+    done;
+    !n
+
+  let step (h, m, k) op =
+    let tid = Trace.Tid.of_int in
+    (* Fresh bytes for every store, so a stale snapshot shows. *)
+    (match op with
+    | Store (t, a, n, nt) ->
+        let b = Bytes.make n (Char.chr (33 + (k mod 90))) in
+        Pmem.Heap.write_bytes h a b;
+        Bytes.blit b 0 m.Model.vol a n;
+        Pmem.Heap.note_store h ~tid:(tid t) ~addr:a ~size:n ~non_temporal:nt;
+        Model.note_store m ~tid:t ~addr:a ~size:n ~nt
+    | Flush (t, line) ->
+        Pmem.Heap.flush h ~tid:(tid t) ~line;
+        Model.flush m ~tid:t ~line
+    | Fence t ->
+        Pmem.Heap.fence h ~tid:(tid t);
+        Model.fence m ~tid:t);
+    if not (Bytes.equal (Pmem.Heap.crash_image h) m.Model.per) then
+      QCheck.Test.fail_reportf "%s: persistent image differs" (show op);
+    if Pmem.Heap.dirty_lines h <> dirty_lines m then
+      QCheck.Test.fail_reportf "%s: dirty_lines %d, reference %d" (show op)
+        (Pmem.Heap.dirty_lines h) (dirty_lines m);
+    if Pmem.Heap.unpersisted_bytes h <> Model.unpersisted m then
+      QCheck.Test.fail_reportf "%s: unpersisted bytes differ" (show op);
+    (h, m, k + 1)
+
+  let per_thread_fence_matches_walk =
+    QCheck.Test.make ~name:"per-thread fence == whole-table walk" ~count:300
+      (QCheck.make
+         ~print:(fun ops -> String.concat "\n" (List.map show ops))
+         QCheck.Gen.(list_size (int_range 1 200) op_gen))
+      (fun ops ->
+        let h = Pmem.Heap.create ~size:heap_size () in
+        ignore
+          (List.fold_left step (h, Model.create ~eadr:false heap_size, 0) ops);
+        true)
+
+  let tests = [ QCheck_alcotest.to_alcotest per_thread_fence_matches_walk ]
+end
+
 let () =
   Alcotest.run "pmem"
     [
@@ -639,4 +722,5 @@ let () =
       ("alloc", Alloc_tests.tests);
       ("persistence", Persistence_tests.tests);
       ("chunks", Chunk_tests.tests);
+      ("fence", Fence_tests.tests);
     ]

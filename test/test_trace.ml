@@ -329,6 +329,56 @@ M 0 x.ml:1
             Alcotest.(check (pair int string)) "located"
               (4, "\"J\" expects 2 fields, got 3") (line, m))
 
+  (* Any tagged event line with too few fields names the expected and
+     actual count, not an unknown tag. *)
+  let event_field_count () =
+    let msg line =
+      match Trace.Trace_io.event_of_line line with
+      | _ -> Alcotest.failf "expected parse error for %S" line
+      | exception Trace.Trace_io.Parse_error (_, m) -> m
+    in
+    List.iter
+      (fun (line, expected) ->
+        Alcotest.(check string) line expected (msg line))
+      [
+        ("S 0 64 8", "\"S\" expects 4 fields and a site, got 3");
+        ("L 0", "\"L\" expects 3 fields and a site, got 1");
+        ("F 0 64", "\"F\" expects 3 fields and a site, got 2");
+        ("M", "\"M\" expects 1 field and a site, got 0");
+        ("A 0", "\"A\" expects 2 fields and a site, got 1");
+        ("R", "\"R\" expects 2 fields and a site, got 0");
+      ]
+
+  (* A negative thread or lock id is a parse error at its line, so the
+     tolerant reader salvages the events before it instead of dying. *)
+  let negative_ids () =
+    let msg line =
+      match Trace.Trace_io.event_of_line line with
+      | _ -> Alcotest.failf "expected parse error for %S" line
+      | exception Trace.Trace_io.Parse_error (_, m) -> m
+    in
+    Alcotest.(check string) "store tid" "negative thread id -1"
+      (msg "S -1 64 8 0 a.ml:2");
+    Alcotest.(check string) "join target" "negative thread id -3"
+      (msg "J 0 -3");
+    Alcotest.(check string) "lock id" "negative lock id -7"
+      (msg "A 0 -7 a.ml:2");
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        output_string oc
+          ("# hawkset-trace 1\nC 0 1\nS 1 64 8 0 a.ml:1\n"
+         ^ "S -1 64 8 0 a.ml:2\nL 0 64 8 a.ml:3\n");
+        close_out oc;
+        let t = Trace.Trace_io.load_tolerant path in
+        Alcotest.(check int) "salvaged" 2 t.Trace.Trace_io.salvaged_events;
+        Alcotest.(check int) "dropped" 2 t.Trace.Trace_io.dropped_lines;
+        Alcotest.(check (option (pair int string))) "first error"
+          (Some (4, "negative thread id -1"))
+          t.Trace.Trace_io.first_error)
+
   let read_file path =
     let ic = open_in_bin path in
     Fun.protect
@@ -487,6 +537,8 @@ M 0 x.ml:1
       Alcotest.test_case "parse errors" `Quick parse_errors;
       Alcotest.test_case "thread event field count" `Quick
         thread_event_field_count;
+      Alcotest.test_case "event field count" `Quick event_field_count;
+      Alcotest.test_case "negative ids are parse errors" `Quick negative_ids;
       Alcotest.test_case "fixtures round-trip byte for byte" `Quick
         fixtures_roundtrip_bytes;
       Alcotest.test_case "loaded sites are shared" `Quick loaded_sites_shared;

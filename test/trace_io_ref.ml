@@ -2,9 +2,11 @@
    [Trace.Trace_io]: fields split with [String.split_on_char], lines
    printed with [Printf], and the trailer hash folded over each printed
    line. Kept as the reference the differential tests in [test_trace]
-   hold the production codec to. One change: a [C] or [J] line with the
-   wrong number of fields reports its field count, where this codec
-   used to fall through to "unknown event tag". *)
+   hold the production codec to. Two changes: a line of a known tag
+   with too few fields (or a [C]/[J] line with too many) reports the
+   expected and actual field count, where this codec used to fall
+   through to "unknown event tag"; and a negative thread or lock id is a
+   parse error, where it used to raise [Invalid_argument]. *)
 
 open Trace
 
@@ -86,7 +88,13 @@ let event_of_line_at lineno line =
     | Some v -> v
     | None -> err (Printf.sprintf "expected integer, got %S" s)
   in
-  let tid s = Tid.of_int (int s) in
+  let id what s =
+    let v = int s in
+    if v < 0 then err (Printf.sprintf "negative %s %d" what v);
+    v
+  in
+  let tid s = Tid.of_int (id "thread id" s) in
+  let lock s = Lock_id.of_int (id "lock id" s) in
   let fields =
     List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
   in
@@ -113,13 +121,13 @@ let event_of_line_at lineno line =
           site = site_of_fields ~lineno site;
         }
   | "M" :: t :: site -> Event.Fence { tid = tid t; site = site_of_fields ~lineno site }
-  | "A" :: t :: lock :: site ->
+  | "A" :: t :: l :: site ->
       Event.Lock_acquire
-        { tid = tid t; lock = Lock_id.of_int (int lock);
+        { tid = tid t; lock = lock l;
           site = site_of_fields ~lineno site }
-  | "R" :: t :: lock :: site ->
+  | "R" :: t :: l :: site ->
       Event.Lock_release
-        { tid = tid t; lock = Lock_id.of_int (int lock);
+        { tid = tid t; lock = lock l;
           site = site_of_fields ~lineno site }
   | [ "C"; parent; child ] ->
       Event.Thread_create { parent = tid parent; child = tid child }
@@ -128,6 +136,14 @@ let event_of_line_at lineno line =
   | ("C" | "J") :: rest ->
       err
         (Printf.sprintf "%S expects 2 fields, got %d" (List.hd fields)
+           (List.length rest))
+  | (("S" | "L" | "F" | "M" | "A" | "R") as tag) :: rest ->
+      let n =
+        match tag with "S" -> 4 | "L" | "F" -> 3 | "M" -> 1 | _ -> 2
+      in
+      err
+        (Printf.sprintf "%S expects %d field%s and a site, got %d" tag n
+           (if n = 1 then "" else "s")
            (List.length rest))
   | tag :: _ -> err (Printf.sprintf "unknown event tag %S" tag)
   | [] -> err "empty line"
