@@ -295,14 +295,14 @@ let run_cmd =
              runtime monitor; reports are direct observations. *)
           let report, manifest =
             Harness.Stats.measured ~labels:(labels "pmrace") (fun () ->
-                Obs.Registry.with_span "run" (fun () ->
-                    Obs.Registry.with_span "execute" (fun () ->
-                        Baselines.Pmrace.observe_once (fun () ->
-                            entry.Pmapps.Registry.run ~seed
-                              ~policy:
-                                (Machine.Sched.Delay_injection
-                                   { probability = 0.05; duration = 40 })
-                              ~observe:true ~ops ()))))
+                fst
+                  (Harness.Stats.run_spans ~analyse:ignore ~execute:(fun () ->
+                       Baselines.Pmrace.observe_once (fun () ->
+                           entry.Pmapps.Registry.run ~seed
+                             ~policy:
+                               (Machine.Sched.Delay_injection
+                                  { probability = 0.05; duration = 40 })
+                             ~observe:true ~ops ()))))
           in
           Format.printf "%d directly-observed inconsistencies:@."
             (List.length report.Machine.Sched.observations);
@@ -323,12 +323,10 @@ let run_cmd =
       | `Eraser ->
           let (report, races), manifest =
             Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
-                Obs.Registry.with_span "run" (fun () ->
-                    let report =
-                      Obs.Registry.with_span "execute" (fun () ->
-                          entry.Pmapps.Registry.run ~seed ~ops ())
-                    in
-                    (report, Harness.Stats.eraser report.Machine.Sched.trace)))
+                Harness.Stats.run_spans
+                  ~execute:(fun () -> entry.Pmapps.Registry.run ~seed ~ops ())
+                  ~analyse:(fun r ->
+                    Harness.Stats.eraser r.Machine.Sched.trace))
           in
           print_races report races;
           (manifest, [])
@@ -415,7 +413,7 @@ let analyze_cmd =
     let measured detector analyse =
       let (trace, r), manifest =
         Harness.Stats.measured ~labels:[] (fun () ->
-            let trace = Obs.Registry.with_span "load" load in
+            let trace = Obs.Registry.with_span "trace_io.load" load in
             (trace, analyse trace))
       in
       let labels =

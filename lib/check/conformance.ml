@@ -5,8 +5,9 @@ type divergence = {
   d_actual : string;
 }
 
-(* check.* observability: counters for the CLI's --stats, timeline spans
-   so a fuzzing run shows up in the Perfetto export. *)
+(* check.* observability: counters for the CLI's --stats, and the
+   fuzz/minimize/hunt spans, so a fuzzing run shows its stages in the
+   manifest and in the Perfetto export. *)
 let obs_traces = Obs.Registry.counter "check.traces"
 let obs_events = Obs.Registry.counter "check.events"
 let obs_comparisons = Obs.Registry.counter "check.comparisons"
@@ -14,9 +15,6 @@ let obs_divergences = Obs.Registry.counter "check.divergences"
 let obs_minimize_probes = Obs.Registry.counter "check.minimize_probes"
 let obs_faults_caught = Obs.Registry.counter "check.faults_caught"
 let obs_faults_missed = Obs.Registry.counter "check.faults_missed"
-let tl_fuzz = Obs.Timeline.name "check.fuzz"
-let tl_minimize = Obs.Timeline.name "check.minimize"
-let tl_hunt = Obs.Timeline.name "check.hunt"
 let tl_divergence = Obs.Timeline.name "check.divergence"
 
 (* Comparisons run in this process (mirrors [obs_comparisons], readable
@@ -40,47 +38,42 @@ let check_variant acc ~variant ~expected f =
 
 let divergences trace =
   let len = Trace.Tracebuf.length trace in
-  (* The event-budget dimension: the full trace plus a truncating prefix
-     (the spec applies the same deterministic cut). *)
+  (* The event-budget dimension: the full trace plus a truncating budget.
+     Both sides get the whole trace and apply the same deterministic cut
+     themselves, so the pipeline's own prefix path is what is checked. *)
   let budgets =
     (None, "full")
     :: (if len > 3 then [ (Some (2 * len / 3), "prefix") ] else [])
   in
   let divs =
     List.concat_map
-      (fun (budget, bname) ->
-        let cut =
-          match budget with
-          | Some b -> Trace.Tracebuf.prefix trace b
-          | None -> trace
-        in
+      (fun (event_budget, bname) ->
         let expected =
-          Hawkset.Report.to_json (Hawkset.Reference.pipeline cut)
+          Hawkset.Report.to_json
+            (Hawkset.Reference.pipeline ?event_budget trace)
         in
-        (* The assembled pipeline (event budget applied inside): the
-           collector + analysis path every front end takes. *)
+        (* The assembled pipeline: the collector + analysis path every
+           front end takes. *)
         let acc =
           check_variant [] ~variant:("pipeline budget=" ^ bname) ~expected
             (fun () ->
-              let config =
-                { Hawkset.Pipeline.default with event_budget = budget }
-              in
+              let config = { Hawkset.Pipeline.default with event_budget } in
               Hawkset.Report.to_json
-                (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races)
+                (Hawkset.Pipeline.run ~config trace).Hawkset.Pipeline.races)
         in
         (* Result cache, cold then warm: a complete run's bytes stored
            under (trace fingerprint, config fingerprint) must come back
            verbatim — and still equal the specification's. Budget runs
            are truncated results, which the cache contract excludes. *)
         let acc =
-          if budget <> None then acc
+          if event_budget <> None then acc
           else
             let cache = Hawkset.Result_cache.create () in
             let run () =
               fst
                 (Hawkset.Result_cache.run_cached ~cache
                    ~config:Hawkset.Pipeline.default
-                   (Hawkset.Result_cache.Trace cut))
+                   (Hawkset.Result_cache.Trace trace))
             in
             check_variant acc ~variant:"cache cold+warm" ~expected (fun () ->
                 ignore (run ());
@@ -133,7 +126,8 @@ let minimize ?failing:(pred = failing) trace =
   let events = Trace.Tracebuf.to_list trace in
   if not (test events) then
     invalid_arg "Conformance.minimize: trace does not fail";
-  Obs.Timeline.begin_ tl_minimize ~arg:(List.length events);
+  Obs.Registry.with_span ~arg:(List.length events) "check.minimize"
+  @@ fun () ->
   (* Zeller-Hildebrandt ddmin. Termination at granularity = length
      means no single-event removal fails: the result is 1-minimal. *)
   let rec ddmin events n =
@@ -158,9 +152,7 @@ let minimize ?failing:(pred = failing) trace =
       | None -> if n < len then ddmin events (min len (2 * n)) else events
     end
   in
-  let minimal = ddmin events 2 in
-  Obs.Timeline.end_ tl_minimize ~arg:(List.length minimal);
-  Trace.Tracebuf.of_list minimal
+  Trace.Tracebuf.of_list (ddmin events 2)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing and the mutation self-test                                  *)
@@ -175,7 +167,7 @@ type fuzz_report = {
 
 let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
     ?(max_failures = 5) () =
-  Obs.Timeline.begin_ tl_fuzz ~arg:traces;
+  Obs.Registry.with_span ~arg:traces "check.fuzz" @@ fun () ->
   let comparisons0 = !comparisons_run in
   let ran = ref 0 and events = ref 0 and failures = ref [] in
   (try
@@ -191,7 +183,6 @@ let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
        | d :: _ -> failures := (seed + i, t, d) :: !failures
      done
    with Exit -> ());
-  Obs.Timeline.end_ tl_fuzz ~arg:!ran;
   {
     fz_traces = !ran;
     fz_events = !events;
@@ -209,7 +200,7 @@ type hunt_report = {
 }
 
 let hunt ?(traces = 1000) ?(max_events = 64) ?(seed = 42) fault =
-  Obs.Timeline.begin_ tl_hunt;
+  Obs.Registry.with_span "check.hunt" @@ fun () ->
   let result =
     Hawkset.Fault.with_fault fault (fun () ->
         let found = ref None in
@@ -228,27 +219,23 @@ let hunt ?(traces = 1000) ?(max_events = 64) ?(seed = 42) fault =
             let minimized = minimize t in
             Some (s, t, minimized, divergences minimized))
   in
-  let report =
-    match result with
-    | None ->
-        Obs.Metric.incr obs_faults_missed;
-        { h_fault = fault; h_caught_seed = None; h_original_events = 0;
-          h_minimized = None; h_divergence = None;
-          h_clean_without_fault = false }
-    | Some (s, t, minimized, divs) ->
-        Obs.Metric.incr obs_faults_caught;
-        (* Disarmed ([with_fault] restored the previous state), the
-           reproducer must be conformant: the divergence isolates the
-           fault, not a latent production bug. *)
-        let clean = not (failing minimized) in
-        { h_fault = fault; h_caught_seed = Some s;
-          h_original_events = Trace.Tracebuf.length t;
-          h_minimized = Some minimized;
-          h_divergence = (match divs with d :: _ -> Some d | [] -> None);
-          h_clean_without_fault = clean }
-  in
-  Obs.Timeline.end_ tl_hunt;
-  report
+  match result with
+  | None ->
+      Obs.Metric.incr obs_faults_missed;
+      { h_fault = fault; h_caught_seed = None; h_original_events = 0;
+        h_minimized = None; h_divergence = None;
+        h_clean_without_fault = false }
+  | Some (s, t, minimized, divs) ->
+      Obs.Metric.incr obs_faults_caught;
+      (* Disarmed ([with_fault] restored the previous state), the
+         reproducer must be conformant: the divergence isolates the
+         fault, not a latent production bug. *)
+      let clean = not (failing minimized) in
+      { h_fault = fault; h_caught_seed = Some s;
+        h_original_events = Trace.Tracebuf.length t;
+        h_minimized = Some minimized;
+        h_divergence = (match divs with d :: _ -> Some d | [] -> None);
+        h_clean_without_fault = clean }
 
 let save_fixture ~dir ~name trace =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

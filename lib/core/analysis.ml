@@ -181,15 +181,12 @@ let analyse_slot ~features ~memo ~stats (c : Collector.result) slot report =
     !report
   end
 
-let tl_seq = Obs.Timeline.name "analysis.sequential"
-
 let run ?(features = all_features) ?stop (c : Collector.result) =
   let memo = make_memo () in
   let stats = { s_pairs = 0; s_pruned_hb = 0; s_races = 0 } in
   let nslots = Array.length c.Collector.slots in
   let report = ref Report.empty in
   let analysed = ref 0 in
-  Obs.Timeline.begin_ tl_seq ~arg:nslots;
   (* Word boundaries are the cancellation points: a deadline never tears a
      word's pair enumeration, so a truncated report is exactly the full
      analysis of the words it did visit. *)
@@ -202,7 +199,6 @@ let run ?(features = all_features) ?stop (c : Collector.result) =
        incr analysed
      done
    with Exit -> ());
-  Obs.Timeline.end_ tl_seq ~arg:!analysed;
   let pairs = stats.s_pairs in
   Obs.Metric.add obs_pairs pairs;
   Obs.Metric.add obs_pruned_hb stats.s_pruned_hb;

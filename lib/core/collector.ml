@@ -585,10 +585,7 @@ let pp_stats ppf s =
     s.c_windows_closed s.c_load_records s.c_irh_discarded_stores
     s.c_irh_discarded_loads s.c_locksets s.c_vclocks s.c_words
 
-let tl_collect = Obs.Timeline.name "collector.collect"
-
 let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
-  Obs.Timeline.begin_ tl_collect ~arg:(Trace.Tracebuf.length trace);
   let st =
     {
       irh;
@@ -679,7 +676,6 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
   Obs.Metric.add obs_words stats.c_words;
   Obs.Logger.debug ~section:"collector" (fun () ->
       Format.asprintf "%a" pp_stats stats);
-  Obs.Timeline.end_ tl_collect ~arg:stats.c_events;
   freeze st stats
 
 

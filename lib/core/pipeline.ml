@@ -35,19 +35,7 @@ type result = {
 
 let obs_truncations = Obs.Registry.counter "pipeline.truncations"
 
-let tl_pipeline = Obs.Timeline.name "pipeline"
 let tl_truncation = Obs.Timeline.name "pipeline.truncation"
-
-(* One stage: record into the global span aggregate (nested under the
-   enclosing span path) and bracket the caller's timeline lane with a
-   duration event. The intern call is two per [run] — nowhere near a hot
-   path. *)
-let staged name f =
-  let h = Obs.Timeline.name ("pipeline." ^ name) in
-  Obs.Timeline.begin_ h;
-  Fun.protect
-    ~finally:(fun () -> Obs.Timeline.end_ h)
-    (fun () -> Obs.Registry.with_span name f)
 
 (* A [stop] predicate that trips once [deadline_s] wall-clock seconds have
    elapsed from its creation. [None] deadline never trips. *)
@@ -80,14 +68,11 @@ let run ?(config = default) trace =
         Trace.Tracebuf.prefix trace budget
     | Some _ | None -> trace
   in
-  Obs.Timeline.begin_ tl_pipeline ~arg:(Trace.Tracebuf.length trace);
   let collected, outcome =
-    Fun.protect
-      ~finally:(fun () -> Obs.Timeline.end_ tl_pipeline)
-    @@ fun () ->
-    Obs.Registry.with_span "pipeline" (fun () ->
+    Obs.Registry.with_span ~arg:(Trace.Tracebuf.length trace) "pipeline"
+      (fun () ->
         let collected =
-          staged "collect" (fun () ->
+          Obs.Registry.with_span "pipeline.collect" (fun () ->
               Collector.collect ~irh:config.irh ~timestamps:config.timestamps
                 ~eadr:config.eadr
                 ?stop:(deadline_stop config.collect_deadline_s)
@@ -107,7 +92,7 @@ let run ?(config = default) trace =
           }
         in
         let outcome =
-          staged "analyse" (fun () ->
+          Obs.Registry.with_span "pipeline.analyse" (fun () ->
               Analysis.run ~features
                 ?stop:(deadline_stop config.analyse_deadline_s)
                 collected)

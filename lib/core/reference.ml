@@ -136,7 +136,8 @@ type sthread = {
 type state = {
   cfg : config;
   mutable threads : (int * sthread) list;
-  mutable words : sword list; (* creation order *)
+  word_cells : (int, sword) Hashtbl.t; (* word index -> its cell *)
+  mutable words : sword list; (* newest-first *)
 }
 
 let fresh_thread () =
@@ -164,8 +165,7 @@ let touch st tid =
   end;
   th
 
-let lookup_word st word =
-  List.find_opt (fun w -> w.sw_word = word) st.words
+let lookup_word st word = Hashtbl.find_opt st.word_cells word
 
 (* Find-or-create, folding in the publication update: a word becomes
    published at its first access by a second thread. *)
@@ -181,7 +181,8 @@ let get_word st word ~tid =
         { sw_word = word; sw_pub = First_touch tid; sw_open = [];
           sw_windows = []; sw_loads = []; sw_wkeys = []; sw_lkeys = [] }
       in
-      st.words <- st.words @ [ w ];
+      Hashtbl.add st.word_cells word w;
+      st.words <- w :: st.words;
       w
 
 let effective_lockset st (m : smeta) ~closer_tid ~closer_ls =
@@ -366,7 +367,7 @@ let finalize st =
             close st w e ~eff:Lockset.empty ~end_vec:None
               ~kind:Access.Open_at_exit)
         w.sw_open)
-    st.words
+    (List.rev st.words)
 
 (* ------------------------------------------------------------------ *)
 (* Stage 3: PM-aware lockset analysis (Algorithm 1)                    *)
@@ -469,7 +470,10 @@ let pipeline ?(config = default_config) ?event_budget trace =
         Trace.Tracebuf.prefix trace budget
     | Some _ | None -> trace
   in
-  let st = { cfg = config; threads = []; words = [] } in
+  let st =
+    { cfg = config; threads = []; word_cells = Hashtbl.create 1024;
+      words = [] }
+  in
   Trace.Tracebuf.iter
     (fun ev ->
       match ev with

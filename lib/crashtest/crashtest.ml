@@ -334,10 +334,9 @@ let attribute ?cache runner (report : S.report) =
       in
       ids_of_canonical bugs e.Hawkset.Result_cache.e_canonical
 
-(* Timeline events: the sweep as one duration bracket (arg = point count)
-   with an instant per crash point (arg = point index). Point specs are a
-   pure function of the pilot run, so the sequence is seed-deterministic. *)
-let tl_sweep = Obs.Timeline.name "crash_sweep"
+(* The sweep, pilot included, is one [crash_sweep] span, with a timeline
+   instant per crash point (arg = point index). Point specs are a pure
+   function of the pilot run, so the sequence is seed-deterministic. *)
 let tl_point = Obs.Timeline.name "crash_sweep.point"
 
 let run_sweep ?(config = default_config) runner =
@@ -392,7 +391,6 @@ let run_sweep ?(config = default_config) runner =
         Some path
     | Some _ | None -> None
   in
-  Obs.Timeline.begin_ tl_sweep ~arg:(List.length specs);
   let points =
     List.mapi
       (fun point_idx spec ->
@@ -422,7 +420,6 @@ let run_sweep ?(config = default_config) runner =
         })
       specs
   in
-  Obs.Timeline.end_ tl_sweep ~arg:(List.length specs);
   let count f = List.length (List.filter f points) in
   let sweep =
     {

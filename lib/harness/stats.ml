@@ -12,9 +12,6 @@ type run = {
 
 let obs_distinct_races = Obs.Registry.counter "report.distinct_races"
 
-let tl_run = Obs.Timeline.name "run"
-let tl_execute = Obs.Timeline.name "run.execute"
-
 let base_labels ~app ~detector ~seed ~ops =
   [
     ("app", app);
@@ -42,10 +39,16 @@ let analyse ?config trace =
 
 let eraser trace =
   let races =
-    Obs.Registry.with_span "analyse" (fun () -> Baselines.Eraser.analyse trace)
+    Obs.Registry.with_span "eraser.analyse" (fun () ->
+        Baselines.Eraser.analyse trace)
   in
   count_races races;
   races
+
+let run_spans ~execute ~analyse =
+  Obs.Registry.with_span "run" (fun () ->
+      let report = Obs.Registry.with_span "run.execute" execute in
+      (report, analyse report))
 
 let instrumented_run ?config ~entry ~seed ~ops () =
   let labels =
@@ -54,18 +57,9 @@ let instrumented_run ?config ~entry ~seed ~ops () =
   in
   let (sched_report, pipeline), manifest =
     measured ~labels (fun () ->
-        Obs.Registry.with_span "run" (fun () ->
-            Obs.Timeline.begin_ tl_run;
-            Fun.protect ~finally:(fun () -> Obs.Timeline.end_ tl_run)
-            @@ fun () ->
-            let sched_report =
-              Obs.Registry.with_span "execute" (fun () ->
-                  Obs.Timeline.begin_ tl_execute;
-                  Fun.protect
-                    ~finally:(fun () -> Obs.Timeline.end_ tl_execute)
-                    (fun () -> entry.Pmapps.Registry.run ~seed ~ops ()))
-            in
-            (sched_report, analyse ?config sched_report.Machine.Sched.trace)))
+        run_spans
+          ~execute:(fun () -> entry.Pmapps.Registry.run ~seed ~ops ())
+          ~analyse:(fun r -> analyse ?config r.Machine.Sched.trace))
   in
   { sched_report; pipeline; manifest }
 

@@ -25,9 +25,19 @@ val analyse :
     the report's size: the analysis step of [run] and [analyze]. *)
 
 val eraser : Trace.Tracebuf.t -> Hawkset.Report.t
-(** {!Baselines.Eraser.analyse} under an [analyse] span, with the same
-    [report.distinct_races] bump as {!analyse}: the analysis step of
-    [run -d eraser] and [analyze --eraser]. *)
+(** {!Baselines.Eraser.analyse} under an [eraser.analyse] span (stage
+    [analyse]), with the same [report.distinct_races] bump as
+    {!analyse}: the analysis step of [run -d eraser] and
+    [analyze --eraser]. *)
+
+val run_spans :
+  execute:(unit -> Machine.Sched.report) ->
+  analyse:(Machine.Sched.report -> 'a) ->
+  Machine.Sched.report * 'a
+(** The span shape of [hawkset run] under every detector: [execute]
+    under [run.execute], then [analyse] of its report, both inside a
+    [run] span. Manifest stages [run], [run/execute] and whatever
+    [analyse] opens beneath [run]. *)
 
 type run = {
   sched_report : Machine.Sched.report;
@@ -44,9 +54,9 @@ val instrumented_run :
   ops:int ->
   unit ->
   run
-(** {!measured}: execute the application's workload under spans
-    ([run/execute], [run/pipeline/...]) and analyse the trace with
-    {!analyse}; the manifest is labelled with the app, detector, seed
+(** {!measured} over {!run_spans}: execute the application's workload
+    and analyse the trace with {!analyse} (stages [run/execute],
+    [run/pipeline/...]); the manifest is labelled with the app, detector, seed
     and ops. Counters in the manifest are byte-identical across calls
     with equal [(entry, seed, ops, config)]. *)
 

@@ -246,8 +246,8 @@ let pick m ~self =
     | Scripted choices ->
         let i = m.decisions in
         m.decisions <- i + 1;
-        let pick = if i < Array.length choices then choices.(i) mod n else 0 in
-        pool.(abs pick)
+        if i < Array.length choices then pool.(abs (choices.(i) mod n))
+        else round_robin pool n m.last_scheduled 0
     | Pct _ ->
         (* PCT (Burckhardt et al.): run the highest-priority runnable
            thread; at up to [depth - 1] randomly placed change points,

@@ -37,10 +37,12 @@ type policy =
           "breakpoints at the relevant points"). *)
   | Scripted of int array
       (** Fully deterministic replay: at the [i]-th scheduling decision,
-          pick runnable thread number [choices.(i) mod runnable_count]
-          (first runnable once the script is exhausted). Enumerating
-          scripts enumerates interleavings — used to exhibit concrete
-          witness schedules for reported races. *)
+          pick runnable thread number [choices.(i) mod runnable_count].
+          Once the script is exhausted, decisions fall back to
+          {!Round_robin}, so a thread spinning on a yield-loop lock still
+          lets the holder run. Enumerating scripts enumerates
+          interleavings — used to exhibit concrete witness schedules for
+          reported races. *)
   | Pct of { depth : int }
       (** Probabilistic concurrency testing (PCT): every thread draws a
           random priority at spawn and the scheduler runs the

@@ -10,9 +10,9 @@
    derived from results, never the live registry, for gated outputs).
    Handle creation, span recording and snapshots mutate the Hashtbls
    themselves, which OCaml 5 does not make safe across domains — those
-   paths take [lock]. Span nesting is tracked per *domain* (keyed on
-   [Domain.self]), so concurrent batch jobs each build their own
-   "run/collect/..." paths instead of interleaving onto one stack. *)
+   paths take [lock]. The stack of open spans is domain-local, so
+   concurrent batch jobs each build their own "run/collect/..." paths
+   instead of interleaving onto one stack. *)
 
 type span_stat = { mutable sp_count : int; mutable sp_seconds : float }
 
@@ -21,7 +21,7 @@ type t = {
   gauges : (string, Metric.gauge) Hashtbl.t;
   histograms : (string, Metric.histogram) Hashtbl.t;
   spans : (string, span_stat) Hashtbl.t;
-  span_stacks : (int, string list) Hashtbl.t; (* domain id -> open paths *)
+  open_spans : string list Domain.DLS.key; (* open paths, innermost first *)
   lock : Mutex.t;
 }
 
@@ -31,7 +31,7 @@ let create () =
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
     spans = Hashtbl.create 16;
-    span_stacks = Hashtbl.create 8;
+    open_spans = Domain.DLS.new_key (fun () -> []);
     lock = Mutex.create ();
   }
 
@@ -64,8 +64,7 @@ let reset t =
       Hashtbl.iter (fun _ c -> Metric.reset_counter c) t.counters;
       Hashtbl.iter (fun _ g -> Metric.reset_gauge g) t.gauges;
       Hashtbl.iter (fun _ h -> Metric.reset_histogram h) t.histograms;
-      Hashtbl.reset t.spans;
-      Hashtbl.reset t.span_stacks)
+      Hashtbl.reset t.spans)
 
 let sorted_bindings t tbl value =
   locked t (fun () ->
@@ -81,34 +80,39 @@ let histograms t = sorted_bindings t t.histograms histogram_cells
 
 (* --- spans ----------------------------------------------------------- *)
 
-(* Nested spans record under their slash-joined path ("run/analyse"), so
-   the snapshot reads as a flame-graph outline. Reentrancy under the same
-   path accumulates. Nesting is per domain: a worker's spans chain off
-   the spans *it* opened, never off another domain's. *)
-let with_span ?(registry = global) name f =
+(* A span name's stage: its last dotted component ("pipeline.collect"
+   records as "collect"). *)
+let stage name =
+  match String.rindex_opt name '.' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
+
+(* A span is the one recorder of a layer boundary. Its duration goes to
+   the registry under the slash-joined path of the open spans' stages, so
+   the snapshot reads as a flame-graph outline. When the timeline is
+   enabled it also brackets the caller's lane with Begin/End under the
+   full name, both carrying [arg]. Reentrancy under the same path
+   accumulates. The exit restores the stack it found rather than popping,
+   so a span whose exit never ran (its fiber was dropped) cannot leak
+   into paths opened after its enclosing span closes. *)
+let with_span ?(registry = global) ?(arg = 0) name f =
   let t = registry in
-  let did = (Domain.self () :> int) in
+  let stack = Domain.DLS.get t.open_spans in
   let path =
-    locked t (fun () ->
-        let stack =
-          Option.value (Hashtbl.find_opt t.span_stacks did) ~default:[]
-        in
-        let path =
-          match stack with [] -> name | top :: _ -> top ^ "/" ^ name
-        in
-        Hashtbl.replace t.span_stacks did (path :: stack);
-        path)
+    match stack with
+    | [] -> stage name
+    | top :: _ -> top ^ "/" ^ stage name
   in
+  Domain.DLS.set t.open_spans (path :: stack);
+  let tl = if Timeline.enabled () then Some (Timeline.name name) else None in
+  Option.iter (Timeline.begin_ ~arg) tl;
   let t0 = Clock.now () in
   Fun.protect
     ~finally:(fun () ->
       let dt = Float.max 0.0 (Clock.now () -. t0) in
+      Option.iter (Timeline.end_ ~arg) tl;
+      Domain.DLS.set t.open_spans stack;
       locked t (fun () ->
-          (match Hashtbl.find_opt t.span_stacks did with
-          | Some (top :: rest) when String.equal top path ->
-              if rest = [] then Hashtbl.remove t.span_stacks did
-              else Hashtbl.replace t.span_stacks did rest
-          | _ -> () (* unbalanced exit via an effect; leave it alone *));
           let s =
             match Hashtbl.find_opt t.spans path with
             | Some s -> s

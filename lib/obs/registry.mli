@@ -19,7 +19,8 @@ val gauge : ?registry:t -> string -> Metric.gauge
 val histogram : ?registry:t -> ?bounds:int array -> string -> Metric.histogram
 
 val reset : t -> unit
-(** Zero every value and drop recorded spans; handles stay valid. *)
+(** Zero every value and drop recorded spans; handles stay valid. Call
+    it outside any open span. *)
 
 (** {1 Snapshots} — sorted by name, so equal runs produce equal lists. *)
 
@@ -27,12 +28,15 @@ val counters : t -> (string * int) list
 val gauges : t -> (string * float) list
 val histograms : t -> (string * (string * int) list) list
 
-val with_span : ?registry:t -> string -> (unit -> 'a) -> 'a
-(** Times [f] on the {!Clock} and accumulates (count, seconds) under the
-    slash-joined path of active spans ("run/analyse" when nested).
-    Nesting is tracked per domain, and the span table is mutex-protected,
-    so concurrent jobs on worker domains record safely without
-    interleaving their paths onto one stack. *)
+val with_span : ?registry:t -> ?arg:int -> string -> (unit -> 'a) -> 'a
+(** The one way a layer opens a span. [with_span ~arg name f] times [f]
+    on the {!Clock} and accumulates (count, seconds) under the
+    slash-joined path of the open spans' {e stages}, where a name's stage
+    is its last dotted component: ["pipeline.collect"] nested in ["run"]
+    records as ["run/collect"]. When the {!Timeline} is enabled it also
+    records [Begin]/[End] events named [name] on the caller's lane, both
+    with [arg] (default 0). Nesting is tracked per domain, so concurrent
+    jobs on worker domains each build their own paths. *)
 
 val spans : t -> (string * (int * float)) list
 

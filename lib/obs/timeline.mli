@@ -58,7 +58,9 @@ val with_lane : int -> (unit -> 'a) -> 'a
 
 val begin_ : ?arg:int -> handle -> unit
 (** Open a duration event on the calling domain's lane. Matched
-    [begin_]/[end_] pairs nest in the exported trace. *)
+    [begin_]/[end_] pairs nest in the exported trace. Layers do not call
+    this directly: {!Registry.with_span} records the pair together with
+    the manifest stage. *)
 
 val end_ : ?arg:int -> handle -> unit
 

@@ -231,7 +231,6 @@ let backoff_delay_ms config ~job ~attempt =
 
 (* --- observability ---------------------------------------------------- *)
 
-let tl_attempt = Obs.Timeline.name "supervise.attempt"
 let tl_retry = Obs.Timeline.name "supervise.retry"
 let tl_replay = Obs.Timeline.name "supervise.replay"
 let tl_quarantine = Obs.Timeline.name "supervise.quarantine"
@@ -461,17 +460,13 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
             end
             else begin
               record "start" [ id; string_of_int attempt ] None;
-              Obs.Timeline.begin_ tl_attempt ~arg:job.j_id;
               let outcome =
-                Fun.protect
-                  ~finally:(fun () -> Obs.Timeline.end_ tl_attempt ~arg:job.j_id)
-                  (fun () ->
-                    match
-                      Obs.Registry.with_span "job" (fun () ->
-                          run_attempt ?cache config job ~attempt)
-                    with
-                    | r -> Ok r
-                    | exception e -> Error e)
+                match
+                  Obs.Registry.with_span ~arg:job.j_id "supervise.attempt"
+                    (fun () -> run_attempt ?cache config job ~attempt)
+                with
+                | r -> Ok r
+                | exception e -> Error e
               in
               match outcome with
               | Ok (races, truncs) ->
@@ -580,8 +575,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
   let results, interrupted =
     Fun.protect
       ~finally:(fun () -> match writer with Some w -> J.close w | None -> ())
-      (fun () ->
-        Obs.Registry.with_span "batch" run_chains)
+      run_chains
   in
   {
     b_fingerprint = fp;

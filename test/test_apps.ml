@@ -472,8 +472,41 @@ module P_clht_tests = struct
                (Pmapps.P_clht.get t ctx ~key:k)
            done))
 
+  (* Once a [Scripted] script runs out, decisions fall back to
+     round-robin. A lowest-tid fallback let a thread spinning on a bucket
+     lock starve the holder forever. The spin emits no events, so an
+     event cap cannot stop it: an alarm turns such a regression into a
+     failed test instead of a hang (the fixed run takes well under a
+     second). *)
+  exception Livelock
+
+  let exhausted_script_completes () =
+    let w =
+      Workload.Ycsb.generate ~seed:7 (Workload.Ycsb.paper_mix ~ops:200)
+    in
+    let old =
+      Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Livelock))
+    in
+    ignore (Unix.alarm 30 : int);
+    let r =
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Unix.alarm 0 : int);
+          Sys.set_signal Sys.sigalrm old)
+        (fun () ->
+          Pmapps.Driver.run_kv
+            (module Pmapps.P_clht)
+            ~seed:7
+            ~policy:(S.Scripted (Array.init 600 (fun i -> i * 7)))
+            ~load:w.Workload.Ycsb.load ~per_thread:w.Workload.Ycsb.per_thread
+            ())
+    in
+    Alcotest.(check bool) "completed" true (r.S.outcome = S.Completed)
+
   let tests =
     Alcotest.test_case "rehash happens" `Quick rehash_happens
+    :: Alcotest.test_case "exhausted script completes" `Quick
+         exhausted_script_completes
     :: Clht_common.tests [ 4 ]
 end
 

@@ -97,8 +97,29 @@ module Fuzz_tests = struct
         Alcotest.fail
           (Printf.sprintf "seed %d diverged on %s" seed d.Conformance.d_variant))
 
+  (* The prefix variant hands the pipeline the whole trace and a budget,
+     so the pipeline's own event-budget cut is what gets compared: one
+     divergence check records exactly one truncation. *)
+  let prefix_variant_cuts_in_pipeline () =
+    let t = Gen.trace ~seed:1000 () in
+    Alcotest.(check bool) "has a prefix variant" true
+      (Trace.Tracebuf.length t > 3);
+    let truncations () =
+      Option.value ~default:0
+        (List.assoc_opt "pipeline.truncations"
+           (Obs.Registry.counters Obs.Registry.global))
+    in
+    let before = truncations () in
+    Alcotest.(check int) "conformant" 0
+      (List.length (Conformance.divergences t));
+    Alcotest.(check int) "one event-budget cut" 1 (truncations () - before)
+
   let tests =
-    [ Alcotest.test_case "production == specification" `Slow zero_divergences ]
+    [
+      Alcotest.test_case "production == specification" `Slow zero_divergences;
+      Alcotest.test_case "prefix variant cuts in the pipeline" `Quick
+        prefix_variant_cuts_in_pipeline;
+    ]
 end
 
 (* --- minimizer -------------------------------------------------------- *)

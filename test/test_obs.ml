@@ -110,6 +110,43 @@ module Registry_tests = struct
             Alcotest.(check bool) "positive" true (seconds > 0.))
           spans)
 
+  (* The one recorder: a nested span on a pool worker records the slash
+     path of its stages (a name's last dotted component) in the registry
+     and B/E events, with End repeating Begin's arg, on that worker's
+     timeline lane. The caller's concurrent span keeps its own path. *)
+  let span_on_worker () =
+    let r = Obs.Registry.create () in
+    Obs.Timeline.set_capacity 64;
+    Obs.Timeline.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Timeline.set_enabled false;
+        Obs.Timeline.set_capacity 8192)
+      (fun () ->
+        let results =
+          Hawkset.Domain_pool.map
+            (Hawkset.Domain_pool.global ())
+            [|
+              (fun () -> Obs.Registry.with_span ~registry:r "caller" ignore);
+              (fun () ->
+                Obs.Registry.with_span ~registry:r "run" (fun () ->
+                    Obs.Registry.with_span ~registry:r ~arg:5
+                      "pipeline.collect" ignore));
+            |]
+        in
+        Array.iter
+          (function Ok () -> () | Error e -> raise e)
+          results;
+        Alcotest.(check (list string))
+          "stage paths" [ "caller"; "run"; "run/collect" ]
+          (List.map fst (Obs.Registry.spans r));
+        Alcotest.(check string) "worker lane"
+          "B run 0\nB pipeline.collect 5\nE pipeline.collect 5\nE run 0\n\
+           dropped 0\n"
+          (Obs.Timeline.signature 1);
+        Alcotest.(check string) "caller lane" "B caller 0\nE caller 0\ndropped 0\n"
+          (Obs.Timeline.signature 0))
+
   let delta () =
     Alcotest.(check (list (pair string int)))
       "subtracts before, keeps new keys"
@@ -123,6 +160,7 @@ module Registry_tests = struct
       Alcotest.test_case "find-or-create" `Quick find_or_create;
       Alcotest.test_case "reset keeps handles" `Quick reset_keeps_handles;
       Alcotest.test_case "span nesting" `Quick span_nesting;
+      Alcotest.test_case "span on a pool worker" `Quick span_on_worker;
       Alcotest.test_case "delta" `Quick delta;
     ]
 end

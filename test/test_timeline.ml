@@ -188,9 +188,8 @@ module Determinism_tests = struct
                   true
                   (contains ~needle signature))
               [
-                "B pipeline"; "B pipeline.collect"; "B collector.collect";
-                "E collector.collect"; "B pipeline.analyse";
-                "B analysis.sequential"; "E analysis.sequential"; "E pipeline";
+                "B pipeline"; "B pipeline.collect"; "E pipeline.collect";
+                "B pipeline.analyse"; "E pipeline.analyse"; "E pipeline";
               ];
             (* Each lane ran exactly its own schedule's pipeline. *)
             Alcotest.(check int)
@@ -203,8 +202,8 @@ module Determinism_tests = struct
         let sigs = pipeline_signatures ~seed:7 ~ops:400 () in
         Alcotest.(check (list int)) "only the caller lane" [ 0 ]
           (List.map fst sigs);
-        Alcotest.(check bool) "sequential analysis event" true
-          (contains ~needle:"B analysis.sequential" (List.assoc 0 sigs)))
+        Alcotest.(check bool) "analyse span" true
+          (contains ~needle:"B pipeline.analyse" (List.assoc 0 sigs)))
 
   let tests =
     [
