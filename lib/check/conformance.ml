@@ -17,12 +17,9 @@ let obs_faults_caught = Obs.Registry.counter "check.faults_caught"
 let obs_faults_missed = Obs.Registry.counter "check.faults_missed"
 let tl_divergence = Obs.Timeline.name "check.divergence"
 
-(* Comparisons run in this process (mirrors [obs_comparisons], readable
-   without a registry snapshot — fuzz reports delta it). *)
-let comparisons_run = ref 0
-
-let check_variant acc ~variant ~expected f =
-  incr comparisons_run;
+(* [n] counts the caller's comparisons. *)
+let check_variant n acc ~variant ~expected f =
+  incr n;
   Obs.Metric.incr obs_comparisons;
   match f () with
   | actual ->
@@ -36,7 +33,9 @@ let check_variant acc ~variant ~expected f =
         d_actual = Printexc.to_string e }
       :: acc
 
-let divergences trace =
+(* The divergences of one trace, and the comparisons that found them. *)
+let matrix trace =
+  let n = ref 0 in
   let len = Trace.Tracebuf.length trace in
   (* The event-budget dimension: the full trace plus a truncating budget.
      Both sides get the whole trace and apply the same deterministic cut
@@ -55,7 +54,7 @@ let divergences trace =
         (* The assembled pipeline: the collector + analysis path every
            front end takes. *)
         let acc =
-          check_variant [] ~variant:("pipeline budget=" ^ bname) ~expected
+          check_variant n [] ~variant:("pipeline budget=" ^ bname) ~expected
             (fun () ->
               let config = { Hawkset.Pipeline.default with event_budget } in
               Hawkset.Report.to_json
@@ -75,7 +74,8 @@ let divergences trace =
                    ~config:Hawkset.Pipeline.default
                    (Hawkset.Result_cache.Trace trace))
             in
-            check_variant acc ~variant:"cache cold+warm" ~expected (fun () ->
+            check_variant n acc ~variant:"cache cold+warm" ~expected
+              (fun () ->
                 ignore (run ());
                 let warm = run () in
                 let stat k = List.assoc k (Hawkset.Result_cache.stats cache) in
@@ -90,8 +90,9 @@ let divergences trace =
     Obs.Metric.add obs_divergences (List.length divs);
     Obs.Timeline.instant tl_divergence ~arg:(List.length divs)
   end;
-  divs
+  (divs, !n)
 
+let divergences trace = fst (matrix trace)
 let failing trace = divergences trace <> []
 
 (* ------------------------------------------------------------------ *)
@@ -168,8 +169,8 @@ type fuzz_report = {
 let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
     ?(max_failures = 5) () =
   Obs.Registry.with_span ~arg:traces "check.fuzz" @@ fun () ->
-  let comparisons0 = !comparisons_run in
-  let ran = ref 0 and events = ref 0 and failures = ref [] in
+  let ran = ref 0 and events = ref 0 and compared = ref 0
+  and failures = ref [] in
   (try
      for i = 0 to traces - 1 do
        if List.length !failures >= max_failures then raise Exit;
@@ -178,7 +179,9 @@ let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
        events := !events + Trace.Tracebuf.length t;
        Obs.Metric.incr obs_traces;
        Obs.Metric.add obs_events (Trace.Tracebuf.length t);
-       match divergences t with
+       let divs, n = matrix t in
+       compared := !compared + n;
+       match divs with
        | [] -> ()
        | d :: _ -> failures := (seed + i, t, d) :: !failures
      done
@@ -186,7 +189,7 @@ let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
   {
     fz_traces = !ran;
     fz_events = !events;
-    fz_comparisons = !comparisons_run - comparisons0;
+    fz_comparisons = !compared;
     fz_failures = List.rev !failures;
   }
 

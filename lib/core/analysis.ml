@@ -17,20 +17,6 @@ type outcome = {
   words_total : int;
 }
 
-(* Observability counters for the §4 optimisations: how much work the
-   memoisation and happens-before pruning actually save. All bumps happen
-   on deterministic control paths — exact values are seed-reproducible.
-   The memo hit/miss split is derived from totals (misses = distinct keys,
-   hits = lookups - misses), which makes the values independent of the
-   word iteration order. *)
-let obs_ls_memo_hits = Obs.Registry.counter "analysis.lockset_memo_hits"
-let obs_ls_memo_misses = Obs.Registry.counter "analysis.lockset_memo_misses"
-let obs_vc_memo_hits = Obs.Registry.counter "analysis.vclock_memo_hits"
-let obs_vc_comparisons = Obs.Registry.counter "analysis.vclock_comparisons"
-let obs_pairs = Obs.Registry.counter "analysis.pairs_examined"
-let obs_pruned_hb = Obs.Registry.counter "analysis.pairs_pruned_hb"
-let obs_races = Obs.Registry.counter "analysis.races_reported"
-
 (* Memo tables for the interned-id comparisons: a pair of ids becomes
    one int key ({!Trace.Packed_key.pair}) probed in an open-addressing
    map — no tuple allocation, no polymorphic hashing. [pair] raises on
@@ -200,16 +186,20 @@ let run ?(features = all_features) ?stop (c : Collector.result) =
      done
    with Exit -> ());
   let pairs = stats.s_pairs in
-  Obs.Metric.add obs_pairs pairs;
-  Obs.Metric.add obs_pruned_hb stats.s_pruned_hb;
-  Obs.Metric.add obs_races stats.s_races;
-  (* Misses are the distinct keys probed. *)
+  (* How much work the §4 memoisation and happens-before pruning save.
+     The memo hit/miss split is derived from totals (misses = distinct
+     keys probed, hits = lookups - misses), which makes the values
+     independent of the word iteration order. *)
   let ls_misses = Trace.Int_tbl.Map.length memo.p_disjoint
   and vc_misses = Trace.Int_tbl.Map.length memo.p_leq in
-  Obs.Metric.add obs_ls_memo_misses ls_misses;
-  Obs.Metric.add obs_ls_memo_hits (memo.ls_lookups - ls_misses);
-  Obs.Metric.add obs_vc_comparisons vc_misses;
-  Obs.Metric.add obs_vc_memo_hits (memo.vc_lookups - vc_misses);
+  Obs.Registry.publish
+    [ ("analysis.pairs_examined", pairs);
+      ("analysis.pairs_pruned_hb", stats.s_pruned_hb);
+      ("analysis.races_reported", stats.s_races);
+      ("analysis.lockset_memo_misses", ls_misses);
+      ("analysis.lockset_memo_hits", memo.ls_lookups - ls_misses);
+      ("analysis.vclock_comparisons", vc_misses);
+      ("analysis.vclock_memo_hits", memo.vc_lookups - vc_misses) ];
   Obs.Logger.debug ~section:"analysis" (fun () ->
       Printf.sprintf "analyse: %d pairs examined, %d reports" pairs
         (Report.count !report));

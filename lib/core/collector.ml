@@ -13,21 +13,6 @@ type stats = {
   c_words : int;
 }
 
-(* Per-process observability counters (Obs.Registry.global); collection
-   adds each run's totals so front ends can snapshot/delta them. *)
-let obs_events = Obs.Registry.counter "collector.events"
-let obs_stores = Obs.Registry.counter "collector.stores"
-let obs_loads = Obs.Registry.counter "collector.loads"
-let obs_windows = Obs.Registry.counter "collector.windows_emitted"
-let obs_windows_opened = Obs.Registry.counter "collector.windows_opened"
-let obs_windows_closed = Obs.Registry.counter "collector.windows_closed"
-let obs_load_records = Obs.Registry.counter "collector.load_records"
-let obs_irh_stores = Obs.Registry.counter "collector.irh_discarded_stores"
-let obs_irh_loads = Obs.Registry.counter "collector.irh_discarded_loads"
-let obs_locksets = Obs.Registry.counter "collector.locksets_interned"
-let obs_vclocks = Obs.Registry.counter "collector.vclocks_interned"
-let obs_words = Obs.Registry.counter "collector.words_touched"
-
 type result = {
   tables : Access.tables;
   words : int array;
@@ -662,18 +647,18 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
       c_words = Trace.Vec.length st.cell_list;
     }
   in
-  Obs.Metric.add obs_events stats.c_events;
-  Obs.Metric.add obs_stores stats.c_stores;
-  Obs.Metric.add obs_loads stats.c_loads;
-  Obs.Metric.add obs_windows stats.c_windows;
-  Obs.Metric.add obs_windows_opened stats.c_windows_opened;
-  Obs.Metric.add obs_windows_closed stats.c_windows_closed;
-  Obs.Metric.add obs_load_records stats.c_load_records;
-  Obs.Metric.add obs_irh_stores stats.c_irh_discarded_stores;
-  Obs.Metric.add obs_irh_loads stats.c_irh_discarded_loads;
-  Obs.Metric.add obs_locksets stats.c_locksets;
-  Obs.Metric.add obs_vclocks stats.c_vclocks;
-  Obs.Metric.add obs_words stats.c_words;
+  Obs.Registry.publish
+    [ ("collector.events", stats.c_events);
+      ("collector.stores", stats.c_stores); ("collector.loads", stats.c_loads);
+      ("collector.windows_emitted", stats.c_windows);
+      ("collector.windows_opened", stats.c_windows_opened);
+      ("collector.windows_closed", stats.c_windows_closed);
+      ("collector.load_records", stats.c_load_records);
+      ("collector.irh_discarded_stores", stats.c_irh_discarded_stores);
+      ("collector.irh_discarded_loads", stats.c_irh_discarded_loads);
+      ("collector.locksets_interned", stats.c_locksets);
+      ("collector.vclocks_interned", stats.c_vclocks);
+      ("collector.words_touched", stats.c_words) ];
   Obs.Logger.debug ~section:"collector" (fun () ->
       Format.asprintf "%a" pp_stats stats);
   freeze st stats

@@ -33,8 +33,6 @@ type result = {
   truncated : truncation list;
 }
 
-let obs_truncations = Obs.Registry.counter "pipeline.truncations"
-
 let tl_truncation = Obs.Timeline.name "pipeline.truncation"
 
 (* A [stop] predicate that trips once [deadline_s] wall-clock seconds have
@@ -49,7 +47,7 @@ let run ?(config = default) trace =
   let t0 = Unix.gettimeofday () in
   let truncated = ref [] in
   let note t =
-    Obs.Metric.incr obs_truncations;
+    Obs.Registry.publish [ ("pipeline.truncations", 1) ];
     Obs.Timeline.instant tl_truncation ~arg:t.trunc_done;
     Obs.Logger.warn ~section:"pipeline" (fun () ->
         Printf.sprintf "truncated %s (%s): %d of %d" t.trunc_stage

@@ -565,13 +565,3 @@ let analyse ?(config = default_config) (c : Collector.result) =
           loads)
     c.Collector.words;
   !races
-
-let locs report =
-  List.sort_uniq compare
-    (List.map
-       (fun (r : Report.race) ->
-         ( Trace.Site.location r.Report.store_site,
-           Trace.Site.location r.Report.load_site ))
-       (Report.sorted report))
-
-let same_races a b = locs a = locs b

@@ -44,9 +44,3 @@ val analyse : ?config:config -> Collector.result -> Report.t
     tables. Oracle for {!Analysis.run}'s report
     on an already-collected result. Only [config]'s [effective_lockset] and
     [vector_clocks] fields are consulted (the rest shaped collection). *)
-
-val locs : Report.t -> (string * string) list
-(** Sorted distinct (store location, load location) pairs. *)
-
-val same_races : Report.t -> Report.t -> bool
-(** Equality of the reported (store location, load location) sets. *)

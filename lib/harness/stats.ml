@@ -10,8 +10,6 @@ type run = {
   manifest : Obs.Manifest.t;
 }
 
-let obs_distinct_races = Obs.Registry.counter "report.distinct_races"
-
 let base_labels ~app ~detector ~seed ~ops =
   [
     ("app", app);
@@ -30,7 +28,8 @@ let measured ~labels f =
   (r, Obs.Manifest.of_registry ~labels ~extra_gauges:gauges reg)
 
 let count_races races =
-  Obs.Metric.add obs_distinct_races (Hawkset.Report.count races)
+  Obs.Registry.publish
+    [ ("report.distinct_races", Hawkset.Report.count races) ]
 
 let analyse ?config trace =
   let res = Hawkset.Pipeline.run ?config trace in

@@ -19,29 +19,27 @@ type observation = {
          lockset analysis, not just for observation-based detection *)
 }
 
+(* A run's counts, published once when it ends; each is an exact function
+   of (program, seed, policy), so Table 3's cost asymmetry is countable. *)
+type stats = {
+  mutable points : int;
+  mutable context_switches : int;
+  mutable delays_injected : int;
+  mutable pct_priority_changes : int;
+  runnable : Obs.Metric.histogram;
+  mutable pmem : Pmem.Heap.stats;
+}
+
 type report = {
   outcome : outcome;
   trace : Trace.Tracebuf.t;
   event_count : int;
   observations : observation list;
   thread_count : int;
+  stats : stats;
 }
 
 exception Deadlock of string
-
-(* Scheduler observability (Obs.Registry.global). Every bump sits on a
-   deterministic control path, so counts are exact functions of
-   (program, seed, policy) — the Table 3 cost asymmetry becomes countable
-   rather than asserted. *)
-let obs_sched_points = Obs.Registry.counter "sched.points"
-let obs_switches = Obs.Registry.counter "sched.context_switches"
-let obs_delays = Obs.Registry.counter "sched.delays_injected"
-let obs_spawned = Obs.Registry.counter "sched.threads_spawned"
-let obs_machine_runs = Obs.Registry.counter "sched.machine_runs"
-let obs_pct_changes = Obs.Registry.counter "sched.pct_priority_changes"
-
-let obs_runnable =
-  Obs.Registry.histogram ~bounds:[| 1; 2; 4; 8; 16; 32 |] "sched.runnable"
 
 (* What a thread that is not running resumes with; [Idle] while it runs
    and once it has finished. *)
@@ -121,6 +119,7 @@ type t = {
   (* word index -> last writer, its site, and its lockset at store time *)
   obs_seen : (string * string * bool, unit) Hashtbl.t;
   mutable observations : observation list;
+  stats : stats;
 }
 
 type ctx = { m : t; self : thread }
@@ -168,7 +167,6 @@ let add_thread m thunk =
   (* Tids grow, so appending keeps [live] in tid order. *)
   m.live.(m.nlive) <- th;
   m.nlive <- m.nlive + 1;
-  Obs.Metric.incr obs_spawned;
   th
 
 (* [th] has finished: mark it and drop it from [live]. *)
@@ -240,7 +238,7 @@ let pick m ~self =
       done;
     let pool = if !nr = 0 then cands else ready in
     let n = if !nr = 0 then nc else !nr in
-    Obs.Metric.observe obs_runnable n;
+    Obs.Metric.observe m.stats.runnable n;
     match m.policy with
     | Round_robin -> round_robin pool n m.last_scheduled 0
     | Scripted choices ->
@@ -264,7 +262,7 @@ let pick m ~self =
           let top = pct_top m pool n in
           top.priority <- m.pct_low;
           m.pct_low <- m.pct_low - 1;
-          Obs.Metric.incr obs_pct_changes
+          m.stats.pct_priority_changes <- m.stats.pct_priority_changes + 1
         end;
         if Prng.int m.prng 16 = 0 then pool.(Prng.int m.prng n)
         else (pct_top m pool n).t_tid
@@ -289,7 +287,8 @@ let rec schedule m =
 
 (* Run [th], the winner of a decision. *)
 and dispatch m th =
-  if th.t_tid <> m.last_scheduled then Obs.Metric.incr obs_switches;
+  if th.t_tid <> m.last_scheduled then
+    m.stats.context_switches <- m.stats.context_switches + 1;
   m.last_scheduled <- th.t_tid;
   match th.cont with
   | Idle -> assert false
@@ -350,7 +349,7 @@ and exec_fiber m th thunk =
    the last scheduled, so the pick, the PRNG draws and the counters are
    exactly those of a decision taken after suspending it. *)
 let sched_point ctx =
-  Obs.Metric.incr obs_sched_points;
+  ctx.m.stats.points <- ctx.m.stats.points + 1;
   let me = ctx.self.t_tid in
   let next = pick ctx.m ~self:me in
   if next <> me then Effect.perform (Switch_to ctx.m.threads.(next))
@@ -436,24 +435,21 @@ let join ctx target =
   emit ctx (Trace.Event.Thread_join { waiter = tid ctx; joined = target });
   sched_point ctx
 
+let delay ctx duration =
+  ctx.m.stats.delays_injected <- ctx.m.stats.delays_injected + 1;
+  ctx.self.delay <- duration
+
 let maybe_delay ctx st =
   match ctx.m.policy with
   | Delay_injection { probability; duration } ->
-      if Prng.float ctx.m.prng 1.0 < probability then begin
-        Obs.Metric.incr obs_delays;
-        ctx.self.delay <- duration
-      end
-  | Targeted_delay { duration; _ } ->
-      let hit =
-        match ctx.m.target with
-        | Some (file, line) ->
-            st.Trace.Site.line = line && String.equal st.Trace.Site.file file
-        | None -> false
-      in
-      if hit then begin
-        Obs.Metric.incr obs_delays;
-        ctx.self.delay <- duration
-      end
+      if Prng.float ctx.m.prng 1.0 < probability then delay ctx duration
+  | Targeted_delay { duration; _ } -> (
+      match ctx.m.target with
+      | Some (file, line)
+        when st.Trace.Site.line = line && String.equal st.Trace.Site.file file
+        ->
+          delay ctx duration
+      | Some _ | None -> ())
   | Random_interleave | Round_robin | Scripted _ | Pct _ -> ()
 
 let record_store_words ctx ~addr ~size ~site:st =
@@ -715,6 +711,20 @@ let target_of_loc loc =
           Some (String.sub loc 0 i, line)
       | Some _ | None -> None)
 
+let publish m =
+  let s = m.stats in
+  s.pmem <- Pmem.Heap.take_stats m.heap;
+  Obs.Registry.publish
+    ~histograms:[ ("sched.runnable", s.runnable) ]
+    [ ("sched.machine_runs", 1); ("sched.points", s.points);
+      ("sched.context_switches", s.context_switches);
+      ("sched.delays_injected", s.delays_injected);
+      ("sched.threads_spawned", m.nthreads);
+      ("sched.pct_priority_changes", s.pct_priority_changes);
+      ("pmem.line_dirties", s.pmem.line_dirties);
+      ("pmem.flushes", s.pmem.flushes); ("pmem.fences", s.pmem.fences);
+      ("pmem.nt_stores", s.pmem.nt_stores); ("pmem.crash_images", 0) ]
+
 let run ?(seed = 0) ?(policy = Random_interleave)
     ?(sync_config = Sync_config.builtin) ?crash_after_events
     ?crash_after_fences ?(observe = false) ?pm_regions ~heap main =
@@ -766,6 +776,12 @@ let run ?(seed = 0) ?(policy = Random_interleave)
       last_store = Hashtbl.create (if observe then 4096 else 1);
       obs_seen = Hashtbl.create 64;
       observations = [];
+      stats =
+        { points = 0; context_switches = 0; delays_injected = 0;
+          pct_priority_changes = 0;
+          runnable = Obs.Metric.histogram ~bounds:[| 1; 2; 4; 8; 16; 32 |] ();
+          (* Zeroes the heap's counts; the run's replace them as it ends. *)
+          pmem = Pmem.Heap.take_stats heap };
     }
   in
   let rec main_ref = ref None
@@ -776,10 +792,15 @@ let run ?(seed = 0) ?(policy = Random_interleave)
   in
   let th = add_thread m thunk in
   main_ref := Some th;
-  Obs.Metric.incr obs_machine_runs;
   Obs.Logger.debug ~section:"sched" (fun () ->
       Printf.sprintf "machine start: seed=%d observe=%b" seed observe);
-  schedule m;
+  (* Published before any raise below, and when one escapes [schedule]. *)
+  (match schedule m with
+  | () -> publish m
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      publish m;
+      Printexc.raise_with_backtrace e bt);
   (match m.failure with Some e -> raise e | None -> ());
   if not m.crashed then begin
     let stuck =
@@ -798,4 +819,5 @@ let run ?(seed = 0) ?(policy = Random_interleave)
     event_count = m.events;
     observations = List.rev m.observations;
     thread_count = m.nthreads;
+    stats = m.stats;
   }

@@ -80,13 +80,25 @@ type observation = {
           Algorithm 1's clock comparison prunes it. *)
 }
 
+(** One run's counts, the source of the [sched.*] and [pmem.*] metrics:
+    {!run} adds them to {!Obs.Registry.global} once, also when it raises. *)
+type stats = private {
+  mutable points : int;  (** Scheduling points. *)
+  mutable context_switches : int;  (** Decisions that ran another thread. *)
+  mutable delays_injected : int;
+  mutable pct_priority_changes : int;
+  runnable : Obs.Metric.histogram;  (** Threads eligible per decision. *)
+  mutable pmem : Pmem.Heap.stats;  (** The heap's counts during the run. *)
+}
+
 type report = {
   outcome : outcome;
   trace : Trace.Tracebuf.t;
   event_count : int;
   observations : observation list;
       (** Empty unless [observe:true] was passed to {!run}. *)
-  thread_count : int;
+  thread_count : int;  (** Threads spawned, the main thread included. *)
+  stats : stats;
 }
 
 exception Deadlock of string

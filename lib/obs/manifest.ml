@@ -57,7 +57,7 @@ let of_registry ?(labels = []) ?(extra_gauges = []) reg =
     gauges =
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
-        (Registry.gauges reg @ extra_gauges);
+        extra_gauges;
   }
 
 let label t key = List.assoc_opt key t.labels

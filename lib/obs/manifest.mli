@@ -44,8 +44,8 @@ val of_registry :
   ?extra_gauges:(string * float) list ->
   Registry.t ->
   t
-(** Snapshot a registry: counters/histograms/spans/gauges, plus
-    [extra_gauges] merged into the gauge section. Only the subsystems
+(** Snapshot a registry's counters, histograms and spans, with
+    [extra_gauges] as the gauge section. Only the subsystems
     that ran are kept: a subsystem (a metric name up to its first ['.'])
     appears when one of its counters is non-zero or one of its
     histograms holds an observation, and then with all of its counters

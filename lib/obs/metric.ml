@@ -1,14 +1,10 @@
 (* Metric primitives. Counters and histograms are bumped on deterministic
    control paths only, so for a fixed scheduler seed their values are a
-   pure function of the run — tests assert exact counts. Gauges hold real
-   measurements (wall clock, heap sizes) and are quarantined in separate
-   manifest fields. *)
+   pure function of the run — tests assert exact counts. *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type counter = { mutable c_value : int }
 
 type histogram = {
-  h_name : string;
   h_bounds : int array; (* inclusive upper bounds, strictly increasing *)
   h_counts : int array; (* length = Array.length h_bounds + 1 (overflow) *)
   mutable h_count : int;
@@ -16,20 +12,15 @@ type histogram = {
   mutable h_max : int;
 }
 
-let counter name = { c_name = name; c_value = 0 }
+let counter () = { c_value = 0 }
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let value c = c.c_value
 
-let gauge name = { g_name = name; g_value = 0.0 }
-let set g v = g.g_value <- v
-let gauge_value g = g.g_value
-
 let default_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
 
-let histogram ?(bounds = default_bounds) name =
+let histogram ?(bounds = default_bounds) () =
   {
-    h_name = name;
     h_bounds = bounds;
     h_counts = Array.make (Array.length bounds + 1) 0;
     h_count = 0;
@@ -51,6 +42,16 @@ let observe h v =
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v
 
+let merge ~into h =
+  if into.h_bounds <> h.h_bounds then invalid_arg "Metric.merge: bounds";
+  let c = into.h_counts in
+  Array.iteri (fun i n -> c.(i) <- c.(i) + n) h.h_counts;
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum + h.h_sum;
+  if h.h_max > into.h_max then into.h_max <- h.h_max
+
+let bounds h = h.h_bounds
+
 (* Flattened, deterministically-ordered view for snapshots/manifests. *)
 let cells h =
   let buckets =
@@ -65,7 +66,6 @@ let cells h =
   buckets @ [ ("count", h.h_count); ("sum", h.h_sum); ("max", h.h_max) ]
 
 let reset_counter c = c.c_value <- 0
-let reset_gauge g = g.g_value <- 0.0
 
 let reset_histogram h =
   Array.fill h.h_counts 0 (Array.length h.h_counts) 0;

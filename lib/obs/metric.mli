@@ -1,35 +1,32 @@
-(** Metric primitives: counters, gauges, histograms.
+(** Metric primitives: counters and histograms.
 
-    Counters and histograms must be bumped only on deterministic control
-    paths (event counts, cache hits, scheduling decisions): for a fixed
-    scheduler seed their values are a pure function of the run, and tests
-    assert exact values. Gauges hold real measurements (seconds, megabytes)
-    and are quarantined in separate manifest fields. Create metrics through
-    {!Registry} so they appear in snapshots. *)
+    They must be bumped only on deterministic control paths (event counts,
+    cache hits, scheduling decisions): for a fixed scheduler seed their
+    values are a pure function of the run, and tests assert exact values.
+    They reach snapshots, under their names, through {!Registry}. *)
 
 type counter
-type gauge
 type histogram
 
-val counter : string -> counter
+val counter : unit -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val histogram : ?bounds:int array -> string -> histogram
+val histogram : ?bounds:int array -> unit -> histogram
 (** [bounds] are inclusive upper bounds, strictly increasing; one overflow
     bucket is added. Default: powers of two up to 1024. *)
 
 val observe : histogram -> int -> unit
+
+val merge : into:histogram -> histogram -> unit
+(** Adds the second histogram's observations to [into]; same bounds. *)
+
+val bounds : histogram -> int array
 
 val cells : histogram -> (string * int) list
 (** Flattened bucket view in bound order ([le_N]..., [overflow]), followed
     by [count], [sum] and [max] — deterministic for deterministic input. *)
 
 val reset_counter : counter -> unit
-val reset_gauge : gauge -> unit
 val reset_histogram : histogram -> unit

@@ -1,24 +1,19 @@
-(* Central metric registry. Modules create named handles once (find-or-
-   create, so a name is one cell process-wide) and bump them on their hot
-   paths; consumers snapshot sorted association lists. [reset] zeroes the
-   values but keeps the handles, so a front end can reset at the start of
-   a run and read a per-run snapshot at the end while instrumented
-   libraries hold their handles across runs.
+(* Central metric registry. A per-event layer counts its run in its own
+   fields and [publish]es the totals once, so its hot path writes no
+   shared memory; a per-operation layer may bump a named handle (find-or-
+   create: one cell per name). [reset] zeroes the values but keeps the
+   cells, so a front end resets at the start of a run and snapshots sorted
+   lists at the end.
 
-   Domain safety: handle *bumps* are plain unsynchronised writes (racy
-   but memory-safe, and the supervisor only reads deterministic counters
-   derived from results, never the live registry, for gated outputs).
-   Handle creation, span recording and snapshots mutate the Hashtbls
-   themselves, which OCaml 5 does not make safe across domains — those
-   paths take [lock]. The stack of open spans is domain-local, so
-   concurrent batch jobs each build their own "run/collect/..." paths
-   instead of interleaving onto one stack. *)
+   Domain safety: [publish], handle creation, spans and snapshots take
+   [lock], so published totals are exact at any width; a handle bump is a
+   plain racy write. Open spans are a domain-local stack, so concurrent
+   jobs each build their own "run/collect/..." paths. *)
 
 type span_stat = { mutable sp_count : int; mutable sp_seconds : float }
 
 type t = {
   counters : (string, Metric.counter) Hashtbl.t;
-  gauges : (string, Metric.gauge) Hashtbl.t;
   histograms : (string, Metric.histogram) Hashtbl.t;
   spans : (string, span_stat) Hashtbl.t;
   open_spans : string list Domain.DLS.key; (* open paths, innermost first *)
@@ -28,7 +23,6 @@ type t = {
 let create () =
   {
     counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
     spans = Hashtbl.create 16;
     open_spans = Domain.DLS.new_key (fun () -> []);
@@ -41,28 +35,31 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find_or_create t tbl name make =
-  locked t (fun () ->
-      match Hashtbl.find_opt tbl name with
-      | Some m -> m
-      | None ->
-          let m = make name in
-          Hashtbl.add tbl name m;
-          m)
+(* Callers hold [lock]. *)
+let cell tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some m -> m
+  | None ->
+      let m = make () in
+      Hashtbl.add tbl name m;
+      m
 
 let counter ?(registry = global) name =
-  find_or_create registry registry.counters name Metric.counter
+  locked registry (fun () -> cell registry.counters name Metric.counter)
 
-let gauge ?(registry = global) name =
-  find_or_create registry registry.gauges name Metric.gauge
-
-let histogram ?(registry = global) ?bounds name =
-  find_or_create registry registry.histograms name (Metric.histogram ?bounds)
+let publish ?registry:(t = global) ?(histograms = []) totals =
+  locked t (fun () ->
+      List.iter (fun (k, n) -> Metric.add (cell t.counters k Metric.counter) n)
+        totals;
+      List.iter
+        (fun (k, h) ->
+          let make = Metric.histogram ~bounds:(Metric.bounds h) in
+          Metric.merge ~into:(cell t.histograms k make) h)
+        histograms)
 
 let reset t =
   locked t (fun () ->
       Hashtbl.iter (fun _ c -> Metric.reset_counter c) t.counters;
-      Hashtbl.iter (fun _ g -> Metric.reset_gauge g) t.gauges;
       Hashtbl.iter (fun _ h -> Metric.reset_histogram h) t.histograms;
       Hashtbl.reset t.spans)
 
@@ -72,11 +69,8 @@ let sorted_bindings t tbl value =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t = sorted_bindings t t.counters Metric.value
-let gauges t = sorted_bindings t t.gauges Metric.gauge_value
 
-let histogram_cells (h : Metric.histogram) = Metric.cells h
-
-let histograms t = sorted_bindings t t.histograms histogram_cells
+let histograms t = sorted_bindings t t.histograms Metric.cells
 
 (* --- spans ----------------------------------------------------------- *)
 

@@ -1,9 +1,9 @@
-(** Central metric registry: named counters, gauges, histograms and spans.
+(** Central metric registry: named counters, histograms and spans.
 
-    Instrumented libraries create handles once at module initialization
-    (find-or-create: one cell per name process-wide) against {!global} and
-    bump them on their hot paths. Front ends {!reset} the global registry
-    at the start of a run and snapshot it at the end; the snapshot is the
+    A per-event layer counts its run in its own fields and hands the
+    totals over once, with {!publish}; a per-operation layer may bump a
+    {!counter} handle instead. Front ends {!reset} the global registry at
+    the start of a run and snapshot it at the end; the snapshot is the
     deterministic half of a {!Manifest.t}. *)
 
 type t
@@ -11,12 +11,17 @@ type t
 val create : unit -> t
 
 val global : t
-(** The registry every built-in subsystem (collector, analysis, scheduler,
-    PM cache, baselines) registers into. *)
+(** The registry every built-in subsystem reports into: the process
+    aggregate, not a per-run source. *)
 
 val counter : ?registry:t -> string -> Metric.counter
-val gauge : ?registry:t -> string -> Metric.gauge
-val histogram : ?registry:t -> ?bounds:int array -> string -> Metric.histogram
+
+val publish :
+  ?registry:t -> ?histograms:(string * Metric.histogram) list ->
+  (string * int) list -> unit
+(** [publish totals] adds one run's [(name, count)] totals to the named
+    counters and merges [histograms] into the like-named ones, creating
+    each on first use, under one lock: exact at any number of domains. *)
 
 val reset : t -> unit
 (** Zero every value and drop recorded spans; handles stay valid. Call
@@ -25,7 +30,6 @@ val reset : t -> unit
 (** {1 Snapshots} — sorted by name, so equal runs produce equal lists. *)
 
 val counters : t -> (string * int) list
-val gauges : t -> (string * float) list
 val histograms : t -> (string * (string * int) list) list
 
 val with_span : ?registry:t -> ?arg:int -> string -> (unit -> 'a) -> 'a

@@ -29,6 +29,15 @@ let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 let zero_chunk = Bytes.make chunk_size '\000'
 
+type stats = {
+  mutable line_dirties : int;
+  mutable flushes : int;
+  mutable fences : int;
+  mutable nt_stores : int;
+}
+
+let no_stats () = { line_dirties = 0; flushes = 0; fences = 0; nt_stores = 0 }
+
 type t = {
   heap_name : string;
   heap_eadr : bool;
@@ -42,15 +51,8 @@ type t = {
          line may repeat. A fence visits only these. *)
   mutable bump : int;
   free_lists : (int, int list) Hashtbl.t; (* size -> freed addrs, LIFO *)
+  mutable stats : stats; (* counts since the last [take_stats] *)
 }
-
-(* Worst-case-cache observability: how much dirtying/flushing/fencing the
-   workload actually generates. Deterministic for a fixed scheduler seed. *)
-let obs_line_dirties = Obs.Registry.counter "pmem.line_dirties"
-let obs_flushes = Obs.Registry.counter "pmem.flushes"
-let obs_fences = Obs.Registry.counter "pmem.fences"
-let obs_nt_stores = Obs.Registry.counter "pmem.nt_stores"
-let obs_crash_images = Obs.Registry.counter "pmem.crash_images"
 
 let create ?(name = "/mnt/pmem/pool") ?(eadr = false) ~size () =
   if size < 0 then invalid_arg "Heap.create: negative size";
@@ -66,11 +68,16 @@ let create ?(name = "/mnt/pmem/pool") ?(eadr = false) ~size () =
     flushed = [||];
     bump = Layout.line_size (* keep address 0 unused as a null pointer *);
     free_lists = Hashtbl.create 16;
+    stats = no_stats ();
   }
+
+let take_stats t =
+  let s = t.stats in
+  t.stats <- no_stats ();
+  s
 
 let size t = t.heap_size
 let name t = t.heap_name
-let eadr t = t.heap_eadr
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -91,8 +98,6 @@ let alloc ?(align = 8) t n =
 let free t ~addr ~size =
   let prev = Option.value ~default:[] (Hashtbl.find_opt t.free_lists size) in
   Hashtbl.replace t.free_lists size (addr :: prev)
-
-let allocated_bytes t = t.bump
 
 (* Every access checks its whole range before it touches any chunk. *)
 let check t addr len =
@@ -194,7 +199,7 @@ let mark_dirty t ~tid ~addr ~size =
   while !pos < stop do
     let line_idx = Layout.line_index !pos in
     let s = line_state t line_idx in
-    Obs.Metric.incr obs_line_dirties;
+    t.stats.line_dirties <- t.stats.line_dirties + 1;
     s.version <- s.version + 1;
     let line_base = line_idx * Layout.line_size in
     let upto = min stop (line_base + Layout.line_size) in
@@ -210,7 +215,7 @@ let note_store t ~tid ~addr ~size ~non_temporal =
        visibility; nothing is ever dirty. *)
     persist_range t addr size
   else if non_temporal then begin
-    Obs.Metric.incr obs_nt_stores;
+    t.stats.nt_stores <- t.stats.nt_stores + 1;
     let key = Trace.Tid.to_int tid in
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.nt_pending key) in
     Hashtbl.replace t.nt_pending key
@@ -249,7 +254,7 @@ let dirty_conflict t ~tid ~addr ~size =
 let flush t ~tid ~line =
   if line land (Layout.line_size - 1) <> 0 then
     invalid_arg "Heap.flush: address is not line-aligned";
-  Obs.Metric.incr obs_flushes;
+  t.stats.flushes <- t.stats.flushes + 1;
   let line_idx = Layout.line_index line in
   match Hashtbl.find_opt t.lines line_idx with
   | None -> () (* clean line: flushing is a no-op *)
@@ -309,7 +314,7 @@ let fence_line t me line_idx =
       end
 
 let fence t ~tid =
-  Obs.Metric.incr obs_fences;
+  t.stats.fences <- t.stats.fences + 1;
   let me = Trace.Tid.to_int tid in
   if me < Array.length t.flushed then begin
     let lines = t.flushed.(me) in
@@ -383,7 +388,8 @@ let resident_bytes t =
 let chunk_length size i = min chunk_size (size - (i lsl chunk_bits))
 
 let crash_image t =
-  Obs.Metric.incr obs_crash_images;
+  (* Taken outside any machine run, so it reports itself. *)
+  Obs.Registry.publish [ ("pmem.crash_images", 1) ];
   let img = Bytes.make t.heap_size '\000' in
   Array.iteri
     (fun i c ->

@@ -38,8 +38,6 @@ val create : ?name:string -> ?eadr:bool -> size:int -> unit -> t
     applications must NOT rely on it; the flag exists to demonstrate that
     persistency-induced races vanish on such hardware. *)
 
-val eadr : t -> bool
-
 val size : t -> int
 val name : t -> string
 
@@ -55,9 +53,6 @@ val alloc : ?align:int -> t -> int -> int
 
 val free : t -> addr:int -> size:int -> unit
 (** Returns a block to the allocator for reuse. *)
-
-val allocated_bytes : t -> int
-(** High-water mark of the bump pointer. *)
 
 (** {1 Data access (volatile image)} *)
 
@@ -95,6 +90,17 @@ val fence : t -> tid:Trace.Tid.t -> unit
 (** Completes all pending flushes and non-temporal stores issued by
     [tid]. A flushed snapshot older than one already committed for its
     line is dropped: write-backs of a line never go back in time. *)
+
+type stats = private {
+  mutable line_dirties : int;  (** Lines dirtied, counted per store. *)
+  mutable flushes : int;
+  mutable fences : int;
+  mutable nt_stores : int;
+}
+
+val take_stats : t -> stats
+(** The counts since the heap was created or last taken, which are reset
+    to zero: the machine takes its run's share when the run ends. *)
 
 val persisted_range : t -> addr:int -> size:int -> bool
 (** [true] when no byte of the range is dirty, i.e. the volatile and

@@ -100,15 +100,9 @@ module Determinism_tests = struct
   let pct_changes_bounded () =
     let e = entry "fast-fair" in
     let ops = R.clamp_ops e 40 in
-    let counter_value () =
-      Option.value ~default:0
-        (List.assoc_opt "sched.pct_priority_changes"
-           (Obs.Registry.counters Obs.Registry.global))
-    in
     let changes sched_seed depth =
-      let before = counter_value () in
-      ignore (e.R.run ~seed:7 ~sched_seed ~policy:(S.Pct { depth }) ~ops ());
-      counter_value () - before
+      (e.R.run ~seed:7 ~sched_seed ~policy:(S.Pct { depth }) ~ops ()).S.stats
+        .S.pct_priority_changes
     in
     List.iter
       (fun seed ->

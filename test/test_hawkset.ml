@@ -1215,12 +1215,59 @@ module App_tests = struct
            | Error e ->
                Alcotest.failf "task %d failed: %s" i (Printexc.to_string e))
 
+  (* Every layer on the per-event path counts its own run and publishes
+     the totals once, under the registry's lock: the nine apps drained
+     through the pool at width 2 give each run the stats of width 1, and
+     the registry the same totals. *)
+  let registry_exact_at_width_2 () =
+    let drain workers =
+      Obs.Registry.reset Obs.Registry.global;
+      let stats =
+        Hawkset.Domain_pool.run_queue (Hawkset.Domain_pool.global ()) ~workers
+          (Array.of_list
+             (List.map
+                (fun (e : Pmapps.Registry.entry) () ->
+                  let ops = Pmapps.Registry.clamp_ops e 400 in
+                  let r = e.Pmapps.Registry.run ~seed:5 ~ops () in
+                  ignore (Hawkset.Pipeline.run r.Machine.Sched.trace);
+                  r.Machine.Sched.stats)
+                Pmapps.Registry.all))
+        |> Array.map (function
+             | Ok s -> s
+             | Error e -> Alcotest.failf "task: %s" (Printexc.to_string e))
+      in
+      let layer (name, _) =
+        List.exists
+          (fun prefix -> String.starts_with ~prefix name)
+          [ "sched."; "pmem."; "collector."; "analysis." ]
+      in
+      ( stats,
+        List.filter layer (Obs.Registry.counters Obs.Registry.global),
+        List.filter layer (Obs.Registry.histograms Obs.Registry.global) )
+    in
+    let stats1, counters1, hists1 = drain 1 in
+    let stats2, counters2, hists2 = drain 2 in
+    Array.iteri
+      (fun i s ->
+        Alcotest.(check bool)
+          (Printf.sprintf "run %d: width-2 stats = width-1 stats" i)
+          true (s = stats2.(i)))
+      stats1;
+    Alcotest.(check bool) "counters published" true
+      (List.assoc_opt "sched.points" counters1 <> None);
+    Alcotest.(check (list (pair string int))) "registry counters" counters1
+      counters2;
+    Alcotest.(check (list (pair string (list (pair string int)))))
+      "registry histograms" hists1 hists2
+
   let tests =
-    List.map
-      (fun (e : Pmapps.Registry.entry) ->
-        Alcotest.test_case e.Pmapps.Registry.reg_name `Slow
-          (pool_tasks_match_sequential e))
-      Pmapps.Registry.all
+    Alcotest.test_case "registry exact at width 2" `Slow
+      registry_exact_at_width_2
+    :: List.map
+         (fun (e : Pmapps.Registry.entry) ->
+           Alcotest.test_case e.Pmapps.Registry.reg_name `Slow
+             (pool_tasks_match_sequential e))
+         Pmapps.Registry.all
 end
 
 module Golden_tests = struct

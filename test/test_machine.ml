@@ -590,6 +590,47 @@ module Policies = struct
      with S.Deadlock _ -> raised := true);
     Alcotest.(check bool) "deadlock raised" true !raised
 
+  (* A run that raises still publishes what it counted: here a child
+     persists one store and then parks (a deadlock) or fails. *)
+  let raising_run_publishes () =
+    let layers () =
+      List.filter
+        (fun (k, _) ->
+          String.starts_with ~prefix:"sched." k
+          || String.starts_with ~prefix:"pmem." k)
+        (Obs.Registry.counters Obs.Registry.global)
+    in
+    List.iter
+      (fun (what, last) ->
+        let before = layers () in
+        let heap = Pmem.Heap.create ~size:(1 lsl 16) () in
+        (match
+           S.run ~heap (fun ctx ->
+               let child =
+                 S.spawn ctx (fun ctx' ->
+                     let a = S.alloc ctx' 8 in
+                     S.store_i64 ctx' __POS__ a 1L;
+                     S.persist ctx' __POS__ a 8;
+                     last ctx')
+               in
+               S.join ctx child)
+         with
+        | _ -> Alcotest.failf "%s: the run returned" what
+        | exception (S.Deadlock _ | Failure _) -> ());
+        let published =
+          List.filter (fun (_, v) -> v <> 0)
+            (Obs.Registry.delta ~before ~after:(layers ()))
+        in
+        Alcotest.(check (list (pair string int)))
+          (what ^ ": counts published")
+          [
+            ("pmem.fences", 1); ("pmem.flushes", 1); ("pmem.line_dirties", 1);
+            ("sched.context_switches", 4); ("sched.machine_runs", 1);
+            ("sched.points", 4); ("sched.threads_spawned", 2);
+          ]
+          published)
+      [ ("deadlock", S.park); ("failure", fun _ -> failwith "app") ]
+
   let delay_injection_changes_schedules () =
     let trace_of policy =
       let heap = Pmem.Heap.create ~size:(1 lsl 16) () in
@@ -617,6 +658,8 @@ module Policies = struct
     [
       Alcotest.test_case "round robin" `Quick round_robin_deterministic;
       Alcotest.test_case "deadlock detected" `Quick deadlock_detected;
+      Alcotest.test_case "a raising run publishes" `Quick
+        raising_run_publishes;
       Alcotest.test_case "delay injection" `Quick
         delay_injection_changes_schedules;
     ]

@@ -39,7 +39,7 @@ end
 
 module Metric_tests = struct
   let counter () =
-    let c = Obs.Metric.counter "t" in
+    let c = Obs.Metric.counter () in
     Obs.Metric.incr c;
     Obs.Metric.add c 4;
     Alcotest.(check int) "value" 5 (Obs.Metric.value c);
@@ -47,7 +47,7 @@ module Metric_tests = struct
     Alcotest.(check int) "reset" 0 (Obs.Metric.value c)
 
   let histogram_cells () =
-    let h = Obs.Metric.histogram ~bounds:[| 1; 4 |] "h" in
+    let h = Obs.Metric.histogram ~bounds:[| 1; 4 |] () in
     List.iter (Obs.Metric.observe h) [ 0; 1; 3; 9 ];
     Alcotest.(check (list (pair string int)))
       "cells"
@@ -88,6 +88,33 @@ module Registry_tests = struct
     Alcotest.(check (list (pair string int)))
       "handle still registered" [ ("x", 1) ]
       (Obs.Registry.counters r)
+
+  (* Two runs' totals accumulate: counters add, histograms merge cell by
+     cell, and a histogram of other bounds is refused. *)
+  let publish_accumulates () =
+    let r = Obs.Registry.create () in
+    let run obs =
+      let h = Obs.Metric.histogram ~bounds:[| 1; 4 |] () in
+      List.iter (Obs.Metric.observe h) obs;
+      Obs.Registry.publish ~registry:r ~histograms:[ ("h", h) ]
+        [ ("x", List.length obs) ]
+    in
+    run [ 0; 9 ];
+    run [ 3; 1 ];
+    Alcotest.(check (list (pair string int)))
+      "counters" [ ("x", 4) ] (Obs.Registry.counters r);
+    Alcotest.(check (list (pair string (list (pair string int)))))
+      "histograms"
+      [
+        ( "h",
+          [ ("le_1", 2); ("le_4", 1); ("overflow", 1); ("count", 4);
+            ("sum", 13); ("max", 9) ] );
+      ]
+      (Obs.Registry.histograms r);
+    Alcotest.check_raises "other bounds"
+      (Invalid_argument "Metric.merge: bounds") (fun () ->
+        Obs.Registry.publish ~registry:r
+          ~histograms:[ ("h", Obs.Metric.histogram ()) ] [])
 
   let span_nesting () =
     let r = Obs.Registry.create () in
@@ -159,6 +186,7 @@ module Registry_tests = struct
     [
       Alcotest.test_case "find-or-create" `Quick find_or_create;
       Alcotest.test_case "reset keeps handles" `Quick reset_keeps_handles;
+      Alcotest.test_case "publish accumulates" `Quick publish_accumulates;
       Alcotest.test_case "span nesting" `Quick span_nesting;
       Alcotest.test_case "span on a pool worker" `Quick span_on_worker;
       Alcotest.test_case "delta" `Quick delta;
@@ -275,7 +303,9 @@ module Manifest_tests = struct
   let of_registry () =
     let r = Obs.Registry.create () in
     Obs.Metric.add (Obs.Registry.counter ~registry:r "c") 2;
-    Obs.Metric.observe (Obs.Registry.histogram ~registry:r "h") 3;
+    let h = Obs.Metric.histogram () in
+    Obs.Metric.observe h 3;
+    Obs.Registry.publish ~registry:r ~histograms:[ ("h", h) ] [];
     Obs.Registry.with_span ~registry:r "s" (fun () -> ());
     let m = Obs.Manifest.of_registry ~extra_gauges:[ ("g", 1.0) ] r in
     Alcotest.(check (option int)) "counter" (Some 2) (Obs.Manifest.counter m "c");
@@ -295,9 +325,11 @@ module Manifest_tests = struct
     ignore (counter "a.idle" : Obs.Metric.counter);
     Obs.Metric.incr (counter "a.busy");
     ignore (counter "b.idle" : Obs.Metric.counter);
-    ignore (Obs.Registry.histogram ~registry:r "b.h" : Obs.Metric.histogram);
-    ignore (counter "c.idle" : Obs.Metric.counter);
-    Obs.Metric.observe (Obs.Registry.histogram ~registry:r "c.h") 1;
+    let ch = Obs.Metric.histogram () in
+    Obs.Metric.observe ch 1;
+    Obs.Registry.publish ~registry:r
+      ~histograms:[ ("b.h", Obs.Metric.histogram ()); ("c.h", ch) ]
+      [ ("c.idle", 0) ];
     let m = Obs.Manifest.of_registry r in
     Alcotest.(check (list (pair string int)))
       "counters of subsystems that ran"
