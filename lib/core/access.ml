@@ -6,7 +6,6 @@ type end_kind =
   | Open_at_exit
 
 type window = {
-  w_id : int;
   w_tid : int;
   w_addr : int;
   w_size : int;
@@ -19,7 +18,6 @@ type window = {
 }
 
 type load = {
-  l_id : int;
   l_tid : int;
   l_addr : int;
   l_size : int;

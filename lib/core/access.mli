@@ -22,7 +22,6 @@ type end_kind =
     that makes the value visible until its explicit persistency or
     overwrite. *)
 type window = {
-  w_id : int;  (** Unique per collection, for pair deduplication. *)
   w_tid : int;
   w_addr : int;  (** Byte address of the original store. *)
   w_size : int;
@@ -35,7 +34,6 @@ type window = {
 }
 
 type load = {
-  l_id : int;
   l_tid : int;
   l_addr : int;
   l_size : int;

@@ -80,11 +80,17 @@ type cell = {
   mutable cl_open : open_entry list;
   cl_windows : Access.window Trace.Vec.t;
   cl_loads : Access.load Trace.Vec.t;
-  cl_wdedup : Trace.Int_tbl.Set.t; (* packed window-dedup keys *)
-  cl_ldedup : Trace.Int_tbl.Set.t; (* packed load-dedup keys *)
+  (* Packed window- and load-dedup keys; [no_dedup] until the first
+     insert, since most touched words never record one of each kind. *)
+  mutable cl_wdedup : Trace.Int_tbl.Set.t;
+  mutable cl_ldedup : Trace.Int_tbl.Set.t;
 }
 
 let pub_published = -2
+
+(* Shared by every cell without dedup keys of one kind, and never
+   inserted into: the first insert replaces it with a set of its own. *)
+let no_dedup = Trace.Int_tbl.Set.create ()
 
 let site_cache_mask = 255
 
@@ -120,7 +126,6 @@ type state = {
      collision. *)
   spill_w : (int * int * int * int * int * int * int, unit) Hashtbl.t;
   spill_l : (int * int * int * int * int, unit) Hashtbl.t;
-  mutable next_id : int;
   mutable n_windows : int;
   mutable n_opened : int;
   mutable n_closed : int;
@@ -197,8 +202,8 @@ let make_cell ?(pub = pub_published) word =
     cl_open = [];
     cl_windows = Trace.Vec.create ();
     cl_loads = Trace.Vec.create ();
-    cl_wdedup = Trace.Int_tbl.Set.create ();
-    cl_ldedup = Trace.Int_tbl.Set.create ();
+    cl_wdedup = no_dedup;
+    cl_ldedup = no_dedup;
   }
 
 (* Find-or-create the cell for [word], folding the publication update
@@ -261,14 +266,17 @@ let emit_window st cell entry ~eff ~end_vec ~kind =
       ~vec:m.m_vec_id ~evec:(evec + 1) ~kind:tag
   in
   let fresh =
-    if key >= 0 then Trace.Int_tbl.Set.add cell.cl_wdedup key
+    if key >= 0 then begin
+      if cell.cl_wdedup == no_dedup then
+        cell.cl_wdedup <- Trace.Int_tbl.Set.create ();
+      Trace.Int_tbl.Set.add cell.cl_wdedup key
+    end
     else spill_window_fresh st cell m ~eff_id ~evec ~tag
   in
   if fresh then begin
     let w =
       {
-        Access.w_id = st.next_id;
-        w_tid = m.m_tid;
+        Access.w_tid = m.m_tid;
         w_addr = m.m_addr;
         w_size = m.m_size;
         w_site = Site_table.get st.sites m.m_site_id;
@@ -279,14 +287,25 @@ let emit_window st cell entry ~eff ~end_vec ~kind =
         w_end = kind;
       }
     in
-    st.next_id <- st.next_id + 1;
     st.n_windows <- st.n_windows + 1;
     Trace.Vec.push cell.cl_windows w
   end
 
-(* Close a window. IRH: a store explicitly persisted while its word is
-   still unpublished happened during initialization and is discarded. *)
-let close_entry st cell entry ~eff ~end_vec ~kind =
+let effective_lockset st m ~closer_tid ~closer_ls =
+  if m.m_tid = closer_tid then
+    if st.timestamps then Lockset.inter_same_thread m.m_ls closer_ls
+    else Lockset.inter_same_thread_no_ts m.m_ls closer_ls
+  else
+    (* A window closed by another thread cannot be spanned atomically by
+       any lock the storing thread held. *)
+    Lockset.empty
+
+(* Close a window, closed by thread [closer_tid] holding [closer_ls].
+   IRH: a store explicitly persisted while its word is still unpublished
+   happened during initialization and is discarded — before its
+   effective lockset is computed, since only an emitted window needs
+   it. *)
+let close_entry st cell entry ~closer_tid ~closer_ls ~end_vec ~kind =
   entry.oe_closed <- true;
   st.n_closed <- st.n_closed + 1;
   let persisted =
@@ -298,16 +317,10 @@ let close_entry st cell entry ~eff ~end_vec ~kind =
   in
   if st.irh && persisted && not (is_published cell) then
     st.irh_stores <- st.irh_stores + 1
-  else emit_window st cell entry ~eff ~end_vec ~kind
-
-let effective_lockset st m ~closer_tid ~closer_ls =
-  if m.m_tid = closer_tid then
-    if st.timestamps then Lockset.inter_same_thread m.m_ls closer_ls
-    else Lockset.inter_same_thread_no_ts m.m_ls closer_ls
   else
-    (* A window closed by another thread cannot be spanned atomically by
-       any lock the storing thread held. *)
-    Lockset.empty
+    emit_window st cell entry
+      ~eff:(effective_lockset st entry.oe_meta ~closer_tid ~closer_ls)
+      ~end_vec ~kind
 
 let on_store st ~tid ~addr ~size ~site =
   st.n_stores <- st.n_stores + 1;
@@ -343,10 +356,7 @@ let on_store st ~tid ~addr ~size ~site =
                 if e.oe_meta.m_tid = itid then Access.Overwritten_same_thread
                 else Access.Overwritten_other_thread
               in
-              close_entry st c e
-                ~eff:
-                  (effective_lockset st e.oe_meta ~closer_tid:itid
-                     ~closer_ls:th.ls)
+              close_entry st c e ~closer_tid:itid ~closer_ls:th.ls
                 ~end_vec:(Some vec_id) ~kind;
               closed_any := true
             end)
@@ -411,8 +421,7 @@ let on_load st ~tid ~addr ~size ~site =
       | None ->
           let l =
             {
-              Access.l_id = st.next_id;
-              l_tid = itid;
+              Access.l_tid = itid;
               l_addr = addr;
               l_size = size;
               l_site = Site_table.get st.sites site_id;
@@ -420,7 +429,6 @@ let on_load st ~tid ~addr ~size ~site =
               l_vec = vec_id;
             }
           in
-          st.next_id <- st.next_id + 1;
           st.n_load_records <- st.n_load_records + 1;
           record := Some l;
           l
@@ -431,7 +439,11 @@ let on_load st ~tid ~addr ~size ~site =
         Trace.Packed_key.load_key ~tid:itid ~site:site_id ~ls:ls_id ~vec:vec_id
       in
       let fresh =
-        if key >= 0 then Trace.Int_tbl.Set.add c.cl_ldedup key
+        if key >= 0 then begin
+          if c.cl_ldedup == no_dedup then
+            c.cl_ldedup <- Trace.Int_tbl.Set.create ();
+          Trace.Int_tbl.Set.add c.cl_ldedup key
+        end
         else spill_load_fresh st c ~tid:itid ~site_id ~ls_id ~vec_id
       in
       if fresh then Trace.Vec.push c.cl_loads (get_record ())
@@ -471,10 +483,7 @@ let on_fence st ~tid =
         let idx = Trace.Int_tbl.Map.find st.cell_idx e.oe_word in
         close_entry st
           (Trace.Vec.get st.cell_list idx)
-          e
-          ~eff:
-            (effective_lockset st e.oe_meta ~closer_tid:itid ~closer_ls:th.ls)
-          ~end_vec:(Some vec_id) ~kind
+          e ~closer_tid:itid ~closer_ls:th.ls ~end_vec:(Some vec_id) ~kind
       end
     done;
     Trace.Vec.clear th.pending
@@ -521,8 +530,10 @@ let finalize st =
       List.iter
         (fun e ->
           if not e.oe_closed then
-            close_entry st c e ~eff:Lockset.empty ~end_vec:None
-              ~kind:Access.Open_at_exit)
+            (* No thread closes it: tid -1 matches no storing thread,
+               so the effective lockset is empty. *)
+            close_entry st c e ~closer_tid:(-1) ~closer_ls:Lockset.empty
+              ~end_vec:None ~kind:Access.Open_at_exit)
         c.cl_open)
     st.cell_list
 
@@ -587,7 +598,6 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
       scratch = Array.make 16 (make_cell (-1));
       spill_w = Hashtbl.create 16;
       spill_l = Hashtbl.create 16;
-      next_id = 0;
       n_windows = 0;
       n_opened = 0;
       n_closed = 0;

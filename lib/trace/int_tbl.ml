@@ -11,10 +11,14 @@
 
 let empty_key = -1
 
-(* Fibonacci-style multiplicative mixing; [land mask] of the result is
-   well distributed even for sequential keys. The multiplier is the
-   64-bit golden-ratio constant truncated to an OCaml int. *)
-let hash k = k * 0x2545F4914F6CDD1D
+(* Fibonacci-style multiplicative mixing. The low bits of a product
+   depend only on the low bits of [k], so the high half is folded down
+   before [land mask]: packed keys that differ only in their high fields
+   would otherwise all probe from one slot. The multiplier is the 64-bit
+   golden-ratio constant truncated to an OCaml int. *)
+let hash k =
+  let h = k * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
 
 module Set = struct
   type t = { mutable keys : int array; mutable mask : int; mutable count : int }

@@ -1,6 +1,5 @@
 exception Parse_error of int * string
 
-let header = "# hawkset-trace 1"
 let fail lineno msg = raise (Parse_error (lineno, msg))
 
 (* The trailer hash is FNV-1a 64-bit ([Journal.fnv_fold]) over every
@@ -9,12 +8,12 @@ let fail lineno msg = raise (Parse_error (lineno, msg))
 let fnv_line h s a b =
   h := Journal.fnv_fold (Journal.fnv_fold_bytes !h s a (b - a)) "\n"
 
-(* ---- encoder ----
+(* ---- v1 encoder ----
 
-   One encoder writes the canonical line of an event into a reused byte
-   buffer, without Printf. [write] sends the buffer to the channel,
-   [event_to_line] copies it out, and the trailer hash ([write],
-   [fingerprint]) is folded over the bytes just encoded. *)
+   One encoder writes the canonical v1 line of an event into a reused
+   byte buffer, without Printf. [event_to_line] copies it out, and the
+   v1 trailer hash ([fingerprint], and a v1 read) is folded over the
+   bytes just encoded. The v2 writer shares the byte buffer. *)
 
 type buf = { mutable bytes : Bytes.t; mutable len : int }
 
@@ -147,8 +146,9 @@ let event_to_line ev =
 
    The scan also notes whether the line is spelled canonically (single
    spaces, plain decimals without leading zeros, [nt] 0 or 1, a canonical
-   site tail), as every line [write] emits is: such a line is its own
-   canonical serialization, and [read] hashes its bytes as they stand.
+   site tail), as every line [event_to_line] gives is: such a line is
+   its own canonical serialization, and [read] hashes its bytes as they
+   stand.
 
    When a line has several faults, the one reported is the one the
    pre-scanner codec met first. It evaluated each event's record fields
@@ -360,11 +360,11 @@ let event_of_line line =
   decode (decoder ()) ~lineno:0 (Bytes.unsafe_of_string line) 0
     (String.length line)
 
-(* ---- checksum trailer ----
+(* ---- v1 checksum trailer ----
 
-   [write] appends "# trailer events=<n> fnv1a=<16-hex>" after the last
-   event: an FNV-1a 64-bit hash of the canonical serialization of every
-   event (each canonical line followed by '\n'). Readers hash the
+   "# trailer events=<n> fnv1a=<16-hex>" after the last event: an
+   FNV-1a 64-bit hash of the canonical serialization of every event
+   (each canonical line followed by '\n'). Readers hash the
    canonical form of each *parsed* event, so verification is independent
    of insignificant spelling (spaces, "007", "0x10") but catches content
    corruption. Being a comment line, the trailer is invisible to
@@ -385,9 +385,6 @@ let fingerprint trace =
 
 let trailer_tag = "# trailer "
 
-let trailer_line ~events ~hash =
-  Printf.sprintf "# trailer events=%d fnv1a=%016Lx" events hash
-
 (* [Some (events, hash)] when [trimmed] is a well-formed trailer,
    [None] when it is some other comment. A line that starts with the
    trailer tag but does not scan is reported as malformed. *)
@@ -401,24 +398,39 @@ let parse_trailer trimmed =
     | Some (n, h) -> Ok (Some (n, h))
     | None -> Error "malformed trailer"
 
-let write oc trace =
-  let b = buf_create 65536 in
-  let h = ref Journal.fnv_offset in
-  put_string b header;
-  put_char b '\n';
-  Tracebuf.iter
-    (fun ev ->
-      hash_event b h ev;
-      put_char b '\n';
-      if b.len >= 65536 then begin
-        output oc b.bytes 0 b.len;
-        b.len <- 0
-      end)
-    trace;
-  put_string b
-    (trailer_line ~events:(Tracebuf.length trace) ~hash:!h);
-  put_char b '\n';
-  output oc b.bytes 0 b.len
+let count_mismatch ~trailer ~events =
+  Printf.sprintf "trailer event count mismatch: trailer says %d, trace has %d"
+    trailer events
+
+(* ---- reading in chunks ----
+
+   Both formats read the channel in 64 KiB chunks into one buffer: the
+   bytes [pos .. len-1] are read and not yet consumed. *)
+
+type src = {
+  ic : in_channel;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  mutable eof : bool;
+}
+
+(* Keep the unconsumed bytes and read more behind them, doubling the
+   buffer when they fill it. [false] at the end of the input. *)
+let refill src =
+  let rest = src.len - src.pos in
+  let dst =
+    if rest = Bytes.length src.buf then Bytes.create (2 * rest) else src.buf
+  in
+  Bytes.blit src.buf src.pos dst 0 rest;
+  src.buf <- dst;
+  src.pos <- 0;
+  src.len <- rest;
+  let n = input src.ic dst rest (Bytes.length dst - rest) in
+  if n = 0 then src.eof <- true else src.len <- rest + n;
+  n > 0
+
+(* ---- v1: text lines ---- *)
 
 (* String.trim's whitespace. *)
 let is_blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
@@ -439,39 +451,25 @@ let dispatch ~on_event ~on_trailer lineno buf a b =
 let rec newline buf i n =
   if i = n || Bytes.unsafe_get buf i = '\n' then i else newline buf (i + 1) n
 
-(* Shared scanning loop: reads [ic] in chunks and dispatches each line
-   in place, so reading allocates nothing per line. [on_event] may raise
+(* Shared scanning loop: dispatches each line in place in the chunk
+   buffer, so reading allocates nothing per line. [on_event] may raise
    (strict) or record-and-stop (tolerant); [on_trailer lineno result]
    decides what a (possibly malformed) trailer means. *)
-let scan_lines ic ~on_event ~on_trailer =
-  let buf = ref (Bytes.create 65536) in
-  let pos = ref 0 and len = ref 0 and lineno = ref 0 and eof = ref false in
-  while not !eof do
-    let j = newline !buf !pos !len in
-    if j < !len then begin
+let scan_lines src ~on_event ~on_trailer =
+  let lineno = ref 0 and more = ref true in
+  while !more do
+    let j = newline src.buf src.pos src.len in
+    if j < src.len then begin
       incr lineno;
-      dispatch ~on_event ~on_trailer !lineno !buf !pos j;
-      pos := j + 1
+      dispatch ~on_event ~on_trailer !lineno src.buf src.pos j;
+      src.pos <- j + 1
     end
-    else begin
-      (* No complete line left: keep the partial one and refill behind
-         it, growing the buffer when the line fills it. *)
-      let rest = !len - !pos in
-      let dst =
-        if rest = Bytes.length !buf then Bytes.create (2 * rest) else !buf
-      in
-      Bytes.blit !buf !pos dst 0 rest;
-      buf := dst;
-      pos := 0;
-      len := rest;
-      let n = input ic dst rest (Bytes.length dst - rest) in
-      if n > 0 then len := rest + n
-      else begin
-        eof := true;
-        if rest > 0 then begin
-          incr lineno;
-          dispatch ~on_event ~on_trailer !lineno dst 0 rest
-        end
+    else if not (refill src) then begin
+      more := false;
+      (* A last line without its '\n'. *)
+      if src.len > 0 then begin
+        incr lineno;
+        dispatch ~on_event ~on_trailer !lineno src.buf 0 src.len
       end
     end
   done
@@ -485,11 +483,11 @@ let hash_line d h line lo hi ev =
     hash_event d.spare h ev
   end
 
-let read ic =
+let read_v1 src =
   let d = decoder () in
   let trace = Tracebuf.create () in
   let h = ref Journal.fnv_offset in
-  scan_lines ic
+  scan_lines src
     ~on_event:(fun lineno line lo hi ->
       let ev = decode d ~lineno line lo hi in
       hash_line d h line lo hi ev;
@@ -500,9 +498,7 @@ let read ic =
       | Ok (Some (events, hash)) ->
           if events <> Tracebuf.length trace then
             fail lineno
-              (Printf.sprintf
-                 "trailer event count mismatch: trailer says %d, trace has %d"
-                 events (Tracebuf.length trace));
+              (count_mismatch ~trailer:events ~events:(Tracebuf.length trace));
           if hash <> !h then
             fail lineno
               (Printf.sprintf
@@ -519,14 +515,14 @@ type tolerant = {
   checksum : [ `Verified | `Mismatch | `Absent ];
 }
 
-let read_tolerant ic =
+let read_tolerant_v1 src =
   let d = decoder () in
   let trace = Tracebuf.create () in
   let h = ref Journal.fnv_offset in
   let first_error = ref None in
   let dropped = ref 0 in
   let checksum = ref `Absent in
-  scan_lines ic
+  scan_lines src
     ~on_event:(fun lineno line lo hi ->
       match !first_error with
       | Some _ -> incr dropped
@@ -554,14 +550,446 @@ let read_tolerant ic =
     checksum = !checksum;
   }
 
+(* ---- v2: binary records ----
+
+   After the header line, one record per site definition and per event:
+   a tag byte, then LEB128 fields (7 bits a byte, least significant
+   first, the high bit set on every byte but the last). A field holds
+   the 63-bit two's-complement pattern of an OCaml int, so it takes 1 to
+   9 bytes and a negative int takes 9. Strings are a length and their
+   bytes. The trailer is fixed-size, so a reader that lost the records'
+   thread can still find it at the end of the file. *)
+
+let header_v2 = "# hawkset-trace 2\n"
+
+(* The trailer: 'T', then the event count and the FNV-1a 64, both
+   little-endian 8 bytes. *)
+let trailer_size = 17
+
+let event_tag = function
+  | Event.Store { non_temporal = false; _ } -> 'S'
+  | Event.Store { non_temporal = true; _ } -> 'N'
+  | Event.Load _ -> 'L'
+  | Event.Flush { kind = Event.Clwb; _ } -> 'W'
+  | Event.Flush { kind = Event.Clflushopt; _ } -> 'O'
+  | Event.Flush { kind = Event.Clflush; _ } -> 'F'
+  | Event.Fence _ -> 'M'
+  | Event.Lock_acquire _ -> 'A'
+  | Event.Lock_release _ -> 'R'
+  | Event.Thread_create _ -> 'C'
+  | Event.Thread_join _ -> 'J'
+
+(* The longest event record: a tag and four 9-byte fields. *)
+let max_event_record = 37
+
+(* Unsigned LEB128 of [n]'s 63 bits: [lsr] makes a negative [n] take
+   all nine bytes, the last holding bits 56-62. *)
+let rec put_varint b n =
+  if n land lnot 0x7f = 0 then put_char b (Char.unsafe_chr n)
+  else begin
+    put_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+    put_varint b (n lsr 7)
+  end
+
+let put_bytes b s =
+  put_varint b (String.length s);
+  put_string b s
+
+module Site_tbl = Hashtbl.Make (Site)
+
+(* The writer's site indices: a site is defined by a record just before
+   its first use. The direct-mapped cache in front of the table is keyed
+   on physical equality, so the machine's shared sites skip the hash. *)
+type sites_out = {
+  index : int Site_tbl.t;
+  cache : Site.t array;
+  cache_index : int array;
+}
+
+let site_cache_mask = 255
+
+(* Fills the empty cache slots; no caller can hold this value. *)
+let no_site = Site.v "" (-1)
+
+let site_index out b (site : Site.t) =
+  let slot = site.Site.line land site_cache_mask in
+  if out.cache.(slot) == site then out.cache_index.(slot)
+  else begin
+    let i =
+      match Site_tbl.find out.index site with
+      | i -> i
+      | exception Not_found ->
+          let i = Site_tbl.length out.index in
+          Site_tbl.add out.index site i;
+          put_char b '@';
+          put_bytes b site.Site.file;
+          put_varint b site.Site.line;
+          put_varint b (List.length site.Site.frames);
+          List.iter (put_bytes b) site.Site.frames;
+          i
+    in
+    out.cache.(slot) <- site;
+    out.cache_index.(slot) <- i;
+    i
+  end
+
+(* The event's record, after the definition of its site when this is
+   the site's first use. *)
+let put_record out b ev =
+  match ev with
+  | Event.Store { tid; addr; size; site; _ } | Event.Load { tid; addr; size; site }
+    ->
+      let s = site_index out b site in
+      put_char b (event_tag ev);
+      put_varint b (Tid.to_int tid);
+      put_varint b addr;
+      put_varint b size;
+      put_varint b s
+  | Event.Flush { tid; line; site; _ } ->
+      let s = site_index out b site in
+      put_char b (event_tag ev);
+      put_varint b (Tid.to_int tid);
+      put_varint b line;
+      put_varint b s
+  | Event.Fence { tid; site } ->
+      let s = site_index out b site in
+      put_char b (event_tag ev);
+      put_varint b (Tid.to_int tid);
+      put_varint b s
+  | Event.Lock_acquire { tid; lock; site }
+  | Event.Lock_release { tid; lock; site } ->
+      let s = site_index out b site in
+      put_char b (event_tag ev);
+      put_varint b (Tid.to_int tid);
+      put_varint b (Lock_id.to_int lock);
+      put_varint b s
+  | Event.Thread_create { parent = a; child = c }
+  | Event.Thread_join { waiter = a; joined = c } ->
+      put_char b (event_tag ev);
+      put_varint b (Tid.to_int a);
+      put_varint b (Tid.to_int c)
+
+let write oc trace =
+  let b = buf_create 65536 in
+  let out =
+    { index = Site_tbl.create 256;
+      cache = Array.make (site_cache_mask + 1) no_site;
+      cache_index = Array.make (site_cache_mask + 1) (-1) }
+  in
+  put_string b header_v2;
+  let h = ref Journal.fnv_offset in
+  (* Hash and send [b.bytes.(from ..)]: the records, not the header. *)
+  let drain from =
+    h := Journal.fnv_fold_bytes !h b.bytes from (b.len - from);
+    output oc b.bytes 0 b.len;
+    b.len <- 0
+  in
+  let from = ref b.len in
+  Tracebuf.iter
+    (fun ev ->
+      put_record out b ev;
+      if b.len >= 65536 then begin
+        drain !from;
+        from := 0
+      end)
+    trace;
+  drain !from;
+  reserve b trailer_size;
+  put_char b 'T';
+  Bytes.set_int64_le b.bytes b.len (Int64.of_int (Tracebuf.length trace));
+  Bytes.set_int64_le b.bytes (b.len + 8) !h;
+  b.len <- b.len + 16;
+  output oc b.bytes 0 b.len
+
+(* The v2 decoder. [src.pos] is the start of the current record and
+   [cur] the next byte to decode in it; only a complete record moves
+   [src.pos] past it, so a refill never drops part of a record. *)
+type v2 = {
+  src : src;
+  mutable cur : int;
+  mutable record : int;  (** 1-based number of the current record. *)
+  mutable sites : Site.t array;
+  mutable nsites : int;
+  mutable h : int64;  (** FNV-1a of the record bytes before [hashed]. *)
+  mutable hashed : int;  (** At most [src.pos]: only whole records. *)
+}
+
+(* Fold the complete records not yet hashed into [d.h]. *)
+let fold_records d =
+  d.h <- Journal.fnv_fold_bytes d.h d.src.buf d.hashed (d.src.pos - d.hashed);
+  d.hashed <- d.src.pos
+
+(* Make at least [n] bytes from [cur] available, or all that is left of
+   the input. *)
+let avail d n =
+  let s = d.src in
+  while s.len - d.cur < n && not s.eof do
+    fold_records d;
+    let shift = s.pos in
+    ignore (refill s : bool);
+    d.cur <- d.cur - shift;
+    d.hashed <- 0
+  done
+
+let truncated d = fail d.record "truncated record"
+let over_long d = fail d.record "over-long varint"
+
+(* The rest of a varint whose bytes so far make [acc]. A ninth byte ends
+   it; a last byte of zero after the first would have been left off. *)
+let rec varint_tail d buf p acc shift =
+  if p >= d.src.len then truncated d
+  else
+    let b = Char.code (Bytes.unsafe_get buf p) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then begin
+      if b = 0 then over_long d;
+      d.cur <- p + 1;
+      acc
+    end
+    else if shift = 56 then over_long d
+    else varint_tail d buf (p + 1) acc (shift + 7)
+
+let varint d =
+  let buf = d.src.buf and p = d.cur in
+  if p >= d.src.len then truncated d
+  else
+    let b = Char.code (Bytes.unsafe_get buf p) in
+    if b < 0x80 then begin
+      d.cur <- p + 1;
+      b
+    end
+    else varint_tail d buf (p + 1) (b land 0x7f) 7
+
+(* A field that must be a non-negative int: a varint with bit 62 set
+   reads as negative. *)
+let count_field what d =
+  let v = varint d in
+  if v < 0 then fail d.record (what ^ " out of range");
+  v
+
+let tid_field d = Tid.of_int (count_field "thread id" d)
+
+let site_ref d =
+  let i = varint d in
+  if i < 0 || i >= d.nsites then
+    fail d.record (Printf.sprintf "site %d used before its definition" i);
+  Array.unsafe_get d.sites i
+
+(* A site definition record may be longer than a chunk: each field
+   first makes its bytes available. *)
+let string_field d =
+  avail d 9;
+  let n = count_field "string length" d in
+  avail d n;
+  if n > d.src.len - d.cur then truncated d;
+  let str = Bytes.sub_string d.src.buf d.cur n in
+  d.cur <- d.cur + n;
+  str
+
+let define_site d =
+  let file = string_field d in
+  avail d 9;
+  let line = varint d in
+  avail d 9;
+  let n = count_field "frame count" d in
+  let rec frames acc k =
+    if k = 0 then List.rev acc else frames (string_field d :: acc) (k - 1)
+  in
+  let frames = frames [] n in
+  if d.nsites = Array.length d.sites then begin
+    let bigger = Array.make (2 * d.nsites) Site.none in
+    Array.blit d.sites 0 bigger 0 d.nsites;
+    d.sites <- bigger
+  end;
+  d.sites.(d.nsites) <- Site.v ~frames file line;
+  d.nsites <- d.nsites + 1
+
+(* Decode the records after the header into [trace], up to the trailer
+   or the end of the input; raises [Parse_error] at the first malformed
+   record. The trailer goes to [on_trailer record events hash] with
+   [d.h] the hash of every record before it, then only the end of the
+   input may follow. [true] when the trailer was read. *)
+let decode_v2 d trace ~on_trailer =
+  let s = d.src in
+  let rec next () =
+    s.pos <- d.cur;
+    avail d max_event_record;
+    if d.cur = s.len then false
+    else begin
+      d.record <- d.record + 1;
+      let tag = Bytes.unsafe_get s.buf d.cur in
+      d.cur <- d.cur + 1;
+      match tag with
+      | 'S' | 'N' | 'L' ->
+          let tid = tid_field d in
+          let addr = varint d in
+          let size = varint d in
+          let site = site_ref d in
+          Tracebuf.push trace
+            (if tag = 'L' then Event.Load { tid; addr; size; site }
+             else Event.Store { tid; addr; size; site; non_temporal = tag = 'N' });
+          next ()
+      | 'W' | 'O' | 'F' ->
+          let tid = tid_field d in
+          let line = varint d in
+          let site = site_ref d in
+          let kind =
+            if tag = 'W' then Event.Clwb
+            else if tag = 'O' then Event.Clflushopt
+            else Event.Clflush
+          in
+          Tracebuf.push trace (Event.Flush { tid; line; kind; site });
+          next ()
+      | 'M' ->
+          let tid = tid_field d in
+          let site = site_ref d in
+          Tracebuf.push trace (Event.Fence { tid; site });
+          next ()
+      | 'A' | 'R' ->
+          let tid = tid_field d in
+          let lock = Lock_id.of_int (count_field "lock id" d) in
+          let site = site_ref d in
+          Tracebuf.push trace
+            (if tag = 'A' then Event.Lock_acquire { tid; lock; site }
+             else Event.Lock_release { tid; lock; site });
+          next ()
+      | 'C' | 'J' ->
+          let a = tid_field d in
+          let b = tid_field d in
+          Tracebuf.push trace
+            (if tag = 'C' then Event.Thread_create { parent = a; child = b }
+             else Event.Thread_join { waiter = a; joined = b });
+          next ()
+      | '@' ->
+          define_site d;
+          next ()
+      | 'T' ->
+          if trailer_size - 1 > s.len - d.cur then truncated d;
+          let events = Int64.to_int (Bytes.get_int64_le s.buf d.cur) in
+          let hash = Bytes.get_int64_le s.buf (d.cur + 8) in
+          d.cur <- d.cur + trailer_size - 1;
+          fold_records d;
+          on_trailer d.record events hash;
+          s.pos <- d.cur;
+          avail d 1;
+          if d.cur < s.len then fail (d.record + 1) "data after trailer";
+          true
+      | c -> fail d.record (Printf.sprintf "unknown record tag 0x%02x" (Char.code c))
+    end
+  in
+  next ()
+
+let v2_decoder src =
+  src.pos <- src.pos + String.length header_v2;
+  { src; cur = src.pos; record = 0; sites = Array.make 64 Site.none;
+    nsites = 0; h = Journal.fnv_offset; hashed = src.pos }
+
+let checksum_mismatch ~trailer ~records =
+  Printf.sprintf
+    "trailer checksum mismatch: trailer says %016Lx, records hash to %016Lx"
+    trailer records
+
+let read_v2 src =
+  let d = v2_decoder src in
+  let trace = Tracebuf.create () in
+  let on_trailer record events hash =
+    if events <> Tracebuf.length trace then
+      fail record (count_mismatch ~trailer:events ~events:(Tracebuf.length trace));
+    if hash <> d.h then fail record (checksum_mismatch ~trailer:hash ~records:d.h)
+  in
+  if not (decode_v2 d trace ~on_trailer) then fail (d.record + 1) "missing trailer";
+  trace
+
+(* After a fault the records cannot be followed further, but the
+   trailer is the input's last [trailer_size] bytes. Reads to the end
+   keeping only those. *)
+let trailing_trailer src =
+  let more = ref true in
+  while !more do
+    src.pos <- max src.pos (src.len - trailer_size);
+    more := refill src
+  done;
+  if src.len = trailer_size && Bytes.get src.buf 0 = 'T' then
+    Some
+      ( Int64.to_int (Bytes.get_int64_le src.buf 1),
+        Bytes.get_int64_le src.buf 9 )
+  else None
+
+let read_tolerant_v2 src =
+  let d = v2_decoder src in
+  let trace = Tracebuf.create () in
+  let checksum = ref `Absent in
+  let verify events hash =
+    checksum :=
+      if events = Tracebuf.length trace && hash = d.h then `Verified
+      else `Mismatch
+  in
+  let first_error =
+    match decode_v2 d trace ~on_trailer:(fun _ -> verify) with
+    | _ -> None
+    | exception Parse_error (record, msg) ->
+        if !checksum = `Absent then begin
+          fold_records d;
+          Option.iter (fun (events, hash) -> verify events hash)
+            (trailing_trailer src)
+        end;
+        Some (record, msg)
+  in
+  {
+    salvaged = trace;
+    salvaged_events = Tracebuf.length trace;
+    dropped_lines = (if first_error = None then 0 else 1);
+    first_error;
+    checksum = !checksum;
+  }
+
+(* ---- either format ---- *)
+
+(* Read the first chunk and tell the formats apart by the header line.
+   One that names neither version is an error, not a comment: a damaged
+   header (a v2 one whose '\n' is gone would otherwise turn the whole
+   file into one comment line) or a format this reader does not know. *)
+let open_src ic =
+  let src =
+    { ic; buf = Bytes.create 65536; pos = 0; len = 0; eof = false }
+  in
+  while src.len < String.length header_v2 && refill src do () done;
+  let starts s =
+    src.len >= String.length s
+    && Bytes.sub_string src.buf 0 (String.length s) = s
+  in
+  let format =
+    if starts header_v2 then `V2
+    else if starts "# hawkset-trace " && not (starts "# hawkset-trace 1") then
+      `Unknown
+    else `V1
+  in
+  (src, format)
+
+let unknown_format = "unknown trace format"
+
+let read ic =
+  match open_src ic with
+  | src, `V1 -> read_v1 src
+  | src, `V2 -> read_v2 src
+  | _, `Unknown -> fail 1 unknown_format
+
+let read_tolerant ic =
+  match open_src ic with
+  | src, `V1 -> read_tolerant_v1 src
+  | src, `V2 -> read_tolerant_v2 src
+  | _, `Unknown ->
+      { salvaged = Tracebuf.create (); salvaged_events = 0; dropped_lines = 1;
+        first_error = Some (1, unknown_format); checksum = `Absent }
+
 let save path trace =
-  let oc = open_out path in
+  let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc trace)
 
 let load path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
 
 let load_tolerant path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_tolerant ic)

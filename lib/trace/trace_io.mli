@@ -1,9 +1,14 @@
 (** Trace serialization.
 
-    A simple line-oriented text format, one event per line, so traces can
-    be collected once and analysed offline (or by other tools) — the
-    workflow of the paper's pipeline, where instrumentation and analysis
-    are separate stages. The format is stable and human-greppable:
+    Traces are collected once and analysed offline (or by other tools) —
+    the workflow of the paper's pipeline, where instrumentation and
+    analysis are separate stages. Two formats read, told apart by their
+    first line; {!write} emits v2. A first line that starts
+    ["# hawkset-trace "] but names neither version is a {!Parse_error} at
+    line 1 (a damaged header), where any other comment line is skipped.
+
+    {b v1}, line-oriented text, one event per line, stable and
+    human-greppable:
 
     {v
     # hawkset-trace 1
@@ -18,31 +23,65 @@
     # trailer events=<n> fnv1a=<16-hex>       (integrity trailer)
     v}
 
-    [write] appends an integrity trailer: the event count plus an FNV-1a
-    64-bit hash of the canonical serialization of every event. Strict
-    readers verify it when present; {!load_tolerant} downgrades any
-    corruption to a report and salvages the valid prefix. Traces written
-    before the trailer existed (no trailer line) still load.
+    The trailer holds the event count plus an FNV-1a 64-bit hash of the
+    canonical line of every event, each followed by '\n'. Strict readers
+    verify it when present; files without one (written before it
+    existed) still load. Fields are separated by runs of spaces, and
+    integers may be spelled any way [int_of_string] accepts ("007",
+    "+5", "0x10", "1_000"); the canonical line uses single spaces and
+    plain decimals. Reading scans each line in place in the read buffer,
+    hashing a line already in canonical spelling as it stands.
 
-    Fields are separated by runs of spaces, and integers may be spelled
-    any way [int_of_string] accepts ("007", "+5", "0x10", "1_000"); the
-    canonical line, which [write] emits, uses single spaces and plain
-    decimals. Reading scans each line in place in the read buffer.
-    Loaded events share one [Site.t] per distinct site text, so a trace
-    holds each site once, however many events carry it. [read] verifies the trailer without
-    re-serialising: a line already in canonical spelling is hashed as it
-    stands, and any other spelling through the encoder. [write],
-    [fingerprint] and [event_to_line] share one Printf-free encoder. *)
+    {b v2}, binary, about 6 bytes an event where v1 takes 46:
+
+    {v
+    # hawkset-trace 2\n                        (text header line)
+    '@' <file:str> <line:int> <n:uint> <frame:str>*n   (site definition)
+    'S' <tid> <addr:int> <size:int> <site>     (store)
+    'N' <tid> <addr:int> <size:int> <site>     (non-temporal store)
+    'L' <tid> <addr:int> <size:int> <site>     (load)
+    'W' | 'O' | 'F' <tid> <line-addr:int> <site>
+                                  (clwb | clflushopt | clflush)
+    'M' <tid> <site>                           (sfence)
+    'A' | 'R' <tid> <lock:uint> <site>         (acquire | release)
+    'C' | 'J' <tid> <tid>                      (thread create | join)
+    'T' <events:u64> <fnv1a:u64>               (trailer, last)
+    v}
+
+    One record per site definition and per event: a tag byte, then
+    fields. An int is the LEB128 varint (7 bits a byte, least
+    significant first, high bit set on all but the last, at most 9
+    bytes, no superfluous last zero byte) of its 63-bit two's-complement
+    pattern; a uint ([<tid>] too) is one that must not come out
+    negative; a str is a uint length and that many bytes. [<site>] is
+    the index of a site definition, counted from 0 in file order, which
+    must come before its first use: the writer defines each site once,
+    just before the first event that carries it. The trailer's fields
+    are 8-byte little-endian: the event count and the FNV-1a 64-bit hash
+    of every record byte between the header line and the trailer. It is
+    fixed-size so that it can be found at the end of a file whose
+    records cannot be followed.
+
+    Both formats are read in 64 KiB chunks, never whole, and loaded
+    events share one [Site.t] per site, so a trace holds each site once
+    however many events carry it. {!fingerprint} and {!event_to_line}
+    are defined over the v1 canonical text whatever format a trace was
+    read from. *)
 
 exception Parse_error of int * string
-(** Line number and message. *)
+(** Position and message. The position is the 1-based line number in a
+    v1 file; in a v2 file it is the 1-based record number, counting site
+    definitions and the trailer, the first record after the header line
+    being 1. *)
 
 val write : out_channel -> Tracebuf.t -> unit
+(** Writes v2. *)
 
 val read : in_channel -> Tracebuf.t
-(** Strict read: raises {!Parse_error} on the first malformed line, and
-    at the trailer's line number when the trailer is present but its
-    event count or checksum does not match the events read. *)
+(** Strict read: raises {!Parse_error} on the first malformed line or
+    record, and at the trailer when its event count or checksum does not
+    match what was read. A v2 file must end with its trailer: a missing
+    one is a [Parse_error] at the record where it was due. *)
 
 val save : string -> Tracebuf.t -> unit
 (** [save path trace] writes the trace to [path]. *)
@@ -54,13 +93,20 @@ val load : string -> Tracebuf.t
 (** Result of a tolerant load: the longest valid prefix plus an account
     of everything that had to be dropped. Never raises {!Parse_error}. *)
 type tolerant = {
-  salvaged : Tracebuf.t;  (** Events up to (not including) the first bad line. *)
+  salvaged : Tracebuf.t;
+      (** Events up to (not including) the first bad line or record. *)
   salvaged_events : int;  (** [Tracebuf.length salvaged]. *)
   dropped_lines : int;
-      (** Non-blank, non-comment lines not salvaged — the malformed line
-          itself plus everything after it. [0] on a clean trace. *)
+      (** v1: non-blank, non-comment lines not salvaged — the malformed
+          line itself plus everything after it. v2: records after a
+          malformed one cannot be delimited, so the malformed record and
+          all the bytes after it count as one: [1] when [first_error] is
+          set. [0] on a clean trace. *)
   first_error : (int * string) option;
-      (** Line number and message of the first malformed line, if any. *)
+      (** Position (as in {!Parse_error}) and message of the first
+          malformed line or record, if any. A v2 file that ends at a
+          record boundary before its trailer has none: it reads as a
+          truncated v1 file does, with [checksum = `Absent]. *)
   checksum : [ `Verified | `Mismatch | `Absent ];
       (** Trailer status: [`Verified] when present and matching the
           salvaged events, [`Mismatch] when present but disagreeing
@@ -75,11 +121,13 @@ val load_tolerant : string -> tolerant
     escapes. *)
 
 val event_to_line : Event.t -> string
+(** The event's canonical v1 line. *)
+
 val event_of_line : string -> Event.t
-(** Raises {!Parse_error} (with line number 0). *)
+(** Parses a v1 line. Raises {!Parse_error} (with line number 0). *)
 
 val fingerprint : Tracebuf.t -> string
-(** The trailer's FNV-1a hash as 16 hex digits, computed without
-    serializing to disk. Equal iff the canonical serializations are
+(** The v1 trailer's FNV-1a hash as 16 hex digits, computed without
+    serializing to disk. Equal iff the canonical v1 serializations are
     byte-identical — a compact schedule signature for interleaving
-    exploration. *)
+    exploration, the same whichever format the trace was loaded from. *)

@@ -3,6 +3,63 @@
 
 let site = Trace.Site.v
 
+(* A trace as v1 text, from the v1 encoder ([event_to_line] and
+   [fingerprint]): the bytes a v1 writer emits, trailer included. *)
+let v1_text t =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "# hawkset-trace 1\n";
+  Trace.Tracebuf.iter
+    (fun ev ->
+      Buffer.add_string b (Trace.Trace_io.event_to_line ev);
+      Buffer.add_char b '\n')
+    t;
+  Printf.bprintf b "# trailer events=%d fnv1a=%s\n"
+    (Trace.Tracebuf.length t)
+    (Trace.Trace_io.fingerprint t);
+  Buffer.contents b
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let with_string s f =
+  let path = Filename.temp_file "hawkset_fuzz" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc s;
+      close_out oc;
+      f path)
+
+(* Every two equal sites of [t]'s events are one value. *)
+let sites_shared t =
+  let sites =
+    List.filter_map
+      (function
+        | Trace.Event.Thread_create _ | Trace.Event.Thread_join _ -> None
+        | Trace.Event.Store { site; _ } | Trace.Event.Load { site; _ }
+        | Trace.Event.Flush { site; _ } | Trace.Event.Fence { site; _ }
+        | Trace.Event.Lock_acquire { site; _ }
+        | Trace.Event.Lock_release { site; _ } ->
+            Some site)
+      (Trace.Tracebuf.to_list t)
+  in
+  List.for_all
+    (fun a -> List.for_all (fun b -> a == b || not (Trace.Site.equal a b)) sites)
+    sites
+
+(* A trace as [Trace_io.save] writes it: v2. *)
+let v2_bytes t =
+  let path = Filename.temp_file "hawkset_v2" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.Trace_io.save path t;
+      read_file path)
+
 module Tid_tests = struct
   let roundtrip () =
     Alcotest.(check int) "to_int (of_int 7)" 7
@@ -379,14 +436,10 @@ M 0 x.ml:1
           (Some (4, "negative thread id -1"))
           t.Trace.Trace_io.first_error)
 
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-  (* Every committed fixture survives load + save byte for byte; the two
-     written before the trailer existed gain exactly the trailer line. *)
+  (* Every committed fixture survives a load and the v1 encoder byte for
+     byte; the two written before the trailer existed gain exactly the
+     trailer line. Re-saved (as v2), each loads back to the same
+     fingerprint. *)
   let fixtures_roundtrip_bytes () =
     let pre_trailer =
       [ "overlap_aggregate.trace"; "publish_unpersisted.trace" ]
@@ -401,23 +454,22 @@ M 0 x.ml:1
       (fun f ->
         let path = Filename.concat "fixtures" f in
         let original = read_file path in
-        let out = Filename.temp_file "hawkset_fixture" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove out)
-          (fun () ->
-            let t = Trace.Trace_io.load path in
-            Trace.Trace_io.save out t;
-            let saved = read_file out in
-            if List.mem f pre_trailer then begin
-              let n = String.length original in
-              Alcotest.(check bool) (f ^ ": original is a prefix") true
-                (String.length saved > n && String.sub saved 0 n = original);
-              Alcotest.(check string) (f ^ ": plus the trailer")
-                (Printf.sprintf "# trailer events=%d fnv1a=%s\n"
-                   (Trace.Tracebuf.length t) (Trace.Trace_io.fingerprint t))
-                (String.sub saved n (String.length saved - n))
-            end
-            else Alcotest.(check string) (f ^ ": bytes") original saved))
+        let t = Trace.Trace_io.load path in
+        let saved = v1_text t in
+        with_string (v2_bytes t) (fun v2 ->
+            Alcotest.(check string) (f ^ ": v2 re-save fingerprint")
+              (Trace.Trace_io.fingerprint t)
+              (Trace.Trace_io.fingerprint (Trace.Trace_io.load v2)));
+        if List.mem f pre_trailer then begin
+          let n = String.length original in
+          Alcotest.(check bool) (f ^ ": original is a prefix") true
+            (String.length saved > n && String.sub saved 0 n = original);
+          Alcotest.(check string) (f ^ ": plus the trailer")
+            (Printf.sprintf "# trailer events=%d fnv1a=%s\n"
+               (Trace.Tracebuf.length t) (Trace.Trace_io.fingerprint t))
+            (String.sub saved n (String.length saved - n))
+        end
+        else Alcotest.(check string) (f ^ ": bytes") original saved)
       fixtures
 
   (* The reader takes the file in chunks: a line longer than a chunk and
@@ -446,34 +498,16 @@ M 0 x.ml:1
         Alcotest.(check int) "unterminated last line" 2
           (Trace.Tracebuf.length (Trace.Trace_io.load path)))
 
-  (* Loaded events share one [Site.t] per distinct site text. *)
+  (* Loaded events share one [Site.t] per distinct site, from either
+     format. *)
   let loaded_sites_shared () =
-    let path = Filename.temp_file "hawkset" ".trace" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Trace.Trace_io.save path
-          (Trace.Tracebuf.of_list (sample_events @ sample_events));
-        let sites =
-          List.filter_map
-            (function
-              | Trace.Event.Thread_create _ | Trace.Event.Thread_join _ ->
-                  None
-              | Trace.Event.Store { site; _ } | Trace.Event.Load { site; _ }
-              | Trace.Event.Flush { site; _ } | Trace.Event.Fence { site; _ }
-              | Trace.Event.Lock_acquire { site; _ }
-              | Trace.Event.Lock_release { site; _ } -> Some site)
-            (Trace.Tracebuf.to_list (Trace.Trace_io.load path))
-        in
-        List.iter
-          (fun a ->
-            List.iter
-              (fun b ->
-                if Trace.Site.equal a b then
-                  Alcotest.(check bool) "equal sites are one value" true
-                    (a == b))
-              sites)
-          sites)
+    let t = Trace.Tracebuf.of_list (sample_events @ sample_events) in
+    List.iter
+      (fun file ->
+        with_string file (fun path ->
+            Alcotest.(check bool) "equal sites are one value" true
+              (sites_shared (Trace.Trace_io.load path))))
+      [ v1_text t; v2_bytes t ]
 
   let analysis_survives_roundtrip () =
     (* Serialize a racy trace; the analysis result must be identical. *)
@@ -519,6 +553,155 @@ M 0 x.ml:1
         Alcotest.(check bool) "checksum absent" true
           (t.Trace.Trace_io.checksum = `Absent))
 
+  (* v2 by hand: a site is defined just before its first use, ints are
+     LEB128 of their 63-bit pattern, and the trailer holds the count and
+     the FNV-1a of the record bytes. *)
+  let header2 = "# hawkset-trace 2\n"
+
+  let le64 n =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 n;
+    Bytes.to_string b
+
+  let trailer ?hash ~events records =
+    let h =
+      match hash with
+      | Some h -> h
+      | None -> Trace.Journal.fnv_fold Trace.Journal.fnv_offset records
+    in
+    "T" ^ le64 (Int64.of_int events) ^ le64 h
+
+  let v2_file ~events records = header2 ^ records ^ trailer ~events records
+
+  let v2_layout () =
+    let a = Trace.Site.v ~frames:[ "f"; "g" ] "a.ml" 7 in
+    let evs =
+      [
+        Trace.Event.Thread_create { parent = t0; child = t1 };
+        Trace.Event.Store
+          { tid = t1; addr = 300; size = 8; site = a; non_temporal = false };
+        Trace.Event.Fence { tid = t1; site = a };
+        Trace.Event.Load
+          { tid = t1; addr = -1; size = 8; site = Trace.Site.v "b.ml" 2 };
+      ]
+    in
+    let expected =
+      v2_file ~events:4
+        ("C\x00\x01" ^ "@\x04a.ml\x07\x02\x01f\x01g"
+        ^ "S\x01\xac\x02\x08\x00" ^ "M\x01\x00" ^ "@\x04b.ml\x02\x00"
+        ^ "L\x01" ^ String.make 8 '\xff' ^ "\x7f\x08\x01")
+    in
+    Alcotest.(check string) "written bytes" expected
+      (v2_bytes (Trace.Tracebuf.of_list evs));
+    with_string expected (fun path ->
+        Alcotest.(check bool) "read back" true
+          (Trace.Tracebuf.to_list (Trace.Trace_io.load path) = evs))
+
+  (* Every kind of malformed v2 input is a [Parse_error] at its record
+     (counted from 1 after the header, site definitions included), and
+     the tolerant reader salvages the events before it. *)
+  let v2_malformed () =
+    let site = "@\x04a.ml\x07\x00" and fence = "M\x00\x00" in
+    let big = String.make 8 '\xff' ^ "\x7f" in
+    let good = site ^ fence in
+    let bad_hash =
+      Int64.lognot (Trace.Journal.fnv_fold Trace.Journal.fnv_offset good)
+    in
+    (* name, file, strict error, salvaged events, tolerant first error
+       and checksum *)
+    let cases =
+      [
+        ("bad tag", header2 ^ "Z", (1, "unknown record tag 0x5a"), 0, true,
+         `Absent);
+        ("truncated varint", header2 ^ site ^ "M\x80", (2, "truncated record"),
+         0, true, `Absent);
+        ("over-long varint",
+         header2 ^ site ^ "M" ^ String.make 9 '\x80' ^ "\x01\x00",
+         (2, "over-long varint"), 0, true, `Absent);
+        ("superfluous zero byte", header2 ^ site ^ "M\x80\x00\x00",
+         (2, "over-long varint"), 0, true, `Absent);
+        ("site before its definition", header2 ^ fence ^ site,
+         (1, "site 0 used before its definition"), 0, true, `Absent);
+        ("oversized thread id", header2 ^ site ^ "M" ^ big ^ "\x00",
+         (2, "thread id out of range"), 0, true, `Absent);
+        ("oversized lock id", header2 ^ site ^ "A\x00" ^ big ^ "\x00",
+         (2, "lock id out of range"), 0, true, `Absent);
+        ("oversized string", header2 ^ "@" ^ big,
+         (1, "string length out of range"), 0, true, `Absent);
+        ("truncated string", header2 ^ "@\x09a.ml", (1, "truncated record"),
+         0, true, `Absent);
+        ("count mismatch", header2 ^ good ^ trailer ~events:2 good,
+         (3, "trailer event count mismatch: trailer says 2, trace has 1"), 1,
+         false, `Mismatch);
+        ("checksum mismatch",
+         header2 ^ good ^ trailer ~hash:bad_hash ~events:1 good,
+         ( 3,
+           Printf.sprintf
+             "trailer checksum mismatch: trailer says %016Lx, records hash \
+              to %016Lx"
+             bad_hash (Int64.lognot bad_hash) ),
+         1, false, `Mismatch);
+        ("missing trailer", header2 ^ good, (3, "missing trailer"), 1, false,
+         `Absent);
+        ("truncated trailer", header2 ^ good ^ "T\x01",
+         (3, "truncated record"), 1, true, `Absent);
+        ("data after trailer", v2_file ~events:1 good ^ "x",
+         (4, "data after trailer"), 1, true, `Verified);
+        ("corrupt record, intact trailer",
+         header2 ^ site ^ "Z" ^ trailer ~events:1 good,
+         (2, "unknown record tag 0x5a"), 0, true, `Mismatch);
+        ("damaged header", "# hawkset-trace 2" ^ good,
+         (1, "unknown trace format"), 0, true, `Absent);
+      ]
+    in
+    List.iter
+      (fun (name, file, err, salvaged, tolerant_err, checksum) ->
+        with_string file (fun path ->
+            (match Trace.Trace_io.load path with
+            | _ -> Alcotest.failf "%s: expected a parse error" name
+            | exception Trace.Trace_io.Parse_error (r, m) ->
+                Alcotest.(check (pair int string)) name err (r, m));
+            let t = Trace.Trace_io.load_tolerant path in
+            Alcotest.(check int) (name ^ ": salvaged") salvaged
+              t.Trace.Trace_io.salvaged_events;
+            Alcotest.(check (option (pair int string))) (name ^ ": first error")
+              (if tolerant_err then Some err else None)
+              t.Trace.Trace_io.first_error;
+            Alcotest.(check int) (name ^ ": dropped")
+              (if tolerant_err then 1 else 0)
+              t.Trace.Trace_io.dropped_lines;
+            Alcotest.(check bool) (name ^ ": checksum") true
+              (t.Trace.Trace_io.checksum = checksum)))
+      cases
+
+  (* A v2 file several 64 KiB chunks long: records and the trailer hash
+     carry across chunk boundaries, and a cut deep in the file salvages
+     every record before it. *)
+  let v2_spans_chunks () =
+    let sites =
+      Array.init 50 (fun i -> Trace.Site.v ~frames:[ "f" ] "c.ml" i)
+    in
+    let evs =
+      List.init 40_000 (fun i ->
+          Trace.Event.Store
+            { tid = Trace.Tid.of_int (i mod 7); addr = 4096 * i; size = 8;
+              site = sites.(i mod 50); non_temporal = false })
+    in
+    let t = Trace.Tracebuf.of_list evs in
+    let file = v2_bytes t in
+    Alcotest.(check bool) "several chunks" true
+      (String.length file > 3 * 65536);
+    with_string file (fun path ->
+        Alcotest.(check bool) "strict load" true
+          (Trace.Tracebuf.to_list (Trace.Trace_io.load path) = evs));
+    with_string (String.sub file 0 200_000) (fun path ->
+        let t' = Trace.Trace_io.load_tolerant path in
+        let n = t'.Trace.Trace_io.salvaged_events in
+        Alcotest.(check bool) "a long prefix" true (n > 20_000);
+        Alcotest.(check string) "the original's prefix"
+          (Trace.Trace_io.fingerprint (Trace.Tracebuf.prefix t n))
+          (Trace.Trace_io.fingerprint t'.Trace.Trace_io.salvaged))
+
   let junk_never_crashes =
     QCheck.Test.make ~name:"malformed lines raise Parse_error, never crash"
       ~count:300
@@ -550,6 +733,9 @@ M 0 x.ml:1
         (tolerant_degenerate "");
       Alcotest.test_case "tolerant on header-only file" `Quick
         (tolerant_degenerate "# hawkset-trace 1\n");
+      Alcotest.test_case "v2 layout" `Quick v2_layout;
+      Alcotest.test_case "v2 malformed records are located" `Quick v2_malformed;
+      Alcotest.test_case "v2 spans chunks" `Quick v2_spans_chunks;
     ]
 end
 
@@ -609,27 +795,8 @@ module Fuzz_tests = struct
 
   let canon t = List.map Trace.Trace_io.event_to_line (Trace.Tracebuf.to_list t)
 
-  (* Serialize through the real writer so the string carries the trailer. *)
-  let serialize evs =
-    let path = Filename.temp_file "hawkset_fuzz" ".trace" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Trace.Trace_io.save path (Trace.Tracebuf.of_list evs);
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
-
-  let with_string s f =
-    let path = Filename.temp_file "hawkset_fuzz" ".trace" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out_bin path in
-        output_string oc s;
-        close_out oc;
-        f path)
+  (* The v1 properties run on v1 text, trailer included. *)
+  let serialize evs = v1_text (Trace.Tracebuf.of_list evs)
 
   (* Complete event lines fully contained in [prefix] — what a tolerant
      read of the truncated file must at least recover. *)
@@ -649,7 +816,7 @@ module Fuzz_tests = struct
          lines)
 
   let roundtrip_with_trailer =
-    QCheck.Test.make ~name:"save/load round-trips and verifies the trailer"
+    QCheck.Test.make ~name:"v1 text round-trips and verifies the trailer"
       ~count:100 (QCheck.make gen_events) (fun evs ->
         let s = serialize evs in
         let has_trailer =
@@ -794,6 +961,156 @@ module Fuzz_tests = struct
         && Trace.Journal.fnv_hex bytes
            = Printf.sprintf "%016Lx" (old_fnv 0xcbf29ce484222325L bytes))
 
+  (* ---- v2 ---- *)
+
+  (* Traces over a small pool of sites (so sites repeat), with every
+     event kind, multi-frame sites with any bytes in them, and tids,
+     locks, addresses, sizes and lines across the whole int range. *)
+  let gen_wide_trace =
+    QCheck.Gen.(
+      let id =
+        oneof
+          [ int_bound 3; int_bound (1 lsl 40); map (fun n -> n land max_int) int ]
+      in
+      let num =
+        oneof [ int_bound 100_000; int; oneofl [ 0; -1; min_int; max_int ] ]
+      in
+      let text = string_size (int_bound 8) in
+      let gen_site =
+        map3
+          (fun file line frames -> Trace.Site.v ~frames file line)
+          (oneof [ oneofl [ "a.ml"; ""; "dir:odd.ml" ]; text ])
+          num
+          (list_size (int_bound 3) text)
+      in
+      list_size (int_range 1 5) gen_site >>= fun pool ->
+      let site = oneofl pool and tid = map Trace.Tid.of_int id in
+      let lock = map Trace.Lock_id.of_int id in
+      list_size (int_bound 40)
+        (oneof
+           [
+             map3
+               (fun (tid, addr) (size, site) non_temporal ->
+                 Trace.Event.Store { tid; addr; size; site; non_temporal })
+               (pair tid num) (pair num site) bool;
+             map3
+               (fun tid (addr, size) site ->
+                 Trace.Event.Load { tid; addr; size; site })
+               tid (pair num num) site;
+             map3
+               (fun (tid, line) kind site ->
+                 Trace.Event.Flush { tid; line; kind; site })
+               (pair tid num)
+               (oneofl Trace.Event.[ Clwb; Clflushopt; Clflush ])
+               site;
+             map2 (fun tid site -> Trace.Event.Fence { tid; site }) tid site;
+             map3
+               (fun (tid, lock) acquire site ->
+                 if acquire then Trace.Event.Lock_acquire { tid; lock; site }
+                 else Trace.Event.Lock_release { tid; lock; site })
+               (pair tid lock) bool site;
+             map3
+               (fun a b create ->
+                 if create then Trace.Event.Thread_create { parent = a; child = b }
+                 else Trace.Event.Thread_join { waiter = a; joined = b })
+               tid tid bool;
+           ]))
+
+  let arb_wide = QCheck.make gen_wide_trace
+
+  let fp evs = Trace.Trace_io.fingerprint (Trace.Tracebuf.of_list evs)
+  let take n evs = List.filteri (fun i _ -> i < n) evs
+
+  (* The fixed-size v2 trailer. *)
+  let trailer_size = 17
+
+  let v2_roundtrip =
+    QCheck.Test.make ~name:"v2 round-trips: same events, fingerprint, shared sites"
+      ~count:300 arb_wide (fun evs ->
+        let t = Trace.Tracebuf.of_list evs in
+        with_string (v2_bytes t) (fun path ->
+            let strict = Trace.Trace_io.load path in
+            let tol = Trace.Trace_io.load_tolerant path in
+            Trace.Tracebuf.to_list strict = evs
+            && Trace.Trace_io.fingerprint strict = Trace.Trace_io.fingerprint t
+            && sites_shared strict
+            && Trace.Tracebuf.to_list tol.Trace.Trace_io.salvaged = evs
+            && tol.Trace.Trace_io.checksum = `Verified
+            && tol.Trace.Trace_io.dropped_lines = 0
+            && tol.Trace.Trace_io.first_error = None))
+
+  (* The writer is single-pass: the file of the first [j] events, less
+     its trailer, is a prefix of the whole file. So a cut at byte [k]
+     leaves exactly the events whose records end by [k], and the
+     tolerant reader salvages exactly those. *)
+  let v2_truncation =
+    QCheck.Test.make ~name:"v2: truncation salvages exactly the complete records"
+      ~count:200
+      QCheck.(pair arb_wide (make Gen.(float_bound_inclusive 1.0)))
+      (fun (evs, frac) ->
+        let s = v2_bytes (Trace.Tracebuf.of_list evs) in
+        let total = String.length s and n = List.length evs in
+        let k = min total (int_of_float (frac *. float_of_int total)) in
+        let body j =
+          let b = v2_bytes (Trace.Tracebuf.of_list (take j evs)) in
+          String.sub b 0 (String.length b - trailer_size)
+        in
+        with_string (String.sub s 0 k) (fun path ->
+            let t = Trace.Trace_io.load_tolerant path in
+            let got = t.Trace.Trace_io.salvaged_events in
+            let whole = body got in
+            got <= n
+            && Trace.Trace_io.fingerprint t.Trace.Trace_io.salvaged
+               = fp (take got evs)
+            && (got = 0
+               || String.length whole <= k
+                  && String.sub s 0 (String.length whole) = whole)
+            && (got = n || String.length (body (got + 1)) > k)
+            && (if k = total then t.Trace.Trace_io.checksum = `Verified && got = n
+                else t.Trace.Trace_io.checksum <> `Verified)
+            &&
+            match Trace.Trace_io.load path with
+            | strict ->
+                (k = total || k < String.length "# hawkset-trace 2\n")
+                && Trace.Trace_io.fingerprint strict = fp (take got evs)
+            | exception Trace.Trace_io.Parse_error _ -> k < total))
+
+  (* A flipped byte: the strict reader raises [Parse_error] or returns
+     what was written; the tolerant one never raises and salvages
+     unchanged every event whose record ends before the flip. *)
+  let v2_flip =
+    QCheck.Test.make
+      ~name:"v2: a flipped byte fails the strict load or changes nothing"
+      ~count:300
+      QCheck.(
+        triple arb_wide
+          (make Gen.(float_bound_exclusive 1.0))
+          (make Gen.(int_range 1 255)))
+      (fun (evs, frac, xor) ->
+        let s = v2_bytes (Trace.Tracebuf.of_list evs) in
+        let p = int_of_float (frac *. float_of_int (String.length s)) in
+        let flipped = Bytes.of_string s in
+        Bytes.set flipped p (Char.chr (Char.code s.[p] lxor xor));
+        (* Events whose records end by [p]. *)
+        let rec before j =
+          if j < List.length evs
+             && String.length (v2_bytes (Trace.Tracebuf.of_list (take (j + 1) evs)))
+                - trailer_size <= p
+          then before (j + 1)
+          else j
+        in
+        let m = before 0 in
+        with_string (Bytes.to_string flipped) (fun path ->
+            (match Trace.Trace_io.load path with
+            | strict -> Trace.Tracebuf.to_list strict = evs
+            | exception Trace.Trace_io.Parse_error _ -> true)
+            &&
+            let t = Trace.Trace_io.load_tolerant path in
+            let salvaged = Trace.Tracebuf.to_list t.Trace.Trace_io.salvaged in
+            t.Trace.Trace_io.salvaged_events >= m
+            && fp (take m salvaged) = fp (take m evs)
+            && (t.Trace.Trace_io.checksum <> `Verified || salvaged = evs)))
+
   let tests =
     [
       QCheck_alcotest.to_alcotest roundtrip_with_trailer;
@@ -801,6 +1118,9 @@ module Fuzz_tests = struct
       QCheck_alcotest.to_alcotest flip_is_caught;
       QCheck_alcotest.to_alcotest inject_malformed_line;
       QCheck_alcotest.to_alcotest fnv_matches_old_definition;
+      QCheck_alcotest.to_alcotest v2_roundtrip;
+      QCheck_alcotest.to_alcotest v2_truncation;
+      QCheck_alcotest.to_alcotest v2_flip;
     ]
 end
 
@@ -1005,7 +1325,7 @@ module Codec_diff_tests = struct
       ~count:300
       (QCheck.make ~print:(fun s -> s) gen_file)
       (fun file ->
-        Fuzz_tests.with_string file (fun path ->
+        with_string file (fun path ->
             let strict read =
               outcome (fun () ->
                   let t = read_with read path in
@@ -1071,11 +1391,11 @@ module Int_tbl_tests = struct
       Alcotest.(check bool) "old key still gone" false (S.mem t k)
     done
 
-  let set_churn_matches_model () =
-    (* Insert churn over a key range far wider than the initial
-       capacity, with periodic clear-and-refill, mirrored against a
-       Hashtbl model: growth and a cleared table's reuse must never lose
-       or resurrect a key. *)
+  (* Insert churn over a key range far wider than the initial capacity,
+     with periodic clear-and-refill, mirrored against a Hashtbl model:
+     growth and a cleared table's reuse must never lose or resurrect a
+     key. [key i] spreads the 2000 key indices. *)
+  let set_churn_matches_model ~key () =
     let t = S.create ~size:8 () in
     let model = Hashtbl.create 64 in
     let rng = Random.State.make [| 7 |] in
@@ -1084,16 +1404,16 @@ module Int_tbl_tests = struct
         Hashtbl.reset model;
         S.clear t
       end;
-      let k = Random.State.int rng 2_000 in
+      let k = key (Random.State.int rng 2_000) in
       let fresh = not (Hashtbl.mem model k) in
       Hashtbl.replace model k ();
       Alcotest.(check bool) "add agrees with model" fresh (S.add t k)
     done;
     Alcotest.(check int) "length agrees" (Hashtbl.length model) (S.length t);
-    for k = 0 to 1_999 do
+    for i = 0 to 1_999 do
       Alcotest.(check bool)
-        (Printf.sprintf "mem %d agrees" k)
-        (Hashtbl.mem model k) (S.mem t k)
+        (Printf.sprintf "mem %d agrees" (key i))
+        (Hashtbl.mem model (key i)) (S.mem t (key i))
     done
 
   let map_churn_matches_model () =
@@ -1122,7 +1442,12 @@ module Int_tbl_tests = struct
       Alcotest.test_case "set clear+refill at capacity" `Quick
         set_clear_refill_at_boundary;
       Alcotest.test_case "set churn matches model" `Quick
-        set_churn_matches_model;
+        (set_churn_matches_model ~key:Fun.id);
+      (* Packed keys whose low fields agree: all their entropy is in the
+         high half, which the hash must fold into the slot. *)
+      Alcotest.test_case "set churn, keys differing only above bit 32"
+        `Quick
+        (set_churn_matches_model ~key:(fun i -> (i lsl 33) lor 5));
       Alcotest.test_case "map churn matches model" `Quick
         map_churn_matches_model;
     ]
