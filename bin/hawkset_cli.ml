@@ -384,21 +384,31 @@ let analyze_cmd =
   let go () file tolerant config eraser json obs event_budget
       allow_truncated =
     let load () =
+      (* A v1 file is located by line, a v2 one by record; after a bad v2
+         record nothing more can be delimited. *)
+      let v2 = Trace.Trace_io.format_of_file file = Trace.Trace_io.V2 in
       if not tolerant then
         (* Trace files come from outside the process; a truncated or
            corrupted one is a one-line diagnostic naming the file and
            exit 2, not a backtrace. *)
         try Trace.Trace_io.load file
-        with Trace.Trace_io.Parse_error (line, msg) ->
-          Format.eprintf "hawkset: %s:%d: %s@." file line msg;
+        with Trace.Trace_io.Parse_error (pos, msg) ->
+          if v2 then Format.eprintf "hawkset: %s: record %d: %s@." file pos msg
+          else Format.eprintf "hawkset: %s:%d: %s@." file pos msg;
           exit 2
       else begin
         let t = Trace.Trace_io.load_tolerant file in
-        Format.eprintf "%s: salvaged %d events (%d lines dropped%s; checksum %s)@."
-          file t.Trace.Trace_io.salvaged_events t.Trace.Trace_io.dropped_lines
-          (match t.Trace.Trace_io.first_error with
-          | Some (line, msg) ->
-              Printf.sprintf "; first error at line %d: %s" line msg
+        let first_error = t.Trace.Trace_io.first_error in
+        Format.eprintf "%s: salvaged %d events (%s dropped%s; checksum %s)@."
+          file t.Trace.Trace_io.salvaged_events
+          (if not v2 then
+             Printf.sprintf "%d lines" t.Trace.Trace_io.dropped_lines
+           else if first_error = None then "nothing"
+           else "the rest of the file")
+          (match first_error with
+          | Some (pos, msg) ->
+              Printf.sprintf "; first error at %s %d: %s"
+                (if v2 then "record" else "line") pos msg
           | None -> "")
           (match t.Trace.Trace_io.checksum with
           | `Verified -> "verified"
@@ -465,9 +475,9 @@ let analyze_cmd =
       & info [ "tolerant" ]
           ~doc:
             "Salvage a damaged trace instead of failing: analyse the longest \
-             valid prefix and report (on stderr) how many lines were dropped, \
-             where the first error was and whether the checksum trailer \
-             verified.")
+             valid prefix and report (on stderr) what was dropped, where the \
+             first error was (a line of a v1 trace, a record of a v2 one) and \
+             whether the checksum trailer verified.")
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -92,30 +92,12 @@ let pub_published = -2
    inserted into: the first insert replaces it with a set of its own. *)
 let no_dedup = Trace.Int_tbl.Set.create ()
 
-let site_cache_mask = 255
-
-(* Fills empty cache slots; no caller can hold this value. *)
-let no_site = { Trace.Site.file = ""; line = -1; frames = [] }
-
-module Site_table = Trace.Interner.Make (struct
-  type t = Trace.Site.t
-
-  let equal = Trace.Site.equal
-  let hash = Trace.Site.hash
-end)
-
 type state = {
   irh : bool;
   timestamps : bool;
   eadr : bool;
   tables : Access.tables;
-  sites : Site_table.t;
-  (* Direct-mapped by line in front of [sites]: slot [line land
-     site_cache_mask] holds the last site interned there and its id. A hit
-     is physical equality, so the machine's and the trace loader's shared
-     sites skip the hash; anything else takes the full intern. *)
-  site_cache : Trace.Site.t array;
-  site_cache_id : int array;
+  trace : Trace.Tracebuf.t; (* its site ids are the records' site ids *)
   mutable threads : thread_state array;
   mutable nthreads : int;
   cell_idx : Trace.Int_tbl.Map.t; (* word -> index into cell_list *)
@@ -227,16 +209,6 @@ let get_cell st word ~tid =
 
 let is_published c = c.cl_pub = pub_published
 
-let site_id st site =
-  let slot = site.Trace.Site.line land site_cache_mask in
-  if st.site_cache.(slot) == site then st.site_cache_id.(slot)
-  else begin
-    let id = Site_table.intern st.sites site in
-    st.site_cache.(slot) <- site;
-    st.site_cache_id.(slot) <- id;
-    id
-  end
-
 let end_kind_tag = function
   | Access.Persisted_same_thread -> 0
   | Access.Persisted_other_thread -> 1
@@ -279,7 +251,7 @@ let emit_window st cell entry ~eff ~end_vec ~kind =
         Access.w_tid = m.m_tid;
         w_addr = m.m_addr;
         w_size = m.m_size;
-        w_site = Site_table.get st.sites m.m_site_id;
+        w_site = Trace.Tracebuf.site st.trace m.m_site_id;
         w_store_ls = m.m_ls_id;
         w_eff = eff_id;
         w_store_vec = m.m_vec_id;
@@ -322,7 +294,7 @@ let close_entry st cell entry ~closer_tid ~closer_ls ~end_vec ~kind =
       ~eff:(effective_lockset st entry.oe_meta ~closer_tid ~closer_ls)
       ~end_vec ~kind
 
-let on_store st ~tid ~addr ~size ~site =
+let on_store st ~tid ~addr ~size ~site_id =
   st.n_stores <- st.n_stores + 1;
   let th = touch_vec st tid in
   let itid = Trace.Tid.to_int tid in
@@ -334,7 +306,6 @@ let on_store st ~tid ~addr ~size ~site =
         ignore (get_cell st word ~tid:itid : cell))
   else begin
     let vec_id = th_vec_id st th in
-    let site_id = site_id st site in
     let ls_id = th_ls_id st th in
     let m =
       { m_tid = itid; m_addr = addr; m_size = size; m_site_id = site_id;
@@ -388,7 +359,7 @@ let spill_load_fresh st cell ~tid ~site_id ~ls_id ~vec_id =
     true
   end
 
-let on_load st ~tid ~addr ~size ~site =
+let on_load st ~tid ~addr ~size ~site_id =
   st.n_loads <- st.n_loads + 1;
   let th = touch_vec st tid in
   let itid = Trace.Tid.to_int tid in
@@ -409,7 +380,6 @@ let on_load st ~tid ~addr ~size ~site =
   let keep = (not st.irh) || !any_pub in
   if not keep then st.irh_loads <- st.irh_loads + 1
   else begin
-    let site_id = site_id st site in
     let ls_id = th_ls_id st th in
     let vec_id = th_vec_id st th in
     (* The record is built at most once, shared by every word that keeps
@@ -424,7 +394,7 @@ let on_load st ~tid ~addr ~size ~site =
               Access.l_tid = itid;
               l_addr = addr;
               l_size = size;
-              l_site = Site_table.get st.sites site_id;
+              l_site = Trace.Tracebuf.site st.trace site_id;
               l_ls = ls_id;
               l_vec = vec_id;
             }
@@ -588,9 +558,7 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
       timestamps;
       eadr;
       tables = Access.create_tables ();
-      sites = Site_table.create ();
-      site_cache = Array.make (site_cache_mask + 1) no_site;
-      site_cache_id = Array.make (site_cache_mask + 1) (-1);
+      trace;
       threads = Array.init 8 (fun _ -> fresh_thread ());
       nthreads = 0;
       cell_idx = Trace.Int_tbl.Map.create ~size:4096 ();
@@ -616,17 +584,19 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
      rest of the trace and finalizes what was tracked so far — the result
      is exactly the collection of the consumed prefix. *)
   (try
-     Trace.Tracebuf.iter
-       (fun ev ->
+     Trace.Tracebuf.iteri
+       (fun i ev ->
          (match stop with
          | Some f when !consumed land 511 = 0 && f () -> raise Exit
          | Some _ | None -> ());
          incr consumed;
          match ev with
-         | Trace.Event.Store { tid; addr; size; site; non_temporal = _ } ->
-             on_store st ~tid ~addr ~size ~site
-         | Trace.Event.Load { tid; addr; size; site } ->
-             on_load st ~tid ~addr ~size ~site
+         | Trace.Event.Store { tid; addr; size; site = _; non_temporal = _ } ->
+             on_store st ~tid ~addr ~size
+               ~site_id:(Trace.Tracebuf.site_id trace i)
+         | Trace.Event.Load { tid; addr; size; site = _ } ->
+             on_load st ~tid ~addr ~size
+               ~site_id:(Trace.Tracebuf.site_id trace i)
          | Trace.Event.Flush { tid; line; kind = _; site = _ } ->
              on_flush st ~tid ~line
          | Trace.Event.Fence { tid; site = _ } -> on_fence st ~tid

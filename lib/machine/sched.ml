@@ -108,12 +108,11 @@ type t = {
          site prints as it *)
   root_frame : frame;
   mutable next_frame_id : int;
-  (* One shared site per distinct (file, line, frames): [site_idx] maps a
-     packed (frame id, line) to its index in [site_vec]; another file at
-     the same key, or a line that does not pack, goes to [site_spill]. *)
+  (* The trace's site id of each distinct (file, line, frames): [site_idx]
+     maps a packed (frame id, line) to it; another file at the same key,
+     or a line that does not pack, goes to [site_spill]. *)
   site_idx : Trace.Int_tbl.Map.t;
-  site_vec : Trace.Site.t Trace.Vec.t;
-  site_spill : (string * int * int, Trace.Site.t) Hashtbl.t;
+  site_spill : (string * int * int, int) Hashtbl.t;
   observe : bool;
   last_store : (int, Trace.Tid.t * Trace.Site.t * Trace.Lock_id.t list) Hashtbl.t;
   (* word index -> last writer, its site, and its lockset at store time *)
@@ -362,40 +361,45 @@ let check_crash m =
   | Some n when m.fences >= n -> Effect.perform Crash_stop
   | Some _ | None -> ()
 
-let emit ctx ev =
-  Trace.Tracebuf.push ctx.m.trace ev;
+(* [id] is the event's site id in the trace, -1 for a thread event. *)
+let emit ctx id ev =
+  Trace.Tracebuf.push_with_site ctx.m.trace ev id;
   ctx.m.events <- ctx.m.events + 1
 
 let site_line_bits = 24
 
+let new_site m file line fr =
+  Trace.Tracebuf.add_site m.trace { Trace.Site.file; line; frames = fr.f_frames }
+
 let spill_site m file line fr =
   let key = (file, line, fr.f_id) in
   match Hashtbl.find m.site_spill key with
-  | st -> st
+  | id -> id
   | exception Not_found ->
-      let st = { Trace.Site.file; line; frames = fr.f_frames } in
-      Hashtbl.add m.site_spill key st;
-      st
+      let id = new_site m file line fr in
+      Hashtbl.add m.site_spill key id;
+      id
 
-(* The one shared site of this position under the thread's call stack:
-   an event's site is allocated once per distinct site, not per event. *)
-let site ctx ((file, line, _, _) : pos) =
+(* The trace's id of this position's site under the thread's call stack:
+   a site is built and hashed once per distinct site, not per event, and
+   every event that carries it shares the trace's one [Site.t]. *)
+let site_id ctx ((file, line, _, _) : pos) =
   let m = ctx.m and fr = ctx.self.frame in
   if line < 0 || line lsr site_line_bits <> 0 then spill_site m file line fr
   else
     let key = (fr.f_id lsl site_line_bits) lor line in
-    let i = Trace.Int_tbl.Map.find m.site_idx key in
-    if i < 0 then begin
-      let st = { Trace.Site.file; line; frames = fr.f_frames } in
-      Trace.Int_tbl.Map.set m.site_idx key (Trace.Vec.length m.site_vec);
-      Trace.Vec.push m.site_vec st;
-      st
+    let id = Trace.Int_tbl.Map.find m.site_idx key in
+    if id < 0 then begin
+      let id = new_site m file line fr in
+      Trace.Int_tbl.Map.set m.site_idx key id;
+      id
     end
     else
-      let st = Trace.Vec.get m.site_vec i in
-      if st.Trace.Site.file == file || String.equal st.Trace.Site.file file
-      then st
+      let f = (Trace.Tracebuf.site m.trace id).Trace.Site.file in
+      if f == file || String.equal f file then id
       else spill_site m file line fr
+
+let site ctx id = Trace.Tracebuf.site ctx.m.trace id
 
 let tid ctx = Trace.Tid.of_int ctx.self.t_tid
 let heap ctx = ctx.m.heap
@@ -415,7 +419,7 @@ let spawn ctx body =
   let th = add_thread m thunk in
   th_ref := Some th;
   assert (th.t_tid = child_slot);
-  emit ctx
+  emit ctx (-1)
     (Trace.Event.Thread_create
        { parent = tid ctx; child = Trace.Tid.of_int child_slot });
   sched_point ctx;
@@ -432,7 +436,7 @@ let join ctx target =
     target_th.joiners <- ctx.self.t_tid :: target_th.joiners;
     Effect.perform Park_self
   done;
-  emit ctx (Trace.Event.Thread_join { waiter = tid ctx; joined = target });
+  emit ctx (-1) (Trace.Event.Thread_join { waiter = tid ctx; joined = target });
   sched_point ctx
 
 let delay ctx duration =
@@ -511,10 +515,11 @@ let check_observation ?(rmw = false) ctx ~addr ~size ~site:load_site =
    closure is built per access. *)
 let after_store ctx p addr size ~non_temporal =
   if Pmem.Region.is_pm ctx.m.pm addr then begin
-    let st = site ctx p in
+    let id = site_id ctx p in
+    let st = site ctx id in
     Pmem.Heap.note_store ctx.m.heap ~tid:(tid ctx) ~addr ~size ~non_temporal;
     record_store_words ctx ~addr ~size ~site:st;
-    emit ctx
+    emit ctx id
       (Trace.Event.Store { tid = tid ctx; addr; size; site = st; non_temporal });
     maybe_delay ctx st
   end;
@@ -522,9 +527,10 @@ let after_store ctx p addr size ~non_temporal =
 
 let after_load ctx p addr size =
   if Pmem.Region.is_pm ctx.m.pm addr then begin
-    let st = site ctx p in
+    let id = site_id ctx p in
+    let st = site ctx id in
     check_observation ctx ~addr ~size ~site:st;
-    emit ctx (Trace.Event.Load { tid = tid ctx; addr; size; site = st })
+    emit ctx id (Trace.Event.Load { tid = tid ctx; addr; size; site = st })
   end;
   sched_point ctx
 
@@ -568,17 +574,18 @@ let load_bytes ctx p addr len =
 
 let cas_i64 ctx p addr ~expected ~desired =
   check_crash ctx.m;
-  let st = site ctx p in
+  let id = site_id ctx p in
+  let st = site ctx id in
   let current = Pmem.Heap.read_i64 ctx.m.heap addr in
   let success = Int64.equal current expected in
   check_observation ctx ~rmw:success ~addr ~size:8 ~site:st;
-  emit ctx (Trace.Event.Load { tid = tid ctx; addr; size = 8; site = st });
+  emit ctx id (Trace.Event.Load { tid = tid ctx; addr; size = 8; site = st });
   if success then begin
     Pmem.Heap.write_i64 ctx.m.heap addr desired;
     Pmem.Heap.note_store ctx.m.heap ~tid:(tid ctx) ~addr ~size:8
       ~non_temporal:false;
     record_store_words ctx ~addr ~size:8 ~site:st;
-    emit ctx
+    emit ctx id
       (Trace.Event.Store
          { tid = tid ctx; addr; size = 8; site = st; non_temporal = false });
     maybe_delay ctx st
@@ -591,9 +598,10 @@ let flush_line ctx p addr =
   if Pmem.Region.is_pm ctx.m.pm addr then begin
     let line = Pmem.Layout.line_of addr in
     Pmem.Heap.flush ctx.m.heap ~tid:(tid ctx) ~line;
-    emit ctx
+    let id = site_id ctx p in
+    emit ctx id
       (Trace.Event.Flush
-         { tid = tid ctx; line; kind = Trace.Event.Clwb; site = site ctx p })
+         { tid = tid ctx; line; kind = Trace.Event.Clwb; site = site ctx id })
   end;
   sched_point ctx
 
@@ -607,7 +615,8 @@ let flush_range ctx p addr size =
 let fence ctx p =
   check_crash ctx.m;
   Pmem.Heap.fence ctx.m.heap ~tid:(tid ctx);
-  emit ctx (Trace.Event.Fence { tid = tid ctx; site = site ctx p });
+  let id = site_id ctx p in
+  emit ctx id (Trace.Event.Fence { tid = tid ctx; site = site ctx id });
   ctx.m.fences <- ctx.m.fences + 1;
   sched_point ctx
 
@@ -665,8 +674,9 @@ let emit_acquire ctx p ~primitive lock =
   check_crash ctx.m;
   if Sync_config.is_instrumented ctx.m.sync_config primitive then begin
     ctx.self.held_locks <- lock :: ctx.self.held_locks;
-    emit ctx
-      (Trace.Event.Lock_acquire { tid = tid ctx; lock; site = site ctx p })
+    let id = site_id ctx p in
+    emit ctx id
+      (Trace.Event.Lock_acquire { tid = tid ctx; lock; site = site ctx id })
   end;
   sched_point ctx
 
@@ -685,8 +695,9 @@ let emit_release ctx p ~primitive lock =
           if Trace.Lock_id.equal l lock then rest else l :: drop rest
     in
     ctx.self.held_locks <- drop ctx.self.held_locks;
-    emit ctx
-      (Trace.Event.Lock_release { tid = tid ctx; lock; site = site ctx p })
+    let id = site_id ctx p in
+    emit ctx id
+      (Trace.Event.Lock_release { tid = tid ctx; lock; site = site ctx id })
   end
 
 let park _ctx = Effect.perform Park_self
@@ -770,7 +781,6 @@ let run ?(seed = 0) ?(policy = Random_interleave)
       root_frame = { f_id = 0; f_name = ""; f_frames = []; f_children = [] };
       next_frame_id = 1;
       site_idx = Trace.Int_tbl.Map.create ~size:256 ();
-      site_vec = Trace.Vec.create ();
       site_spill = Hashtbl.create 8;
       observe;
       last_store = Hashtbl.create (if observe then 4096 else 1);

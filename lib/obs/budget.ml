@@ -26,7 +26,9 @@ let with_guard ?wall_s ?heap_mb f =
               (match wall_s with
               | Some budget ->
                   let dt = Unix.gettimeofday () -. t0 in
-                  if dt > budget then begin
+                  (* [>=]: a zero budget is spent at the entry check even
+                     when the clock has not moved since [t0]. *)
+                  if dt >= budget then begin
                     armed := false;
                     raise (Exceeded (`Wall, dt))
                   end

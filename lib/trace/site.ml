@@ -17,7 +17,8 @@ let compare a b =
     let c = Int.compare a.line b.line in
     if c <> 0 then c else List.compare String.compare a.frames b.frames
 
-let hash t = Hashtbl.hash (t.file, t.line, t.frames)
+(* The hash of the tuple (file, line, frames), which has the record's shape. *)
+let hash (t : t) = Hashtbl.hash t
 let pp ppf t = Format.fprintf ppf "%s:%d" t.file t.line
 
 let pp_backtrace ppf t =

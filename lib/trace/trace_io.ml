@@ -1,5 +1,7 @@
 exception Parse_error of int * string
 
+type format = V1 | V2
+
 let fail lineno msg = raise (Parse_error (lineno, msg))
 
 (* The trailer hash is FNV-1a 64-bit ([Journal.fnv_fold]) over every
@@ -595,70 +597,32 @@ let put_bytes b s =
   put_varint b (String.length s);
   put_string b s
 
-module Site_tbl = Hashtbl.Make (Site)
+let put_site_definition b (site : Site.t) =
+  put_char b '@';
+  put_bytes b site.Site.file;
+  put_varint b site.Site.line;
+  put_varint b (List.length site.Site.frames);
+  List.iter (put_bytes b) site.Site.frames
 
-(* The writer's site indices: a site is defined by a record just before
-   its first use. The direct-mapped cache in front of the table is keyed
-   on physical equality, so the machine's shared sites skip the hash. *)
-type sites_out = {
-  index : int Site_tbl.t;
-  cache : Site.t array;
-  cache_index : int array;
-}
-
-let site_cache_mask = 255
-
-(* Fills the empty cache slots; no caller can hold this value. *)
-let no_site = Site.v "" (-1)
-
-let site_index out b (site : Site.t) =
-  let slot = site.Site.line land site_cache_mask in
-  if out.cache.(slot) == site then out.cache_index.(slot)
-  else begin
-    let i =
-      match Site_tbl.find out.index site with
-      | i -> i
-      | exception Not_found ->
-          let i = Site_tbl.length out.index in
-          Site_tbl.add out.index site i;
-          put_char b '@';
-          put_bytes b site.Site.file;
-          put_varint b site.Site.line;
-          put_varint b (List.length site.Site.frames);
-          List.iter (put_bytes b) site.Site.frames;
-          i
-    in
-    out.cache.(slot) <- site;
-    out.cache_index.(slot) <- i;
-    i
-  end
-
-(* The event's record, after the definition of its site when this is
-   the site's first use. *)
-let put_record out b ev =
+(* The event's record; [s] is its site's file index. *)
+let put_record b ev s =
   match ev with
-  | Event.Store { tid; addr; size; site; _ } | Event.Load { tid; addr; size; site }
-    ->
-      let s = site_index out b site in
+  | Event.Store { tid; addr; size; _ } | Event.Load { tid; addr; size; _ } ->
       put_char b (event_tag ev);
       put_varint b (Tid.to_int tid);
       put_varint b addr;
       put_varint b size;
       put_varint b s
-  | Event.Flush { tid; line; site; _ } ->
-      let s = site_index out b site in
+  | Event.Flush { tid; line; _ } ->
       put_char b (event_tag ev);
       put_varint b (Tid.to_int tid);
       put_varint b line;
       put_varint b s
-  | Event.Fence { tid; site } ->
-      let s = site_index out b site in
+  | Event.Fence { tid; _ } ->
       put_char b (event_tag ev);
       put_varint b (Tid.to_int tid);
       put_varint b s
-  | Event.Lock_acquire { tid; lock; site }
-  | Event.Lock_release { tid; lock; site } ->
-      let s = site_index out b site in
+  | Event.Lock_acquire { tid; lock; _ } | Event.Lock_release { tid; lock; _ } ->
       put_char b (event_tag ev);
       put_varint b (Tid.to_int tid);
       put_varint b (Lock_id.to_int lock);
@@ -671,11 +635,11 @@ let put_record out b ev =
 
 let write oc trace =
   let b = buf_create 65536 in
-  let out =
-    { index = Site_tbl.create 256;
-      cache = Array.make (site_cache_mask + 1) no_site;
-      cache_index = Array.make (site_cache_mask + 1) (-1) }
-  in
+  (* [index.(id)] is the file index of the trace's site [id], -1 until
+     its definition is written: file indices go in first-use order, each
+     site defined just before the first event that carries it. *)
+  let index = Array.make (Tracebuf.site_count trace) (-1) in
+  let defined = ref 0 in
   put_string b header_v2;
   let h = ref Journal.fnv_offset in
   (* Hash and send [b.bytes.(from ..)]: the records, not the header. *)
@@ -685,9 +649,15 @@ let write oc trace =
     b.len <- 0
   in
   let from = ref b.len in
-  Tracebuf.iter
-    (fun ev ->
-      put_record out b ev;
+  Tracebuf.iteri
+    (fun i ev ->
+      let id = Tracebuf.site_id trace i in
+      if id >= 0 && index.(id) < 0 then begin
+        put_site_definition b (Tracebuf.site trace id);
+        index.(id) <- !defined;
+        incr defined
+      end;
+      put_record b ev (if id >= 0 then index.(id) else -1);
       if b.len >= 65536 then begin
         drain !from;
         from := 0
@@ -708,8 +678,7 @@ type v2 = {
   src : src;
   mutable cur : int;
   mutable record : int;  (** 1-based number of the current record. *)
-  mutable sites : Site.t array;
-  mutable nsites : int;
+  sites : int Vec.t;  (** The trace's id of each defined site. *)
   mutable h : int64;  (** FNV-1a of the record bytes before [hashed]. *)
   mutable hashed : int;  (** At most [src.pos]: only whole records. *)
 }
@@ -769,11 +738,12 @@ let count_field what d =
 
 let tid_field d = Tid.of_int (count_field "thread id" d)
 
+(* The trace's id of the site a record refers to. *)
 let site_ref d =
   let i = varint d in
-  if i < 0 || i >= d.nsites then
+  if i < 0 || i >= Vec.length d.sites then
     fail d.record (Printf.sprintf "site %d used before its definition" i);
-  Array.unsafe_get d.sites i
+  Vec.get d.sites i
 
 (* A site definition record may be longer than a chunk: each field
    first makes its bytes available. *)
@@ -786,7 +756,9 @@ let string_field d =
   d.cur <- d.cur + n;
   str
 
-let define_site d =
+(* A definition maps to the trace's id of its site, so one defined twice
+   gets one id. *)
+let define_site d trace =
   let file = string_field d in
   avail d 9;
   let line = varint d in
@@ -796,13 +768,7 @@ let define_site d =
     if k = 0 then List.rev acc else frames (string_field d :: acc) (k - 1)
   in
   let frames = frames [] n in
-  if d.nsites = Array.length d.sites then begin
-    let bigger = Array.make (2 * d.nsites) Site.none in
-    Array.blit d.sites 0 bigger 0 d.nsites;
-    d.sites <- bigger
-  end;
-  d.sites.(d.nsites) <- Site.v ~frames file line;
-  d.nsites <- d.nsites + 1
+  Vec.push d.sites (Tracebuf.add_site trace (Site.v ~frames file line))
 
 (* Decode the records after the header into [trace], up to the trailer
    or the end of the input; raises [Parse_error] at the first malformed
@@ -824,44 +790,42 @@ let decode_v2 d trace ~on_trailer =
           let tid = tid_field d in
           let addr = varint d in
           let size = varint d in
-          let site = site_ref d in
-          Tracebuf.push trace
+          let id = site_ref d in
+          let site = Tracebuf.site trace id in
+          push id
             (if tag = 'L' then Event.Load { tid; addr; size; site }
-             else Event.Store { tid; addr; size; site; non_temporal = tag = 'N' });
-          next ()
+             else Event.Store { tid; addr; size; site; non_temporal = tag = 'N' })
       | 'W' | 'O' | 'F' ->
           let tid = tid_field d in
           let line = varint d in
-          let site = site_ref d in
+          let id = site_ref d in
           let kind =
             if tag = 'W' then Event.Clwb
             else if tag = 'O' then Event.Clflushopt
             else Event.Clflush
           in
-          Tracebuf.push trace (Event.Flush { tid; line; kind; site });
-          next ()
+          push id
+            (Event.Flush { tid; line; kind; site = Tracebuf.site trace id })
       | 'M' ->
           let tid = tid_field d in
-          let site = site_ref d in
-          Tracebuf.push trace (Event.Fence { tid; site });
-          next ()
+          let id = site_ref d in
+          push id (Event.Fence { tid; site = Tracebuf.site trace id })
       | 'A' | 'R' ->
           let tid = tid_field d in
           let lock = Lock_id.of_int (count_field "lock id" d) in
-          let site = site_ref d in
-          Tracebuf.push trace
+          let id = site_ref d in
+          let site = Tracebuf.site trace id in
+          push id
             (if tag = 'A' then Event.Lock_acquire { tid; lock; site }
-             else Event.Lock_release { tid; lock; site });
-          next ()
+             else Event.Lock_release { tid; lock; site })
       | 'C' | 'J' ->
           let a = tid_field d in
           let b = tid_field d in
-          Tracebuf.push trace
+          push (-1)
             (if tag = 'C' then Event.Thread_create { parent = a; child = b }
-             else Event.Thread_join { waiter = a; joined = b });
-          next ()
+             else Event.Thread_join { waiter = a; joined = b })
       | '@' ->
-          define_site d;
+          define_site d trace;
           next ()
       | 'T' ->
           if trailer_size - 1 > s.len - d.cur then truncated d;
@@ -876,13 +840,16 @@ let decode_v2 d trace ~on_trailer =
           true
       | c -> fail d.record (Printf.sprintf "unknown record tag 0x%02x" (Char.code c))
     end
+  and push id ev =
+    Tracebuf.push_with_site trace ev id;
+    next ()
   in
   next ()
 
 let v2_decoder src =
   src.pos <- src.pos + String.length header_v2;
-  { src; cur = src.pos; record = 0; sites = Array.make 64 Site.none;
-    nsites = 0; h = Journal.fnv_offset; hashed = src.pos }
+  { src; cur = src.pos; record = 0; sites = Vec.create ();
+    h = Journal.fnv_offset; hashed = src.pos }
 
 let checksum_mismatch ~trailer ~records =
   Printf.sprintf
@@ -981,6 +948,13 @@ let read_tolerant ic =
   | _, `Unknown ->
       { salvaged = Tracebuf.create (); salvaged_events = 0; dropped_lines = 1;
         first_error = Some (1, unknown_format); checksum = `Absent }
+
+let format_of_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      match open_src ic with
+      | _, `V2 -> V2
+      | _, (`V1 | `Unknown) -> V1)
 
 let save path trace =
   let oc = open_out_bin path in

@@ -55,18 +55,20 @@
     pattern; a uint ([<tid>] too) is one that must not come out
     negative; a str is a uint length and that many bytes. [<site>] is
     the index of a site definition, counted from 0 in file order, which
-    must come before its first use: the writer defines each site once,
-    just before the first event that carries it. The trailer's fields
-    are 8-byte little-endian: the event count and the FNV-1a 64-bit hash
-    of every record byte between the header line and the trailer. It is
-    fixed-size so that it can be found at the end of a file whose
-    records cannot be followed.
+    must come before its first use: the writer defines each site of the
+    trace's table once, just before the first event that carries it.
+    The trailer's fields are 8-byte little-endian: the event count and
+    the FNV-1a 64-bit hash of every record byte between the header line
+    and the trailer. It is fixed-size so that it can be found at the end
+    of a file whose records cannot be followed.
 
-    Both formats are read in 64 KiB chunks, never whole, and loaded
-    events share one [Site.t] per site, so a trace holds each site once
-    however many events carry it. {!fingerprint} and {!event_to_line}
-    are defined over the v1 canonical text whatever format a trace was
-    read from. *)
+    Both formats are read in 64 KiB chunks, never whole, into a trace
+    whose site table ({!Tracebuf.site}) holds each distinct site once,
+    shared by every event that carries it: a v2 site definition maps to
+    its id there (one defined twice gets one id), and each event is
+    pushed with the id of the definition it names. {!fingerprint} and
+    {!event_to_line} are defined over the v1 canonical text whatever
+    format a trace was read from. *)
 
 exception Parse_error of int * string
 (** Position and message. The position is the 1-based line number in a
@@ -74,8 +76,18 @@ exception Parse_error of int * string
     definitions and the trailer, the first record after the header line
     being 1. *)
 
+type format = V1 | V2
+
+val format_of_file : string -> format
+(** The format the file's first line names: [V2] for the v2 header,
+    [V1] for anything else, which is read as v1 (or, for a header naming
+    an unknown version, is a {!Parse_error} at line 1). Tells how to word
+    a {!Parse_error}'s position: a line number, or a record number.
+    Raises [Sys_error] on IO failure. *)
+
 val write : out_channel -> Tracebuf.t -> unit
-(** Writes v2. *)
+(** Writes v2, defining the trace's sites ({!Tracebuf.site}) in the order
+    of their first use. *)
 
 val read : in_channel -> Tracebuf.t
 (** Strict read: raises {!Parse_error} on the first malformed line or

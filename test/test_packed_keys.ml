@@ -230,10 +230,90 @@ module Spill_tests = struct
       "pipeline == spec" (spec_bytes ~config trace)
       (production_bytes ~config trace)
 
+  (* Site ids are the trace's, flush, fence and lock sites counted: a
+     trace whose first [2^site_bits + 2] distinct sites are on flushes
+     gives its stores and loads ids past [site_bits]. The flushes all
+     precede any store, on a line nothing touches, so they only tick
+     the flushing thread's clock; the same trace with one site on every
+     flush (so its access sites get low ids) must report the same. *)
+  let wide_sites_trace ~wide =
+    let nflush = (1 lsl Trace.Packed_key.site_bits) + 2 in
+    let site l = Trace.Site.v "spill.ml" l in
+    let addr = 256 in
+    let flushes =
+      List.init nflush (fun i ->
+          Trace.Event.Flush
+            { tid = Trace.Tid.main; line = 1 lsl 20; kind = Trace.Event.Clwb;
+              site = Trace.Site.v "flush.ml" (if wide then i else 0) })
+    in
+    (* Each thread stores twice at the same site, persists, stores again
+       unpersisted, and loads twice at the same site. *)
+    let per_thread t =
+      let tid = Trace.Tid.of_int t in
+      let store =
+        Trace.Event.Store
+          { tid; addr; size = 8; site = site t; non_temporal = false }
+      in
+      let load = Trace.Event.Load { tid; addr; size = 8; site = site (10 + t) } in
+      [ store; store;
+        Trace.Event.Flush
+          { tid; line = Pmem.Layout.line_of addr; kind = Trace.Event.Clwb;
+            site = site 20 };
+        Trace.Event.Fence { tid; site = site 21 };
+        store; load; load ]
+    in
+    let threads = [ 1; 2; 3 ] in
+    Trace.Tracebuf.of_list
+      (flushes
+      @ List.map
+          (fun t ->
+            Trace.Event.Thread_create
+              { parent = Trace.Tid.main; child = Trace.Tid.of_int t })
+          threads
+      @ List.concat_map per_thread threads
+      @ List.map
+          (fun t ->
+            Trace.Event.Thread_join
+              { waiter = Trace.Tid.main; joined = Trace.Tid.of_int t })
+          threads)
+
+  let wide_site_ids () =
+    let wide = wide_sites_trace ~wide:true
+    and low = wide_sites_trace ~wide:false in
+    let first_access t =
+      let rec go i =
+        match Trace.Tracebuf.get t i with
+        | Trace.Event.Store _ -> Trace.Tracebuf.site_id t i
+        | _ -> go (i + 1)
+      in
+      go 0
+    in
+    Alcotest.(check bool) "access site ids exceed site_bits" false
+      (Trace.Packed_key.fits (first_access wide) Trace.Packed_key.site_bits);
+    Alcotest.(check bool) "low-id access site ids fit" true
+      (Trace.Packed_key.fits (first_access low) Trace.Packed_key.site_bits);
+    let records t =
+      let c = Hawkset.Collector.collect t in
+      ( List.length (Hawkset.Collector.all_windows c),
+        List.length (Hawkset.Collector.all_loads c) )
+    in
+    Alcotest.(check (pair int int)) "spilled keys dedup as packed ones"
+      (records low) (records wide);
+    let config = Hawkset.Pipeline.default in
+    let races = (Hawkset.Pipeline.run ~config wide).Hawkset.Pipeline.races in
+    Alcotest.(check bool) "the wide trace races" true
+      (Hawkset.Report.count races > 0);
+    Alcotest.(check string) "pipeline == spec" (spec_bytes ~config wide)
+      (production_bytes ~config wide);
+    Alcotest.(check string) "wide ids == low ids" (production_bytes ~config low)
+      (production_bytes ~config wide)
+
   let tests =
     [
       Alcotest.test_case "tid >= 2^tid_bits spills and dedups" `Quick
         spilled_keys_dedup;
+      Alcotest.test_case "site id >= 2^site_bits spills and dedups" `Quick
+        wide_site_ids;
     ]
 end
 

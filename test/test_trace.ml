@@ -226,9 +226,29 @@ module Tracebuf_tests = struct
     Alcotest.(check int) "fold" 25
       (Trace.Tracebuf.fold (fun acc _ -> acc + 1) 0 tb)
 
+  (* An id the caller holds is pushed as given, and one the table never
+     gave is refused. *)
+  let push_with_site () =
+    let tb = Trace.Tracebuf.create () in
+    let id = Trace.Tracebuf.add_site tb s in
+    Alcotest.(check int) "same site, same id" id
+      (Trace.Tracebuf.add_site tb (site "x.ml" 1));
+    Trace.Tracebuf.push_with_site tb (mk_load 0) id;
+    Trace.Tracebuf.push_with_site tb
+      (Trace.Event.Thread_create { parent = t0; child = Trace.Tid.of_int 1 })
+      (-1);
+    Alcotest.(check (list int)) "ids" [ id; -1 ]
+      [ Trace.Tracebuf.site_id tb 0; Trace.Tracebuf.site_id tb 1 ];
+    Alcotest.(check bool) "the table's site" true
+      (Trace.Tracebuf.site tb id == s);
+    Alcotest.check_raises "unknown id"
+      (Invalid_argument "Tracebuf.push_with_site: unknown site id") (fun () ->
+        Trace.Tracebuf.push_with_site tb (mk_load 1) (id + 1))
+
   let tests =
     [
       Alcotest.test_case "push/get with growth" `Quick push_get;
+      Alcotest.test_case "push_with_site" `Quick push_with_site;
       Alcotest.test_case "of_list roundtrip" `Quick of_list_roundtrip;
       Alcotest.test_case "stats" `Quick stats;
       Alcotest.test_case "fold" `Quick fold_counts;
@@ -1111,6 +1131,178 @@ module Fuzz_tests = struct
             && fp (take m salvaged) = fp (take m evs)
             && (t.Trace.Trace_io.checksum <> `Verified || salvaged = evs)))
 
+  (* ---- the site table ---- *)
+
+  let event_site = function
+    | Trace.Event.Thread_create _ | Trace.Event.Thread_join _ -> None
+    | Trace.Event.Store { site; _ } | Trace.Event.Load { site; _ }
+    | Trace.Event.Flush { site; _ } | Trace.Event.Fence { site; _ }
+    | Trace.Event.Lock_acquire { site; _ }
+    | Trace.Event.Lock_release { site; _ } ->
+        Some site
+
+  (* The table's contract on [t]: event [i]'s id names a site equal to
+     its own ([-1] for a thread event); the ids are dense, each of [0 ..
+     site_count - 1] naming a site no other id names; and two events'
+     sites are equal exactly when their ids are. *)
+  let site_table_ok t =
+    let module Tb = Trace.Tracebuf in
+    let n = Tb.site_count t in
+    let ids = List.init (Tb.length t) (Tb.site_id t) in
+    let sites = List.map event_site (Tb.to_list t) in
+    let pairs = List.combine ids sites in
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun j -> i = j || not (Trace.Site.equal (Tb.site t i) (Tb.site t j)))
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+    && List.for_all
+         (function
+           | id, None -> id = -1
+           | id, Some s -> id >= 0 && id < n && Trace.Site.equal (Tb.site t id) s)
+         pairs
+    && List.for_all
+         (fun (i, a) ->
+           List.for_all
+             (fun (j, b) ->
+               match (a, b) with
+               | Some a, Some b -> Trace.Site.equal a b = (i = j)
+               | _ -> true)
+             pairs)
+         pairs
+
+  (* ... and a prefix of any length keeps it, under the same ids. *)
+  let prefixes_ok t =
+    let module Tb = Trace.Tracebuf in
+    List.for_all
+      (fun k ->
+        let p = Tb.prefix t k in
+        site_table_ok p
+        && Tb.site_count p = Tb.site_count t
+        && List.for_all
+             (fun i ->
+               Tb.site_id p i = Tb.site_id t i
+               && (Tb.site_id t i < 0
+                  || Trace.Site.equal
+                       (Tb.site p (Tb.site_id p i))
+                       (Tb.site t (Tb.site_id t i))))
+             (List.init (Tb.length p) Fun.id))
+      (List.init (Tb.length t + 2) Fun.id)
+
+  let table_ok t = site_table_ok t && prefixes_ok t
+
+  (* Distinct values among [sites], structurally. *)
+  let distinct sites =
+    List.length (List.sort_uniq Trace.Site.compare sites)
+
+  let site_table_built =
+    QCheck.Test.make ~name:"site table: push and of_list" ~count:300 arb_wide
+      (fun evs ->
+        let pushed = Trace.Tracebuf.create ~capacity:1 () in
+        List.iter (Trace.Tracebuf.push pushed) evs;
+        let used = List.filter_map event_site evs in
+        List.for_all
+          (fun t ->
+            table_ok t
+            && Trace.Tracebuf.to_list t = evs
+            && Trace.Tracebuf.site_count t = distinct used)
+          [ pushed; Trace.Tracebuf.of_list evs ])
+
+  (* v1 lines over a pool of three sites, each site spelled several
+     ways: its line number plain, zero-padded or signed, and its frames
+     after one space or several. *)
+  let gen_v1_file =
+    QCheck.Gen.(
+      let pool =
+        [| Trace.Site.v "a.ml" 7; Trace.Site.v ~frames:[ "f"; "g" ] "b.ml" 12;
+           Trace.Site.v ~frames:[ "f" ] "a.ml" 7 |]
+      in
+      let spell (s : Trace.Site.t) v =
+        let line =
+          match v with
+          | 0 -> string_of_int s.line
+          | 1 -> "00" ^ string_of_int s.line
+          | _ -> "+" ^ string_of_int s.line
+        in
+        let gap = if v = 1 then "   " else " " in
+        s.file ^ ":" ^ line
+        ^ match s.frames with [] -> "" | fs -> gap ^ String.concat ";" fs
+      in
+      list_size (int_range 1 30)
+        (map3
+           (fun kind p v ->
+             let tail = spell pool.(p) v in
+             ( (match kind with
+               | 0 -> "S 1 64 8 0 " ^ tail
+               | 1 -> "L 2 64 8 " ^ tail
+               | 2 -> "M 1 " ^ tail
+               | _ -> "C 0 1"),
+               if kind = 3 then None else Some pool.(p) ))
+           (int_bound 3) (int_bound 2) (int_bound 2)))
+
+  let site_table_v1 =
+    QCheck.Test.make ~name:"site table: v1, sites in several spellings"
+      ~count:300
+      (QCheck.make
+         ~print:(fun ls -> String.concat "\n" (List.map fst ls))
+         gen_v1_file)
+      (fun lines ->
+        with_string
+          ("# hawkset-trace 1\n" ^ String.concat "\n" (List.map fst lines))
+          (fun path ->
+            let t = Trace.Trace_io.load path in
+            let used = List.filter_map snd lines in
+            table_ok t
+            && List.map event_site (Trace.Tracebuf.to_list t) = List.map snd lines
+            && Trace.Tracebuf.site_count t = distinct used))
+
+  (* Hand-built v2 bytes: definitions of pool sites in any order, some
+     defined twice and some never used, then events naming any
+     definition. One byte holds each small int. *)
+  let gen_v2_records =
+    QCheck.Gen.(
+      let pool =
+        [| Trace.Site.v "a.ml" 7; Trace.Site.v ~frames:[ "f"; "g" ] "b.ml" 12;
+           Trace.Site.v ~frames:[ "f" ] "a.ml" 7; Trace.Site.v "c.ml" 99 |]
+      in
+      list_size (int_range 1 8) (int_bound 3) >>= fun defs ->
+      let ndefs = List.length defs in
+      list_size (int_range 0 20) (pair (int_bound 2) (int_bound (ndefs - 1)))
+      >>= fun uses ->
+      let str s = String.make 1 (Char.chr (String.length s)) ^ s in
+      let def p =
+        let s = pool.(p) in
+        "@" ^ str s.Trace.Site.file
+        ^ String.make 1 (Char.chr s.Trace.Site.line)
+        ^ String.make 1 (Char.chr (List.length s.Trace.Site.frames))
+        ^ String.concat "" (List.map str s.Trace.Site.frames)
+      in
+      let record (kind, k) =
+        let i = String.make 1 (Char.chr k) in
+        match kind with
+        | 0 -> ("S\x01\x40\x08" ^ i, Some pool.(List.nth defs k))
+        | 1 -> ("M\x01" ^ i, Some pool.(List.nth defs k))
+        | _ -> ("C\x00\x01", None)
+      in
+      let events = List.map record uses in
+      return
+        ( String.concat "" (List.map def defs) ^ String.concat "" (List.map fst events),
+          List.length events,
+          List.map snd events,
+          distinct (List.map (Array.get pool) defs) ))
+
+  let site_table_v2 =
+    QCheck.Test.make
+      ~name:"site table: v2, sites defined twice, unused and out of order"
+      ~count:300 (QCheck.make gen_v2_records)
+      (fun (records, events, sites, defined) ->
+        with_string (Trace_io_tests.v2_file ~events records) (fun path ->
+            let t = Trace.Trace_io.load path in
+            table_ok t
+            && List.map event_site (Trace.Tracebuf.to_list t) = sites
+            && Trace.Tracebuf.site_count t = defined))
+
   let tests =
     [
       QCheck_alcotest.to_alcotest roundtrip_with_trailer;
@@ -1121,6 +1313,9 @@ module Fuzz_tests = struct
       QCheck_alcotest.to_alcotest v2_roundtrip;
       QCheck_alcotest.to_alcotest v2_truncation;
       QCheck_alcotest.to_alcotest v2_flip;
+      QCheck_alcotest.to_alcotest site_table_built;
+      QCheck_alcotest.to_alcotest site_table_v1;
+      QCheck_alcotest.to_alcotest site_table_v2;
     ]
 end
 
